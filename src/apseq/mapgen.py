@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,20 +99,18 @@ class Region:
     radius     max distance of member centres to the centroid
 
     All three are quantized to 6 fractional digits (file precision).
-    cells is an (m, 2) int array of (i, j) indices sorted lexicographically.
+    The member cells are not held: ``cells`` derives them from the cell
+    labels of the region's map through ``members``.
     """
 
     signature: Signature
-    cells: np.ndarray = field(compare=False)
+    cell_count: int
     centroid: tuple[float, float] = (0.0, 0.0)
     accuracy: float = 0.0
     radius: float = 0.0
+    members: Callable[[], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int32)
-        if cells.ndim != 2 or cells.shape[1] != 2 or len(cells) == 0:
-            raise ValueError("cells must be a non-empty (m, 2) index array")
-        object.__setattr__(self, "cells", cells)
         object.__setattr__(
             self, "centroid", (_quantize(self.centroid[0]), _quantize(self.centroid[1]))
         )
@@ -121,28 +120,30 @@ class Region:
             raise ValueError("region radius cannot be below its accuracy")
 
     @property
-    def cell_count(self) -> int:
-        return len(self.cells)
-
-    def __eq__(self, other):
-        if not isinstance(other, Region):
-            return NotImplemented
-        return (
-            self.signature == other.signature
-            and self.centroid == other.centroid
-            and self.accuracy == other.accuracy
-            and self.radius == other.radius
-            and np.array_equal(self.cells, other.cells)
-        )
+    def cells(self) -> np.ndarray:
+        """(m, 2) int array of member (i, j) indices sorted lexicographically."""
+        return self.members()
 
 
 @dataclass(frozen=True, eq=False)
 class FingerprintMap:
-    """Partition of the grid into signature regions for one AP subset."""
+    """Partition of the grid into signature regions for one AP subset.
+
+    regions is ordered by signature, and flat cell c (see GridSpec.centers)
+    lies in the region numbered lut[cell_labels[c]] in that order.
+    cell_labels numbers each cell's ordering of all the APs the map was
+    built from, so every map of a store shares one such array.
+    """
 
     subset: SubsetKey
     grid: GridSpec
     regions: dict[Signature, Region]
+    cell_labels: np.ndarray = field(repr=False)
+    lut: np.ndarray = field(repr=False)
+    _numbered: tuple[Region, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_numbered", tuple(self.regions.values()))
 
     @property
     def n_regions(self) -> int:
@@ -150,19 +151,8 @@ class FingerprintMap:
 
     def region_at(self, x: float, y: float) -> Region:
         """Region owning the grid cell containing (x, y)."""
-        cell = self.grid.cell_of(x, y)
-        lookup = self.__dict__.get("_cell_lookup")
-        if lookup is None:
-            lookup = {
-                (int(i), int(j)): region
-                for region in self.regions.values()
-                for i, j in region.cells
-            }
-            object.__setattr__(self, "_cell_lookup", lookup)
-        try:
-            return lookup[cell]
-        except KeyError:
-            raise ValueError(f"cell {cell} not covered by any region") from None
+        i, j = self.grid.cell_of(x, y)
+        return self._numbered[self.lut[self.cell_labels[j * self.grid.cols + i]]]
 
     def __eq__(self, other):
         if not isinstance(other, FingerprintMap):
@@ -171,6 +161,7 @@ class FingerprintMap:
             self.subset == other.subset
             and self.grid == other.grid
             and self.regions == other.regions
+            and np.array_equal(self.lut[self.cell_labels], other.lut[other.cell_labels])
         )
 
 
@@ -230,19 +221,72 @@ def cell_signature(point: Sequence[float], subset: Iterable[int], deployment: Ap
     return tuple(sorted(sub, key=lambda i: (d2[i], i)))
 
 
-def _signature_matrix(deployment: ApDeployment, subset: SubsetKey, grid: GridSpec) -> np.ndarray:
-    """Per-cell signatures for all grid cells, shape (n_cells, k)."""
-    centers = grid.centers()
-    sub = np.asarray(subset, dtype=np.int16)
-    pos = np.asarray(deployment.positions(subset), dtype=np.float64)
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative int matrix in lexicographic order,
+    and the index of each input row among them."""
+    # Big-endian rows compare bytewise in numeric lexicographic order, so
+    # one scalar unique over the row bytes sorts them as tuples would.
+    packed = np.ascontiguousarray(rows, dtype=">u4")
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse.ravel()
+
+
+def _region_cells(grid: GridSpec, cell_labels: np.ndarray, lut: np.ndarray, number: int) -> np.ndarray:
+    inside = (lut[cell_labels] == number).reshape(grid.rows, grid.cols)
+    return np.argwhere(inside.T).astype(np.int32)  # (i, j) pairs, i-major
+
+
+def _build_maps(
+    deployment: ApDeployment, subsets: Sequence[SubsetKey], grid: GridSpec
+) -> dict[SubsetKey, FingerprintMap]:
+    """Fingerprint maps of the given subsets from one pass over the grid.
+
+    A subset's signature at a cell is the cell's ordering of all the APs
+    involved, restricted to the subset.  So the cells are grouped once by
+    that full ordering (the ordered order-n Voronoi cells; Okabe et al.,
+    Spatial Tessellations, ch. 3) and every subset region is a union of
+    those groups, found from the few distinct full orderings alone.
+    """
+    ids = np.asarray(sorted(set().union(*subsets)))
+    xs, ys = np.ascontiguousarray(grid.centers().T)
+    pos = np.asarray(deployment.positions(ids.tolist()), dtype=np.float64)
     # Squared distances, same arithmetic as cell_signature: dx*dx + dy*dy
-    dx = centers[:, 0:1] - pos[None, :, 0]
-    dy = centers[:, 1:2] - pos[None, :, 1]
-    d2 = dx * dx + dy * dy
+    dx = xs[:, None] - pos[None, :, 0]
+    dy = ys[:, None] - pos[None, :, 1]
     # Stable argsort on distance; columns are in ascending-id order, so ties
     # resolve toward the smaller ap_id exactly as the scalar version does.
-    order = np.argsort(d2, axis=1, kind="stable")
-    return sub[order]
+    orders, cell_labels = _unique_rows(np.argsort(dx * dx + dy * dy, axis=1, kind="stable"))
+    maps: dict[SubsetKey, FingerprintMap] = {}
+    for subset in subsets:
+        # Each full ordering keeps the subset's columns in order; numbering
+        # the restricted rows lexicographically numbers regions by signature.
+        kept = orders[np.isin(orders, np.searchsorted(ids, subset))]
+        rows, lut = _unique_rows(kept.reshape(len(orders), len(subset)))
+        region = lut[cell_labels]
+        count = np.bincount(region)
+        cx = np.bincount(region, weights=xs) / count
+        cy = np.bincount(region, weights=ys) / count
+        dist = np.hypot(xs - cx[region], ys - cy[region])
+        accuracy = np.bincount(region, weights=dist) / count
+        radius = np.zeros(len(count))
+        np.maximum.at(radius, region, dist)
+        regions = {
+            sig: Region(
+                signature=sig,
+                cell_count=n,
+                centroid=(x, y),
+                accuracy=acc,
+                radius=rad,
+                members=partial(_region_cells, grid, cell_labels, lut, r),
+            )
+            for r, (sig, n, x, y, acc, rad) in enumerate(
+                zip(map(tuple, ids[rows].tolist()), count.tolist(), cx.tolist(), cy.tolist(),
+                    accuracy.tolist(), radius.tolist())
+            )
+        }
+        maps[subset] = FingerprintMap(subset, grid, regions, cell_labels, lut)
+    return maps
 
 
 def build_fingerprint_map(
@@ -250,50 +294,7 @@ def build_fingerprint_map(
 ) -> FingerprintMap:
     """Assign every grid cell its signature and collect the regions."""
     sub = subset_key(subset)
-    for i in sub:
-        deployment.position(i)  # validates membership
-    sigs = _signature_matrix(deployment, sub, grid)
-    centers = grid.centers()
-    cols = grid.cols
-    k = len(sub)
-    if k <= 15:
-        # Each row is a permutation of the subset; packing the per-row rank
-        # positions into one base-k integer makes the row grouping a plain
-        # scalar unique, far cheaper than np.unique over row tuples.
-        pos = np.searchsorted(np.asarray(sub), sigs)
-        weights = (k ** np.arange(k)).astype(np.int64)
-        keys = pos.astype(np.int64) @ weights
-        _, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        uniq = sigs[first_idx]
-    else:
-        uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    sorted_inv = inverse[order]
-    starts = np.flatnonzero(np.r_[True, sorted_inv[1:] != sorted_inv[:-1]])
-    ends = np.r_[starts[1:], len(order)]
-    regions: dict[Signature, Region] = {}
-    for r, (s, e) in enumerate(zip(starts, ends)):
-        row = uniq[r]
-        flat = order[s:e]  # ascending flat indices (stable sort)
-        ij = np.column_stack([flat % cols, flat // cols]).astype(np.int32)
-        ij = ij[np.lexsort((ij[:, 1], ij[:, 0]))]  # sort by (i, j)
-        pts = centers[flat]
-        cx, cy = pts[:, 0].mean(), pts[:, 1].mean()
-        dist = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-        sig = tuple(int(v) for v in row)
-        regions[sig] = Region(
-            signature=sig,
-            cells=ij,
-            centroid=(float(cx), float(cy)),
-            accuracy=float(dist.mean()),
-            radius=float(dist.max()),
-        )
-    fmap = FingerprintMap(subset=sub, grid=grid, regions=regions)
-    n = fmap.n_regions
-    if n > min(math.factorial(len(sub)), grid.n_cells):
-        raise AssertionError("region count exceeds the combinatorial bound")
-    return fmap
+    return _build_maps(deployment, [sub], grid)[sub]
 
 
 def build_map_store(
@@ -303,12 +304,8 @@ def build_map_store(
     if grid is None:
         grid = GridSpec.for_deployment(deployment)
     t0 = time.perf_counter()
-    maps: dict[SubsetKey, FingerprintMap] = {}
-    for subset in enumerate_ap_subsets(deployment.ap_ids, k):
-        maps[subset] = build_fingerprint_map(deployment, subset, grid)
+    maps = _build_maps(deployment, enumerate_ap_subsets(deployment.ap_ids, k), grid)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    n = deployment.n_aps
-    assert len(maps) == math.comb(n, k)
     return MapStore(deployment=deployment, k=k, grid=grid, maps=maps, build_ms=elapsed_ms)
 
 
@@ -322,11 +319,12 @@ def build_map_store(
 #   region <signature-text> <cx> <cy> <accuracy> <radius> <cell_count>
 #   ...                                 (one map block per k-subset)
 #
-# Cell memberships are not stored; the loader recomputes each map from the
-# deployment and grid, then verifies the declared signatures, cell counts
-# and statistics.  All reals carry exactly six fractional digits, which
-# together with construction-time quantization makes save -> load
-# field-exact and re-saves byte-identical.
+# Cell memberships are not stored; the loader rebuilds the whole store once
+# from the deployment and grid, in the single pass of build_map_store, then
+# verifies every declared signature, cell count and statistic against it.
+# All reals carry exactly six fractional digits, which together with
+# construction-time quantization makes save -> load field-exact and
+# re-saves byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -385,7 +383,7 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         raise ValueError(f"{source}: malformed grid line")
     grid = GridSpec(cell_size=float(grid_ln[1]), width=deployment.width, height=deployment.height)
 
-    maps: dict[SubsetKey, FingerprintMap] = {}
+    declared_maps: dict[SubsetKey, dict[Signature, tuple[float, float, float, float, int]]] = {}
     k: int | None = None
     while pos < len(lines):
         map_ln = take().split()
@@ -396,8 +394,11 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             k = len(subset)
         elif len(subset) != k:
             raise ValueError(f"{source}: map subset {subset} is not size {k}")
-        if subset in maps:
+        if subset in declared_maps:
             raise ValueError(f"{source}: duplicate map block for subset {subset}")
+        unknown = sorted(set(subset) - set(deployment.ap_ids))
+        if unknown:
+            raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
         declared: dict[Signature, tuple[float, float, float, float, int]] = {}
         while pos < len(lines) and lines[pos].startswith("region "):
             parts = take().split()
@@ -409,50 +410,48 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             if sig in declared:
                 raise ValueError(f"{source}: duplicate region signature {parts[1]}")
             try:
-                declared[sig] = (
-                    float(parts[2]),
-                    float(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    int(parts[6]),
-                )
+                declared[sig] = (*(float(v) for v in parts[2:6]), int(parts[6]))
             except ValueError:
                 raise ValueError(
                     f"{source}: malformed region line {lines[pos - 1]!r}"
                 ) from None
-        # Rebuild the cell assignment and verify what the file declares.
-        rebuilt = build_fingerprint_map(deployment, subset, grid)
-        if len(declared) != rebuilt.n_regions:
+        declared_maps[subset] = declared
+    if k is None:
+        raise ValueError(f"{source}: store contains no maps")
+    expected = math.comb(deployment.n_aps, k)
+    if len(declared_maps) != expected:
+        raise ValueError(
+            f"{source}: {len(declared_maps)} maps does not match C({deployment.n_aps},{k})={expected}"
+        )
+    # The declared subsets are now exactly the k-subsets of the deployment:
+    # rebuild the store once and verify what the file declares against it.
+    rebuilt = build_map_store(deployment, k, grid)
+    maps: dict[SubsetKey, FingerprintMap] = {}
+    for subset, declared in declared_maps.items():
+        fmap = rebuilt.maps[subset]
+        if len(declared) != fmap.n_regions:
             raise ValueError(
                 f"{source}: map {subset} declares {len(declared)} regions, "
-                f"rebuild gives {rebuilt.n_regions}"
+                f"rebuild gives {fmap.n_regions}"
             )
-        if set(rebuilt.regions) != set(declared):
+        if set(fmap.regions) != set(declared):
             raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
         regions: dict[Signature, Region] = {}
-        for sig, (cx, cy, acc, rad, cell_count) in declared.items():
-            reb = rebuilt.regions[sig]
+        for sig, reb in fmap.regions.items():
+            cx, cy, acc, rad, cell_count = declared[sig]
             if reb.cell_count != cell_count:
                 raise ValueError(
                     f"{source}: cell_count mismatch for region {signature_to_text(sig)} "
                     f"(file {cell_count}, rebuilt {reb.cell_count})"
                 )
-            if (
-                abs(reb.centroid[0] - cx) > 2e-6
-                or abs(reb.centroid[1] - cy) > 2e-6
-                or abs(reb.accuracy - acc) > 2e-6
-                or abs(reb.radius - rad) > 2e-6
+            # "not <=" so that a NaN in the file fails the check too.
+            if not (
+                abs(reb.centroid[0] - cx) <= 2e-6
+                and abs(reb.centroid[1] - cy) <= 2e-6
+                and abs(reb.accuracy - acc) <= 2e-6
+                and abs(reb.radius - rad) <= 2e-6
             ):
                 raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
-            regions[sig] = Region(
-                signature=sig, cells=reb.cells, centroid=(cx, cy), accuracy=acc, radius=rad
-            )
-        maps[subset] = FingerprintMap(subset=subset, grid=grid, regions=regions)
-    if k is None:
-        raise ValueError(f"{source}: store contains no maps")
-    expected = math.comb(deployment.n_aps, k)
-    if len(maps) != expected:
-        raise ValueError(
-            f"{source}: {len(maps)} maps does not match C({deployment.n_aps},{k})={expected}"
-        )
+            regions[sig] = replace(reb, centroid=(cx, cy), accuracy=acc, radius=rad)
+        maps[subset] = replace(fmap, regions=regions)
     return MapStore(deployment=deployment, k=k, grid=grid, maps=maps)

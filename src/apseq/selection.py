@@ -9,6 +9,7 @@ per-cluster picks enumerates fallback subsets for localization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -94,11 +95,14 @@ def kmeans_1d(
 
     Raises:
         DegenerateClusteringError: fewer than k distinct values.
+        ValueError: a value is NaN or infinite.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not values:
         raise ValueError("no RSS values to cluster")
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError("RSS values to cluster must be finite")
     ids = sorted(values, key=lambda i: (-values[i], i))
     xs = [values[i] for i in ids]
     distinct = sorted(set(xs), reverse=True)

@@ -1,5 +1,7 @@
 """Window aggregation, signature matching, and the localization pipeline."""
 
+from importlib import resources
+
 import pytest
 
 from apseq.localize import (
@@ -15,7 +17,7 @@ from apseq.localize import (
     scan_to_text,
 )
 from apseq.mapgen import GridSpec, build_map_store
-from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan
+from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
 
 
 def window_of(samples, duration_s=10.0, cadence_s=1.0):
@@ -156,6 +158,21 @@ class TestLocalize:
         assert result.candidates_tried == 2
         assert result.subset == (1, 2, 4)
         assert result.matched_signature == (1, 4, 2)
+
+    def test_clustering_seeds_at_the_top_ranks(self):
+        # The demo's seven-AP scan: top-rank Lloyd clusters it {1}, {2},
+        # {3..7}, so the first candidate is (1, 2, 3); the exact optimum
+        # {1, 2}, {3, 4, 5}, {6, 7} would try (1, 3, 6) first, which also
+        # matches on dover.  Outcomes are pinned to the top-rank clustering.
+        dep = load_deployment(str(resources.files("apseq") / "data" / "dover.deploy"))
+        store = build_map_store(dep, 3, GridSpec(cell_size=1.0, width=dep.width, height=dep.height))
+        values = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
+        result = localize(RssScan(values=values), store, 3)
+        assert isinstance(result, Estimate)
+        assert result.subset == (1, 2, 3)
+        assert result.matched_signature == (1, 2, 3)
+        assert result.candidates_tried == 1
+        assert result.position == store.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
 
     def test_estimate_carries_region_stats(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})

@@ -249,6 +249,48 @@ def _distance_to_nearest_bisector(point, subset, deployment):
 
 
 @pytest.fixture(scope="module")
+def tie_heavy_deployment():
+    # Integer AP coordinates and 1 m cells (centres at half-integers): many
+    # pairwise bisectors pass exactly through cell centres.
+    return ApDeployment(
+        width=12.0, height=10.0,
+        aps=((1, 2.0, 3.0), (2, 8.0, 3.0), (3, 5.0, 7.0), (4, 2.0, 9.0), (5, 9.0, 8.0)),
+    )
+
+
+class TestStoreOracle:
+    """Every map of a k < n store against the scalar cell_signature."""
+
+    @pytest.mark.parametrize(
+        "deployment_name, cell_size",
+        [("random_deployment", 0.5), ("tie_heavy_deployment", 1.0)],
+    )
+    def test_every_cell_of_every_map(self, request, deployment_name, cell_size):
+        dep = request.getfixturevalue(deployment_name)
+        grid = GridSpec.for_deployment(dep, cell_size)
+        store = build_map_store(dep, 3, grid)
+        assert store.n_maps == 10
+        ties = 0
+        for subset, fmap in store.maps.items():
+            owner = {}
+            for sig, reg in fmap.regions.items():
+                assert len(reg.cells) == reg.cell_count
+                for i, j in reg.cells:
+                    owner[(int(i), int(j))] = sig
+            assert len(owner) == grid.n_cells
+            for i in range(grid.cols):
+                for j in range(grid.rows):
+                    centre = grid.cell_center(i, j)
+                    sig = cell_signature(centre, subset, dep)
+                    assert owner[(i, j)] == sig
+                    assert fmap.region_at(*centre).signature == sig
+                    d2 = [math.dist(centre, dep.position(a)) for a in subset]
+                    ties += len(set(d2)) < len(d2)
+        if deployment_name == "tie_heavy_deployment":
+            assert ties >= 50  # (cell, map) pairs with a distance tie
+
+
+@pytest.fixture(scope="module")
 def small_store():
     dep = ApDeployment(
         width=12.0, height=8.0,
@@ -302,6 +344,36 @@ class TestMapStore:
         parts[6] = str(int(parts[6]) + 1)
         with pytest.raises(ValueError, match="cell_count"):
             map_store_from_text(text.replace(target, " ".join(parts), 1))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [2, 3, 4, 5])
+    def test_non_finite_stats_detected(self, small_store, field, value):
+        text = map_store_to_text(small_store)
+        target = next(ln for ln in text.splitlines() if ln.startswith("region "))
+        parts = target.split()
+        parts[field] = value
+        with pytest.raises(ValueError, match="mismatch"):
+            map_store_from_text(text.replace(target, " ".join(parts), 1))
+
+    def test_map_naming_an_unknown_ap_detected(self, small_store):
+        # AP 4 renamed to 9 throughout the block of subset (1, 2, 4).
+        lines = map_store_to_text(small_store).splitlines()
+        start = lines.index("map 1 2 4")
+        lines[start] = "map 1 2 9"
+        for n in range(start + 1, len(lines)):
+            if not lines[n].startswith("region "):
+                break
+            parts = lines[n].split()
+            parts[1] = parts[1].replace("4", "9")
+            lines[n] = " ".join(parts)
+        with pytest.raises(ValueError, match=r"AP ids \[9\] not in the deployment"):
+            map_store_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("line", ["map 1 2", "map 1 2 3 4"])
+    def test_map_of_the_wrong_size_detected(self, small_store, line):
+        text = map_store_to_text(small_store).replace("map 1 2 4\n", line + "\n", 1)
+        with pytest.raises(ValueError, match="is not size 3"):
+            map_store_from_text(text)
 
     def test_missing_map_block_detected(self, small_store):
         lines = map_store_to_text(small_store).splitlines()

@@ -80,6 +80,12 @@ class TestKmeansErrors:
         with pytest.raises(ValueError, match="no RSS values"):
             kmeans_1d({}, 1)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("seed_ranks", [None, (1, 2)])
+    def test_non_finite_values_rejected(self, bad, seed_ranks):
+        with pytest.raises(ValueError, match="finite"):
+            kmeans_1d({1: -40.0, 2: bad, 3: -60.0}, 2, seed_ranks=seed_ranks)
+
 
 class TestKmeansProperties:
     @pytest.mark.parametrize("seed", [3, 17, 251])
