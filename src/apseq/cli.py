@@ -5,26 +5,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-import numpy as np
-
-from .evaluate import (
-    _point_rng,
-    build_stores,
-    load_config,
-    run_experiment,
-    write_report_csvs,
-)
+from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
-from .mapgen import GridSpec, build_map_store, load_map_store, save_map_store
+from .mapgen import DEFAULT_CELL_SIZE, GridSpec, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
-from .propagation import gen_test_points, synth_window
 
 
 def _cmd_mapgen(args) -> int:
     deployment = load_deployment(args.deploy)
-    grid = GridSpec(cell_size=args.grid, width=deployment.width, height=deployment.height)
+    grid = GridSpec.for_deployment(deployment, args.grid)
     store = build_map_store(deployment, args.k, grid)
     save_map_store(store, args.out)
     total_regions = sum(m.n_regions for m in store.maps.values())
@@ -35,36 +25,18 @@ def _cmd_mapgen(args) -> int:
     return 0
 
 
-def _cmd_simulate(args, seed: int | None) -> int:
+def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    if seed is not None:
-        config = replace(config, seed=seed)
     deployment = load_deployment(config.deployment)
     os.makedirs(args.out, exist_ok=True)
-    params = config.params()
-    points = gen_test_points(
-        deployment.width,
-        deployment.height,
-        config.test_points,
-        mode=config.test_point_mode,
-        rng=np.random.default_rng(np.random.SeedSequence((config.seed, 0))),
-    )
     truth_path = os.path.join(args.out, "truth.csv")
     with open(truth_path, "w") as fh:
         fh.write("point,x,y,scan_file\n")
-        for idx, (x, y) in enumerate(points):
+        for idx, ((x, y), window) in enumerate(simulate(config, deployment, args.seed)):
             scan_name = f"scan_{idx:03d}.txt"
-            window = synth_window(
-                (x, y),
-                deployment,
-                params,
-                duration_s=config.duration_s,
-                cadence_s=config.cadence_s,
-                rng=_point_rng(config.seed, idx),
-            )
             save_scan(window, os.path.join(args.out, scan_name))
             fh.write(f"{idx},{x:.6f},{y:.6f},{scan_name}\n")
-    print(f"wrote {len(points)} scans and {truth_path} to {args.out}")
+    print(f"wrote {idx + 1} scans and {truth_path} to {args.out}")
     return 0
 
 
@@ -85,13 +57,9 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args, seed: int | None) -> int:
+def _cmd_evaluate(args) -> int:
     config = load_config(args.config)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    deployment = load_deployment(config.deployment)
-    stores = build_stores(deployment, config.k_values, config.cell_size)
-    report = run_experiment(config, stores=stores)
+    report = run_experiment(config, seed=args.seed)
     out_dir = args.out if args.out is not None else config.out_dir
     paths = write_report_csvs(report, out_dir)
     for k in sorted(report.per_k):
@@ -117,22 +85,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mapgen", help="build fingerprint maps for every k-subset of APs")
     p.add_argument("--deploy", required=True, help="deployment file (APSEQ-DEPLOY v1)")
-    p.add_argument("--grid", type=float, default=0.2, help="grid cell size in meters")
+    p.add_argument("--grid", type=float, default=DEFAULT_CELL_SIZE, help="grid cell size in meters")
     p.add_argument("--k", type=int, required=True, help="AP subset size")
     p.add_argument("--out", required=True, help="output map-store file")
+    p.set_defaults(run=_cmd_mapgen)
 
     p = sub.add_parser("simulate", help="synthesize scan windows at the config's test points")
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", required=True, help="output directory for scan files")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("localize", help="localize one scan file against a map store")
     p.add_argument("--store", required=True, help="map-store file (APSEQMAP v1)")
     p.add_argument("--scan", required=True, help="scan file (APSEQ-SCAN v1)")
     p.add_argument("--k", type=int, required=True, help="number of APs to select")
+    p.set_defaults(run=_cmd_localize)
 
     p = sub.add_parser("evaluate", help="run the simulated experiment and write CSV metrics")
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
+    p.set_defaults(run=_cmd_evaluate)
 
     return parser
 
@@ -140,18 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "mapgen":
-            return _cmd_mapgen(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, args.seed)
-        if args.command == "localize":
-            return _cmd_localize(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, args.seed)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

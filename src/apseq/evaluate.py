@@ -6,61 +6,73 @@ The harness builds one map store per k, simulates an observation window at
 every test point, localizes it at every k, and reports per-k error lists,
 missed-detection rates and empirical CDFs.
 
-All randomness flows from the single config seed through named substreams:
-test-point coordinates use substream (seed, 0) and the window of test point
-i uses substream (seed, i+1), so adding test points never perturbs earlier
-ones and windows of different durations share their leading samples.
+`simulate` is the one source of the experiment's test points and windows;
+`run_experiment` and `apseq simulate` both draw from it.  All randomness
+flows from the single config seed through named substreams: test-point
+coordinates use substream (seed, 0) and the window of test point i uses
+substream (seed, i+1), so adding test points never perturbs earlier ones
+and windows of different durations share their leading samples.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .localize import Estimate, aggregate_scan, localize
-from .mapgen import GridSpec, MapStore, build_map_store
+from .localize import Estimate, ScanWindow, aggregate_scan, localize
+from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_map_store
 from .model import ApDeployment, load_deployment
-from .propagation import PropagationParams, gen_test_points, synth_window
-
-_CONFIG_DEFAULTS = {
-    "cell_size": 0.2,
-    "p0_dbm": -30.0,
-    "gamma": 2.5,
-    "d0_m": 1.0,
-    "sigma_db": 0.0,
-    "detect_floor_dbm": -95.0,
-    "round_to_int": False,
-    "test_point_mode": "random",
-    "test_points": 27,
-    "duration_s": 60.0,
-    "cadence_s": 0.3,
-    "seed": 0,
-    "out_dir": "out",
-}
+from .propagation import (
+    DEFAULT_CADENCE_S,
+    DEFAULT_DURATION_S,
+    PropagationParams,
+    gen_test_points,
+    synth_window,
+)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario: where the APs are, what to simulate, what to evaluate."""
+    """One scenario: where the APs are, what to simulate, what to evaluate.
+
+    Every field is a config key (see parse_config).  Key, default, meaning:
+
+    deployment        (required)  deployment file, relative to the config file
+    k_values          (required)  subset sizes to evaluate, e.g. ``3, 4, 5``
+    cell_size         0.2         grid cell edge of the maps, m
+    p0_dbm            -30.0       RSS at the reference distance, dBm
+    gamma             2.5         path-loss exponent
+    d0_m              1.0         reference distance, m
+    sigma_db          0.0         shadowing standard deviation, dB
+    detect_floor_dbm  -95.0       samples below it go unheard, dBm
+    round_to_int      false       report whole dBm (true/yes/1 or false/no/0)
+    test_point_mode   random      ``random``, or ``grid`` with test_points per side
+    test_points       27          number of test points
+    duration_s        60.0        observation window per test point, s
+    cadence_s         0.3         sampling interval within a window, s
+    seed              0           root of every random substream
+    out_dir           out         where ``apseq evaluate`` writes without --out
+    """
 
     deployment: str
     k_values: tuple[int, ...]
-    cell_size: float = 0.2
-    p0_dbm: float = -30.0
-    gamma: float = 2.5
-    d0_m: float = 1.0
-    sigma_db: float = 0.0
-    detect_floor_dbm: float = -95.0
-    round_to_int: bool = False
+    cell_size: float = DEFAULT_CELL_SIZE
+    p0_dbm: float = PropagationParams.p0_dbm
+    gamma: float = PropagationParams.gamma
+    d0_m: float = PropagationParams.d0_m
+    sigma_db: float = PropagationParams.sigma_db
+    detect_floor_dbm: float = PropagationParams.detect_floor_dbm
+    round_to_int: bool = PropagationParams.round_to_int
     test_point_mode: str = "random"
     test_points: int = 27
-    duration_s: float = 60.0
-    cadence_s: float = 0.3
-    seed: int = 0
+    duration_s: float = DEFAULT_DURATION_S
+    cadence_s: float = DEFAULT_CADENCE_S
+    seed: int = PropagationParams.seed
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -70,17 +82,18 @@ class ExperimentConfig:
             raise ValueError("every k must be at least 2")
         if self.test_points < 1:
             raise ValueError("test_points must be at least 1")
+        if self.test_point_mode not in ("grid", "random"):
+            raise ValueError(f"unknown test-point mode {self.test_point_mode!r}")
+        for name in ("duration_s", "cadence_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        self.params()  # validates the propagation fields
 
     def params(self, seed: int | None = None) -> PropagationParams:
-        return PropagationParams(
-            p0_dbm=self.p0_dbm,
-            gamma=self.gamma,
-            d0_m=self.d0_m,
-            sigma_db=self.sigma_db,
-            detect_floor_dbm=self.detect_floor_dbm,
-            seed=self.seed if seed is None else seed,
-            round_to_int=self.round_to_int,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(PropagationParams)}
+        if seed is not None:
+            values["seed"] = seed
+        return PropagationParams(**values)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -93,12 +106,14 @@ def _parse_bool(raw: str) -> bool:
 
 
 def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> ExperimentConfig:
-    """Parse `key = value` lines; see ExperimentConfig for the keys.
+    """Parse `key = value` lines; every ExperimentConfig field is a key.
 
     Blank lines and lines starting with '#' are ignored.  The deployment
     path is resolved relative to base_dir (normally the config file's
-    directory).
+    directory), k_values takes integers separated by commas or spaces, and
+    every other value is read as the type of its field's default.
     """
+    known = {f.name: f for f in fields(ExperimentConfig)}
     values: dict = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -110,23 +125,16 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> Ex
         key, raw = key.strip(), raw.strip()
         if key in values:
             raise ValueError(f"{source}: duplicate key {key!r}")
+        if key not in known:
+            raise ValueError(f"{source}: unknown config key {key!r}")
         try:
             if key == "deployment":
                 values[key] = os.path.join(base_dir, raw)
             elif key == "k_values":
                 values[key] = tuple(int(v) for v in raw.replace(",", " ").split())
-            elif key in ("test_points", "seed"):
-                values[key] = int(raw)
-            elif key == "round_to_int":
-                values[key] = _parse_bool(raw)
-            elif key in ("test_point_mode", "out_dir"):
-                values[key] = raw
-            elif key in _CONFIG_DEFAULTS:
-                values[key] = float(raw)
             else:
-                raise KeyError(key)
-        except KeyError:
-            raise ValueError(f"{source}: unknown config key {key!r}") from None
+                kind = type(known[key].default)
+                values[key] = _parse_bool(raw) if kind is bool else kind(raw)
         except ValueError as exc:
             raise ValueError(f"{source}: bad value for {key!r}: {exc}") from None
     for req in ("deployment", "k_values"):
@@ -194,25 +202,36 @@ class ExperimentReport:
 def build_stores(
     deployment: ApDeployment, k_values: Sequence[int], cell_size: float
 ) -> dict[int, MapStore]:
-    grid = GridSpec(cell_size=cell_size, width=deployment.width, height=deployment.height)
+    grid = GridSpec.for_deployment(deployment, cell_size)
     return {k: build_map_store(deployment, k, grid) for k in sorted(set(k_values))}
 
 
-def _experiment_points(
-    config: ExperimentConfig, deployment: ApDeployment, seed: int
-) -> list[tuple[float, float]]:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    return gen_test_points(
+def simulate(
+    config: ExperimentConfig, deployment: ApDeployment, seed: int | None = None
+) -> Iterator[tuple[tuple[float, float], ScanWindow]]:
+    """Yield the experiment's (test point, simulated window) pairs in order.
+
+    Windows are made one at a time, so a caller that consumes each before
+    the next holds only one.  `seed` overrides the config seed.
+    """
+    seed = config.seed if seed is None else seed
+    params = config.params(seed=seed)
+    points = gen_test_points(
         deployment.width,
         deployment.height,
         config.test_points,
         mode=config.test_point_mode,
-        rng=rng,
+        rng=np.random.default_rng(np.random.SeedSequence((seed, 0))),
     )
-
-
-def _point_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index + 1)))
+    for idx, point in enumerate(points):
+        yield point, synth_window(
+            point,
+            deployment,
+            params,
+            duration_s=config.duration_s,
+            cadence_s=config.cadence_s,
+            rng=np.random.default_rng(np.random.SeedSequence((seed, idx + 1))),
+        )
 
 
 def run_experiment(
@@ -226,23 +245,14 @@ def run_experiment(
     evaluated under different subset sizes.  Pass `stores` to reuse maps
     across repeated runs (they depend only on deployment and grid).
     """
-    seed = config.seed if seed is None else seed
     deployment = load_deployment(config.deployment)
     if stores is None:
         stores = build_stores(deployment, config.k_values, config.cell_size)
-    params = config.params(seed=seed)
-    points = _experiment_points(config, deployment, seed)
+    points: list[tuple[float, float]] = []
     errors: dict[int, list[float]] = {k: [] for k in config.k_values}
     missed: dict[int, int] = {k: 0 for k in config.k_values}
-    for idx, point in enumerate(points):
-        window = synth_window(
-            point,
-            deployment,
-            params,
-            duration_s=config.duration_s,
-            cadence_s=config.cadence_s,
-            rng=_point_rng(seed, idx),
-        )
+    for point, window in simulate(config, deployment, seed):
+        points.append(point)
         scan = aggregate_scan(window)
         for k in config.k_values:
             outcome = localize(scan, stores, k)
@@ -278,16 +288,12 @@ def window_sweep(
     window is a prefix of a longer one and the comparison isolates the
     effect of observation time.
     """
-    if any(d <= 0 for d in durations):
-        raise ValueError("durations must be positive")
+    # Check every duration before any store is built.
+    configs = [replace(config, duration_s=float(d)) for d in durations]
     deployment = load_deployment(config.deployment)
     if stores is None:
         stores = build_stores(deployment, config.k_values, config.cell_size)
-    out: dict[float, ExperimentReport] = {}
-    for duration in durations:
-        cfg = replace(config, duration_s=float(duration))
-        out[float(duration)] = run_experiment(cfg, seed=seed, stores=stores)
-    return out
+    return {cfg.duration_s: run_experiment(cfg, seed=seed, stores=stores) for cfg in configs}
 
 
 def write_report_csvs(report: ExperimentReport, out_dir) -> list[str]:

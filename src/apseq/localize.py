@@ -134,8 +134,14 @@ def localize(
     (stores for the smaller k must be available, e.g. by passing a dict of
     stores keyed by k).  Candidates are tried in the deterministic
     strongest-first order; the first signature present in its map wins.
+    Detected APs missing from the store's deployment (real scanners hear
+    foreign APs) are ignored; the stores of a mapping share one deployment.
     """
     detected = scan.detected()
+    any_store = store if isinstance(store, MapStore) else next(iter(store.values()), None)
+    if any_store is not None and not detected.keys() <= any_store.deployment.ap_id_set:
+        known = any_store.deployment.ap_id_set
+        detected = {i: v for i, v in detected.items() if i in known}
     if len(detected) < 2:
         raise ValueError("insufficient APs")
     k_eff = min(k, len(detected))

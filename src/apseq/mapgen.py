@@ -52,8 +52,8 @@ class GridSpec:
         object.__setattr__(self, "cell_size", _quantize(self.cell_size))
         object.__setattr__(self, "width", _quantize(self.width))
         object.__setattr__(self, "height", _quantize(self.height))
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be finite and positive")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("grid area must have positive width and height")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 # RSS value (dBm) standing in for "not detected" in scans and scan files.
@@ -69,6 +70,11 @@ class ApDeployment:
     def ap_ids(self) -> tuple[int, ...]:
         """AP ids, sorted ascending."""
         return tuple(sorted(i for i, _, _ in self.aps))
+
+    @cached_property
+    def ap_id_set(self) -> frozenset[int]:
+        """AP ids as a set, built once, for membership tests on the online path."""
+        return frozenset(i for i, _, _ in self.aps)
 
     @property
     def n_aps(self) -> int:

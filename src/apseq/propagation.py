@@ -42,8 +42,8 @@ class PropagationParams:
             raise ValueError("gamma must be positive")
         if not self.d0_m > 0:
             raise ValueError("reference distance d0_m must be positive")
-        if self.sigma_db < 0:
-            raise ValueError("sigma_db cannot be negative")
+        if not self.sigma_db >= 0:
+            raise ValueError("sigma_db must be a non-negative number")
         if not self.detect_floor_dbm > -100.0:
             raise ValueError("detect_floor_dbm must exceed the -100 sentinel")
 

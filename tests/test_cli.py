@@ -5,8 +5,10 @@ import math
 import pytest
 
 from apseq.cli import main
+from apseq.evaluate import load_config, run_experiment, simulate
+from apseq.localize import scan_to_text
 from apseq.mapgen import load_map_store
-from apseq.model import ApDeployment, save_deployment
+from apseq.model import ApDeployment, load_deployment, save_deployment
 
 CONFIG = """\
 deployment = quad.deploy
@@ -81,6 +83,21 @@ class TestSimulate:
               "--out", str(b_dir)])
         assert (a_dir / "truth.csv").read_text() != (b_dir / "truth.csv").read_text()
 
+    @pytest.mark.parametrize("seed", [None, 77])
+    def test_writes_the_experiment_that_evaluate_runs(self, workspace, seed):
+        out_dir = workspace / f"tied_{seed}"
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        main(seed_args + ["simulate", "--config", str(workspace / "quad.cfg"),
+                          "--out", str(out_dir)])
+        config = load_config(workspace / "quad.cfg")
+        report = run_experiment(config, seed=seed)
+        rows = [row.split(",") for row in (out_dir / "truth.csv").read_text().splitlines()[1:]]
+        assert [row[1:3] for row in rows] == [[f"{x:.6f}", f"{y:.6f}"] for x, y in report.points]
+        pairs = list(simulate(config, load_deployment(config.deployment), seed))
+        assert len(pairs) == len(rows)
+        for row, (_, window) in zip(rows, pairs):
+            assert (out_dir / row[3]).read_text() == scan_to_text(window)
+
     def test_repeat_runs_are_identical(self, workspace):
         a_dir, b_dir = workspace / "rep_a", workspace / "rep_b"
         argv = ["simulate", "--config", str(workspace / "quad.cfg")]
@@ -117,6 +134,21 @@ class TestLocalize:
             assert 0.0 <= x <= 12.0 and 0.0 <= y <= 9.0
             assert math.hypot(x - tx, y - ty) < 15.0
             assert len(fields) == 5
+
+    def test_ap_outside_the_deployment_is_ignored(self, prepared, capsys):
+        scan = prepared / "loc_scans" / "scan_000.txt"
+        lines = scan.read_text().splitlines()
+        instants = sorted({ln.split()[1] for ln in lines[1:]}, key=float)
+        foreign = prepared / "foreign_scan.txt"
+        foreign.write_text("\n".join(lines + [f"sample {t} 99 -45.000000" for t in instants]) + "\n")
+        outputs = []
+        for path in (scan, foreign):
+            capsys.readouterr()
+            rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
+                       "--scan", str(path), "--k", "2"])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_k_mismatch_is_reported(self, prepared, capsys):
         rc = main(["localize", "--store", str(prepared / "loc_k2.map"),

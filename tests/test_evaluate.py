@@ -1,6 +1,8 @@
 """Experiment configs, error statistics, and the evaluation harness."""
 
+import math
 import os
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -16,6 +18,7 @@ from apseq.evaluate import (
     write_report_csvs,
 )
 from apseq.model import ApDeployment, save_deployment
+from apseq.propagation import PropagationParams
 
 TINY_DEPLOY = ApDeployment(
     width=10.0,
@@ -34,6 +37,25 @@ duration_s = 2.0
 cadence_s = 0.5
 seed = 3
 out_dir = results
+"""
+
+# Every ExperimentConfig field, each away from its default.
+EVERY_KEY_CONFIG = """\
+deployment = other.deploy
+k_values = 4 5
+cell_size = 0.25
+p0_dbm = -35.5
+gamma = 3.0
+d0_m = 2.0
+sigma_db = 1.5
+detect_floor_dbm = -80.0
+round_to_int = yes
+test_point_mode = grid
+test_points = 4
+duration_s = 30.0
+cadence_s = 0.5
+seed = 9
+out_dir = elsewhere
 """
 
 
@@ -80,6 +102,37 @@ class TestConfigParsing:
         cfg = parse_config(f"deployment = d\nk_values = 2\nround_to_int = {raw}\n")
         assert cfg.round_to_int is want
 
+    def test_every_field_is_a_config_key(self):
+        keys = [ln.partition("=")[0].strip() for ln in EVERY_KEY_CONFIG.splitlines()]
+        assert keys == [f.name for f in fields(ExperimentConfig)]
+        cfg = parse_config(EVERY_KEY_CONFIG, base_dir="base")
+        want = ExperimentConfig(
+            deployment=os.path.join("base", "other.deploy"), k_values=(4, 5), cell_size=0.25,
+            p0_dbm=-35.5, gamma=3.0, d0_m=2.0, sigma_db=1.5, detect_floor_dbm=-80.0,
+            round_to_int=True, test_point_mode="grid", test_points=4, duration_s=30.0,
+            cadence_s=0.5, seed=9, out_dir="elsewhere",
+        )
+        assert cfg == want
+        for f in fields(ExperimentConfig):
+            assert type(getattr(cfg, f.name)) is type(getattr(want, f.name)), f.name
+            assert getattr(cfg, f.name) != f.default, f.name
+
+    def test_propagation_defaults_are_shared(self):
+        assert ExperimentConfig(deployment="d", k_values=(3,)).params() == PropagationParams()
+
+    def test_docstring_lists_every_key_with_its_default(self):
+        names = [f.name for f in fields(ExperimentConfig)]
+        documented = {}
+        for ln in ExperimentConfig.__doc__.splitlines():
+            words = ln.split()
+            if words and words[0] in names:
+                documented[words[0]] = words[1]
+        assert list(documented) == names
+        for f in fields(ExperimentConfig):
+            if f.default is not MISSING:
+                cfg = parse_config(f"deployment = d\nk_values = 2\n{f.name} = {documented[f.name]}\n")
+                assert getattr(cfg, f.name) == f.default, f.name
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# header\n\ndeployment = d\n  \nk_values = 2\n# tail\n")
         assert cfg.k_values == (2,)
@@ -93,6 +146,7 @@ class TestConfigParsing:
             ("deployment = d\nk_values = 2\ncolour = red\n", "unknown config key"),
             ("deployment = d\nk_values = two\n", "bad value for 'k_values'"),
             ("deployment = d\nk_values = 2\nsigma_db = much\n", "bad value for 'sigma_db'"),
+            ("deployment = d\nk_values = 2\nsigma_db = nan\n", "sigma_db"),
             ("deployment = d\nk_values = 2\nround_to_int = maybe\n", "bad value"),
             ("deployment = d\nk_values 2\n", "malformed config line"),
         ],
@@ -107,6 +161,9 @@ class TestConfigParsing:
             (dict(k_values=()), "k_values"),
             (dict(k_values=(1,)), "at least 2"),
             (dict(k_values=(2,), test_points=0), "test_points"),
+            (dict(k_values=(2,), duration_s=math.inf), "duration_s"),
+            (dict(k_values=(2,), cadence_s=math.nan), "cadence_s"),
+            (dict(k_values=(2,), test_point_mode="spiral"), "unknown test-point mode"),
         ],
     )
     def test_config_validation(self, kwargs, match):

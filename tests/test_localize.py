@@ -174,6 +174,12 @@ class TestLocalize:
         assert result.candidates_tried == 1
         assert result.position == store.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
 
+    @pytest.mark.parametrize("foreign_rss", [-20.0, -45.0, -51.0, -90.0])
+    def test_ap_outside_the_deployment_is_ignored(self, fallback_store, foreign_rss):
+        values = {1: -30.0, 2: -70.0, 3: -50.0, 4: -52.0}
+        heard = RssScan(values={**values, 99: foreign_rss})
+        assert localize(heard, fallback_store, 3) == localize(RssScan(values=values), fallback_store, 3)
+
     def test_estimate_carries_region_stats(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})
         result = localize(scan, half_plane_store, 2)
@@ -198,6 +204,12 @@ class TestKDegradation:
         scan = RssScan(values={1: -35.0, 2: -45.0, 4: UNDETECTED_DBM})
         result = localize(scan, store_family, 4)
         assert isinstance(result, Estimate)
+        assert len(result.subset) == 2
+
+    def test_aps_outside_the_deployment_do_not_count_toward_k(self, store_family):
+        scan = RssScan(values={1: -35.0, 2: -45.0, 98: -40.0, 99: -50.0})
+        result = localize(scan, store_family, 4)
+        assert result == localize(RssScan(values={1: -35.0, 2: -45.0}), store_family, 4)
         assert len(result.subset) == 2
 
     def test_duplicate_values_shrink_k(self, store_family):

@@ -55,6 +55,11 @@ class TestGridSpec:
         grid = GridSpec(cell_size=1.0, width=5.5, height=3.2)
         assert (grid.cols, grid.rows) == (6, 4)
 
+    @pytest.mark.parametrize("cell_size", [0.0, -0.5, math.inf, math.nan])
+    def test_cell_size_must_be_finite_and_positive(self, cell_size):
+        with pytest.raises(ValueError, match="cell_size"):
+            GridSpec(cell_size=cell_size, width=4.0, height=4.0)
+
     def test_cell_center_and_lookup_agree(self):
         grid = GridSpec(cell_size=0.5, width=8.0, height=4.0)
         for i, j in [(0, 0), (3, 2), (15, 7)]:

@@ -58,6 +58,7 @@ class TestPathLossModel:
             (dict(d0_m=0.0), "d0_m"),
             (dict(sigma_db=-1.0), "sigma_db"),
             (dict(detect_floor_dbm=-100.0), "detect_floor"),
+            (dict(sigma_db=float("nan")), "sigma_db"),
         ],
     )
     def test_parameter_validation(self, kwargs, match):
