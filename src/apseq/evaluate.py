@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .localize import Estimate, ScanWindow, aggregate_scan, localize
+from .localize import Estimate, ScanWindow, aggregate_scan, instant_count, localize
 from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_map_store
 from .model import ApDeployment, load_deployment
 from .propagation import (
@@ -87,6 +87,7 @@ class ExperimentConfig:
         for name in ("duration_s", "cadence_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        instant_count(self.duration_s, self.cadence_s)
         self.params()  # validates the propagation fields
 
     def params(self, seed: int | None = None) -> PropagationParams:

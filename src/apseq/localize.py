@@ -9,6 +9,7 @@ every candidate misses, the attempt is a missed detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -29,14 +30,27 @@ from .selection import generate_candidate_sets, kmeans_1d
 DETECTION_RATIO = 0.10
 
 
+def instant_count(duration_s: float, cadence_s: float) -> int:
+    """Sampling instants of a window: floor(duration / cadence).
+
+    This is the one rule for a sampling schedule; it raises ValueError
+    unless 0 < cadence_s <= duration_s < inf.
+    """
+    if not 0 < cadence_s <= duration_s < math.inf:
+        raise ValueError(
+            f"need 0 < cadence_s <= duration_s < inf "
+            f"(duration_s={duration_s}, cadence_s={cadence_s})"
+        )
+    return int(duration_s / cadence_s + 1e-9)
+
+
 @dataclass(frozen=True)
 class ScanWindow:
     """Per-AP RSS time series over one observation window.
 
     aps maps ap_id -> tuple of (timestamp_s, rss_dbm) samples; instants
     where an AP was not heard simply have no sample for it.  duration_s and
-    cadence_s describe the sampling schedule, so the number of sampling
-    instants is floor(duration / cadence).
+    cadence_s describe the sampling schedule (see instant_count).
     """
 
     aps: Mapping[int, tuple[tuple[float, float], ...]]
@@ -44,10 +58,7 @@ class ScanWindow:
     cadence_s: float
 
     def __post_init__(self):
-        if not self.duration_s > 0:
-            raise ValueError("window duration must be positive")
-        if not 0 < self.cadence_s <= self.duration_s:
-            raise ValueError("cadence must be positive and at most the duration")
+        instant_count(self.duration_s, self.cadence_s)
         object.__setattr__(self, "aps", dict(self.aps))
         for ap_id, series in self.aps.items():
             ts = [t for t, _ in series]
@@ -56,7 +67,7 @@ class ScanWindow:
 
     @property
     def n_instants(self) -> int:
-        return max(1, int(self.duration_s / self.cadence_s + 1e-9))
+        return instant_count(self.duration_s, self.cadence_s)
 
 
 def aggregate_scan(window: ScanWindow) -> RssScan:
@@ -130,9 +141,9 @@ def localize(
 ) -> LocalizationOutcome:
     """Estimate a position from an aggregated scan, with candidate fallback.
 
-    When fewer than k APs were detected, k degrades to the detected count
-    (stores for the smaller k must be available, e.g. by passing a dict of
-    stores keyed by k).  Candidates are tried in the deterministic
+    When fewer than k distinct RSS values were detected, k degrades to
+    that count (stores for the smaller k must be available, e.g. by passing
+    a dict of stores keyed by k).  Candidates are tried in the deterministic
     strongest-first order; the first signature present in its map wins.
     Detected APs missing from the store's deployment (real scanners hear
     foreign APs) are ignored; the stores of a mapping share one deployment.
@@ -142,14 +153,7 @@ def localize(
     if any_store is not None and not detected.keys() <= any_store.deployment.ap_id_set:
         known = any_store.deployment.ap_id_set
         detected = {i: v for i, v in detected.items() if i in known}
-    if len(detected) < 2:
-        raise ValueError("insufficient APs")
-    k_eff = min(k, len(detected))
-    # Duplicate aggregated values can leave fewer distinct values than
-    # clusters; degrade k the same way as for a short detection list.
-    distinct = len(set(detected.values()))
-    if distinct < k_eff:
-        k_eff = distinct
+    k_eff = min(k, len(set(detected.values())))
     if k_eff < 2:
         raise ValueError("insufficient APs")
     the_store = _store_for(store, k_eff)
@@ -218,6 +222,8 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
             raise ValueError(f"{source}: malformed sample line {ln!r}")
         try:
             t, ap_id, rss = float(parts[1]), int(parts[2]), float(parts[3])
+            if not (math.isfinite(t) and math.isfinite(rss)):
+                raise ValueError
         except ValueError:
             raise ValueError(f"{source}: malformed sample line {ln!r}") from None
         series.setdefault(ap_id, []).append((t, rss))

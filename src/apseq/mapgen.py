@@ -165,7 +165,7 @@ class FingerprintMap:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MapStore:
     """All C(n, k) fingerprint maps of a deployment for one subset size k.
 
@@ -177,21 +177,11 @@ class MapStore:
     k: int
     grid: GridSpec
     maps: dict[SubsetKey, FingerprintMap]
-    build_ms: float = 0.0
+    build_ms: float = field(default=0.0, compare=False)
 
     @property
     def n_maps(self) -> int:
         return len(self.maps)
-
-    def __eq__(self, other):
-        if not isinstance(other, MapStore):
-            return NotImplemented
-        return (
-            self.deployment == other.deployment
-            and self.k == other.k
-            and self.grid == other.grid
-            and self.maps == other.maps
-        )
 
 
 def enumerate_ap_subsets(ids: int | Iterable[int], k: int) -> list[SubsetKey]:

@@ -39,7 +39,7 @@ class ApDeployment:
 
     Coordinates are metres, origin at the lower-left corner of the area.
     Positions are quantized to 6 fractional digits on construction to match
-    the on-disk precision of deployment files.
+    the on-disk precision of deployment files, and aps is sorted by ap_id.
     """
 
     width: float
@@ -52,7 +52,7 @@ class ApDeployment:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("deployment area must have positive width and height")
         aps = tuple(
-            (int(i), _quantize(x), _quantize(y)) for i, x, y in self.aps
+            sorted((int(i), _quantize(x), _quantize(y)) for i, x, y in self.aps)
         )
         object.__setattr__(self, "aps", aps)
         if len(aps) < 2:
@@ -69,7 +69,7 @@ class ApDeployment:
     @property
     def ap_ids(self) -> tuple[int, ...]:
         """AP ids, sorted ascending."""
-        return tuple(sorted(i for i, _, _ in self.aps))
+        return tuple(i for i, _, _ in self.aps)
 
     @cached_property
     def ap_id_set(self) -> frozenset[int]:
@@ -176,7 +176,7 @@ def save_deployment(deployment: ApDeployment, path) -> None:
 def deployment_to_text(deployment: ApDeployment) -> str:
     lines = [DEPLOY_HEADER]
     lines.append(f"area {deployment.width:.6f} {deployment.height:.6f}")
-    for i, x, y in sorted(deployment.aps):
+    for i, x, y in deployment.aps:
         lines.append(f"ap {i} {x:.6f} {y:.6f}")
     return "\n".join(lines) + "\n"
 

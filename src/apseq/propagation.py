@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localize import ScanWindow
+from .localize import ScanWindow, instant_count
 from .model import ApDeployment
 
 DEFAULT_DURATION_S = 60.0
@@ -38,36 +38,22 @@ class PropagationParams:
     round_to_int: bool = False
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.d0_m > 0:
-            raise ValueError("reference distance d0_m must be positive")
-        if not self.sigma_db >= 0:
-            raise ValueError("sigma_db must be a non-negative number")
-        if not self.detect_floor_dbm > -100.0:
-            raise ValueError("detect_floor_dbm must exceed the -100 sentinel")
+        if not math.isfinite(self.p0_dbm):
+            raise ValueError("p0_dbm must be finite")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not 0 < self.d0_m < math.inf:
+            raise ValueError("reference distance d0_m must be finite and positive")
+        if not 0 <= self.sigma_db < math.inf:
+            raise ValueError("sigma_db must be a finite non-negative number")
+        if not -100.0 < self.detect_floor_dbm < math.inf:
+            raise ValueError("detect_floor_dbm must be finite and exceed the -100 sentinel")
 
 
 def mean_rss(distance_m: float, params: PropagationParams) -> float:
     """Noise-free RSS at a given distance (the model's deterministic part)."""
     d = max(distance_m, params.d0_m)
     return params.p0_dbm - 10.0 * params.gamma * math.log10(d / params.d0_m)
-
-
-def rss_at(
-    point: tuple[float, float],
-    ap_position: tuple[float, float],
-    params: PropagationParams,
-    noise_draw: float = 0.0,
-) -> float | None:
-    """One RSS sample at `point` from an AP, or None when below the floor."""
-    d = math.hypot(point[0] - ap_position[0], point[1] - ap_position[1])
-    rss = min(mean_rss(d, params) + noise_draw, params.p0_dbm)
-    if params.round_to_int:
-        rss = float(round(rss))
-    if rss < params.detect_floor_dbm:
-        return None
-    return rss
 
 
 def synth_window(
@@ -83,30 +69,32 @@ def synth_window(
     Shadowing draws are i.i.d. per (instant, AP) and come from `rng` (or a
     fresh generator seeded by params.seed).  The noise matrix is drawn
     row-by-row in instant order, so with the same generator state a shorter
-    window is a sample-for-sample prefix of a longer one.
+    window is a sample-for-sample prefix of a longer one.  Each sample is
+    min(mean_rss + noise, p0_dbm), rounded when round_to_int is set; samples
+    below detect_floor_dbm are dropped.
     """
-    if not 0 < cadence_s <= duration_s:
-        raise ValueError("need duration_s >= cadence_s > 0")
-    n_instants = int(duration_s / cadence_s + 1e-9)
-    ap_ids = deployment.ap_ids
+    n_instants = instant_count(duration_s, cadence_s)
+    aps = deployment.aps
     if params.sigma_db > 0:
         if rng is None:
             rng = np.random.default_rng(params.seed)
-        noise = rng.normal(0.0, params.sigma_db, size=(n_instants, len(ap_ids)))
+        noise = rng.normal(0.0, params.sigma_db, size=(n_instants, len(aps)))
     else:
-        noise = np.zeros((n_instants, len(ap_ids)))
-    series: dict[int, list[tuple[float, float]]] = {i: [] for i in ap_ids}
-    for i in range(n_instants):
-        t = i * cadence_s
-        for j, ap_id in enumerate(ap_ids):
-            rss = rss_at(point, deployment.position(ap_id), params, noise[i, j])
-            if rss is not None:
-                series[ap_id].append((t, rss))
-    return ScanWindow(
-        aps={i: tuple(s) for i, s in series.items() if s},
-        duration_s=duration_s,
-        cadence_s=cadence_s,
-    )
+        noise = np.zeros((n_instants, len(aps)))
+    mean = [mean_rss(math.hypot(point[0] - x, point[1] - y), params) for _, x, y in aps]
+    rss = np.minimum(noise + mean, params.p0_dbm)
+    if params.round_to_int:
+        rss = np.rint(rss) + 0.0  # + 0.0 turns -0.0 into 0.0, as float(round(x)) does
+    heard = rss >= params.detect_floor_dbm
+    # Object dtype: one float per instant, shared by every AP heard at it,
+    # so a window holds no time object per sample.
+    times = (np.arange(n_instants) * cadence_s).astype(object)
+    series = {}
+    for j, (ap_id, _, _) in enumerate(aps):
+        col = heard[:, j]
+        if col.any():
+            series[ap_id] = tuple(zip(times[col].tolist(), rss[col, j].tolist()))
+    return ScanWindow(aps=series, duration_s=duration_s, cadence_s=cadence_s)
 
 
 def gen_test_points(

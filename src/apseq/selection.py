@@ -95,7 +95,8 @@ def kmeans_1d(
 
     Raises:
         DegenerateClusteringError: fewer than k distinct values.
-        ValueError: a value is NaN or infinite.
+        ValueError: a value is NaN or infinite, or so large that the
+            squared deviations would overflow.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -103,6 +104,10 @@ def kmeans_1d(
         raise ValueError("no RSS values to cluster")
     if not all(map(math.isfinite, values.values())):
         raise ValueError("RSS values to cluster must be finite")
+    # Every sum below, and its square, is at most (n * 2 * max|v|)**2.
+    bound = len(values) * 2.0 * max(map(abs, values.values()))
+    if not math.isfinite(bound * bound):
+        raise ValueError("RSS values to cluster are too large")
     ids = sorted(values, key=lambda i: (-values[i], i))
     xs = [values[i] for i in ids]
     distinct = sorted(set(xs), reverse=True)

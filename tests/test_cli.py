@@ -165,6 +165,18 @@ class TestLocalize:
         assert rc == 2
         assert "malformed sample" in capsys.readouterr().err
 
+    def test_huge_rss_is_reported(self, prepared, capsys):
+        # finite values whose cluster sum overflows to inf
+        huge = prepared / "huge_scan.txt"
+        huge.write_text(
+            "APSEQ-SCAN v1\nsample 0.000 2 1e308\nsample 0.000 3 1e308\n"
+            "sample 0.000 4 -78.5\n"
+        )
+        rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
+                   "--scan", str(huge), "--k", "2"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_writes_metrics(self, workspace, capsys):

@@ -164,6 +164,8 @@ class TestConfigParsing:
             (dict(k_values=(2,), duration_s=math.inf), "duration_s"),
             (dict(k_values=(2,), cadence_s=math.nan), "cadence_s"),
             (dict(k_values=(2,), test_point_mode="spiral"), "unknown test-point mode"),
+            (dict(k_values=(2,), duration_s=3.0, cadence_s=5.0), "duration_s"),
+            (dict(k_values=(2,), p0_dbm=math.nan), "p0_dbm"),
         ],
     )
     def test_config_validation(self, kwargs, match):

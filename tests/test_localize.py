@@ -48,7 +48,15 @@ class TestScanWindow:
 
     @pytest.mark.parametrize(
         "duration, cadence",
-        [(0.0, 1.0), (-3.0, 1.0), (10.0, 0.0), (10.0, -1.0), (10.0, 11.0)],
+        [
+            (0.0, 1.0),
+            (-3.0, 1.0),
+            (10.0, 0.0),
+            (10.0, -1.0),
+            (10.0, 11.0),
+            (float("inf"), 1.0),
+            (float("nan"), 1.0),
+        ],
     )
     def test_schedule_validation(self, duration, cadence):
         with pytest.raises(ValueError):
@@ -294,7 +302,16 @@ class TestScanFiles:
             scan_from_text("APSEQ-SCAN v9\nsample 0.0 1 -40.0\n")
 
     @pytest.mark.parametrize(
-        "line", ["sample 0.0 1", "sample 0.0 x -40.0", "reading 0.0 1 -40.0"]
+        "line",
+        [
+            "sample 0.0 1",
+            "sample 0.0 x -40.0",
+            "reading 0.0 1 -40.0",
+            "sample 0.000 1 nan",
+            "sample 0.000 1 -inf",
+            "sample inf 1 -40",
+            "sample nan 1 -40",
+        ],
     )
     def test_malformed_sample_lines(self, line):
         with pytest.raises(ValueError, match="malformed sample"):

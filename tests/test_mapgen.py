@@ -317,6 +317,13 @@ class TestMapStore:
         assert loaded.k == 3
         assert loaded.grid == small_store.grid
 
+    def test_round_trip_equality_with_aps_out_of_id_order(self):
+        dep = ApDeployment(
+            width=12.0, height=8.0, aps=((3, 6.0, 7.0), (1, 2.0, 2.0), (2, 10.0, 2.0))
+        )
+        store = build_map_store(dep, 2, GridSpec(cell_size=0.5, width=12.0, height=8.0))
+        assert map_store_from_text(map_store_to_text(store)) == store
+
     def test_resave_is_byte_identical(self, small_store, tmp_path):
         p1, p2 = tmp_path / "a.map", tmp_path / "b.map"
         save_map_store(small_store, p1)

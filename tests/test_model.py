@@ -139,6 +139,13 @@ class TestDeploymentFile:
         assert text.splitlines()[0] == "APSEQ-DEPLOY v1"
         assert "area 20.000000 10.000000" in text
 
+    def test_ap_lines_in_any_order_parse_equal(self, deployment):
+        lines = deployment_to_text(deployment).splitlines()
+        shuffled = "\n".join([lines[0], lines[1], lines[4], lines[2], lines[3]]) + "\n"
+        parsed = deployment_from_text(shuffled)
+        assert parsed == deployment
+        assert deployment_to_text(parsed) == deployment_to_text(deployment)
+
     def test_unsupported_version(self):
         with pytest.raises(ValueError, match="unsupported version"):
             deployment_from_text("APSEQ-DEPLOY v2\narea 5.000000 5.000000\n")

@@ -1,5 +1,7 @@
 """Log-distance RSS synthesis and deterministic test-point layouts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from apseq.propagation import (
     PropagationParams,
     gen_test_points,
     mean_rss,
-    rss_at,
     synth_window,
 )
 
@@ -37,19 +38,26 @@ class TestPathLossModel:
         assert all(b < a for a, b in zip(r, r[1:]))
 
     def test_rss_never_exceeds_p0(self):
-        params = PropagationParams()
-        rss = rss_at((0.0, 0.0), (0.5, 0.0), params, noise_draw=12.0)
-        assert rss == pytest.approx(-30.0)
+        # 0.5 m from the AP the model mean is p0; shadowing of 20 dB pushes
+        # about half the samples above it, and they are capped at p0.
+        dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
+        params = PropagationParams(sigma_db=20.0, seed=3)
+        w = synth_window((0.5, 0.0), dep, params, duration_s=30.0, cadence_s=1.0)
+        assert max(r for _, r in w.aps[1]) == -30.0
 
     def test_below_floor_is_undetected(self):
+        # mean_rss(50 m) is -72.5 dBm, under the -60 dBm floor
+        dep = ApDeployment(width=60.0, height=10.0, aps=((1, 0.0, 0.0), (2, 50.0, 0.0)))
         params = PropagationParams(detect_floor_dbm=-60.0)
-        assert rss_at((0.0, 0.0), (50.0, 0.0), params) is None
+        w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0)
+        assert set(w.aps) == {1}
 
     def test_integer_rounding(self):
+        dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
         params = PropagationParams(round_to_int=True)
-        rss = rss_at((0.0, 0.0), (3.0, 0.0), params)
-        assert rss == float(round(rss))
-        assert rss == pytest.approx(round(-30.0 - 25.0 * np.log10(3.0)))
+        w = synth_window((3.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0)
+        assert [r for _, r in w.aps[1]] == [-42.0] * 3  # round(-30 - 25 log10 3)
+        assert all(r == float(round(r)) for s in w.aps.values() for _, r in s)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -59,6 +67,12 @@ class TestPathLossModel:
             (dict(sigma_db=-1.0), "sigma_db"),
             (dict(detect_floor_dbm=-100.0), "detect_floor"),
             (dict(sigma_db=float("nan")), "sigma_db"),
+            (dict(p0_dbm=float("nan")), "p0_dbm"),
+            (dict(p0_dbm=float("inf")), "p0_dbm"),
+            (dict(gamma=float("inf")), "gamma"),
+            (dict(d0_m=float("inf")), "d0_m"),
+            (dict(sigma_db=float("inf")), "sigma_db"),
+            (dict(detect_floor_dbm=float("inf")), "detect_floor"),
         ],
     )
     def test_parameter_validation(self, kwargs, match):
@@ -91,9 +105,11 @@ class TestSynthWindow:
         point = (5.0, 7.0)
         w = synth_window(point, square_deployment, params,
                          duration_s=3.0, cadence_s=1.0)
+        assert set(w.aps) == {1, 2, 3, 4}
         for ap_id, series in w.aps.items():
-            expect = rss_at(point, square_deployment.position(ap_id), params)
-            assert all(r == pytest.approx(expect) for _, r in series)
+            ax, ay = square_deployment.position(ap_id)
+            expect = mean_rss(math.hypot(point[0] - ax, point[1] - ay), params)
+            assert [r for _, r in series] == [expect] * 3
 
     def test_noise_free_aggregate_recovers_distance_order(self, square_deployment):
         params = PropagationParams()

@@ -1,0 +1,115 @@
+"""Property tests of the text formats, the window simulation and localize."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apseq.localize import ScanWindow, localize, scan_from_text, scan_to_text
+from apseq.mapgen import GridSpec, build_map_store
+from apseq.model import (
+    UNDETECTED_DBM,
+    ApDeployment,
+    RssScan,
+    deployment_from_text,
+    deployment_to_text,
+)
+from apseq.propagation import PropagationParams, mean_rss, synth_window
+
+# No example database: a run records no failing examples in the checkout.
+PROPERTY = settings(database=None, deadline=None, max_examples=50)
+
+
+@st.composite
+def deployments(draw):
+    width = draw(st.floats(1.0, 500.0))
+    height = draw(st.floats(1.0, 500.0))
+    ids = draw(st.lists(st.integers(1, 999), min_size=2, max_size=10, unique=True))
+    unit = st.floats(0.0, 1.0)
+    aps = tuple((i, draw(unit) * width, draw(unit) * height) for i in ids)
+    return ApDeployment(width=width, height=height, aps=aps)
+
+
+@PROPERTY
+@given(deployments())
+def test_deployment_text_round_trips(dep):
+    text = deployment_to_text(dep)
+    assert deployment_from_text(text) == dep
+    assert deployment_to_text(deployment_from_text(text)) == text
+
+
+@st.composite
+def windows(draw):
+    cadence = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+    n = draw(st.integers(1, 30))
+    rss = st.floats(-99.0, 0.0)
+    aps = {}
+    for ap_id in draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True)):
+        instants = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        aps[ap_id] = tuple((i * cadence, draw(rss)) for i in sorted(instants))
+    return ScanWindow(aps=aps, duration_s=n * cadence, cadence_s=cadence)
+
+
+@PROPERTY
+@given(windows())
+def test_scan_text_round_trips(window):
+    text = scan_to_text(window)
+    assert scan_to_text(scan_from_text(text)) == text
+
+
+@PROPERTY
+@given(
+    deployments(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-50.0, -20.0),
+    st.floats(1.5, 4.0),
+    st.floats(0.5, 2.0),
+    st.floats(-99.0, -30.0),
+    st.integers(1, 5),
+)
+def test_noise_free_window_follows_the_model(dep, fx, fy, p0, gamma, d0, floor, n):
+    params = PropagationParams(p0_dbm=p0, gamma=gamma, d0_m=d0, detect_floor_dbm=floor)
+    point = (fx * dep.width, fy * dep.height)
+    w = synth_window(point, dep, params, duration_s=float(n), cadence_s=1.0)
+    for ap_id, x, y in dep.aps:
+        expect = mean_rss(math.hypot(point[0] - x, point[1] - y), params)
+        if expect >= floor:
+            assert w.aps[ap_id] == tuple((float(i), expect) for i in range(n))
+        else:
+            assert ap_id not in w.aps
+
+
+@pytest.fixture(scope="module")
+def store_family():
+    dep = ApDeployment(
+        width=10.0,
+        height=10.0,
+        aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
+    )
+    grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
+    return {k: build_map_store(dep, k, grid) for k in (2, 3, 4)}
+
+
+# Ids 5, 6 and 99 are foreign to the deployment; the sampled values are
+# the sentinel and finite values whose sums or squares overflow.
+rss_values = st.one_of(
+    st.sampled_from([UNDETECTED_DBM, 1e308, -1e308, 1e200, 1e154, 1e150, -40.0]),
+    st.floats(-100.0, 0.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(st.sampled_from([1, 2, 3, 4, 5, 6, 99]), rss_values, max_size=7),
+    st.integers(-2, 8),
+    st.sampled_from([None, 2, 3, 4]),
+)
+def test_localize_raises_only_value_error(store_family, values, k, single):
+    store = store_family if single is None else store_family[single]
+    try:
+        localize(RssScan(values=values), store, k)
+    except ValueError:
+        pass

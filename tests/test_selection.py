@@ -86,6 +86,14 @@ class TestKmeansErrors:
         with pytest.raises(ValueError, match="finite"):
             kmeans_1d({1: -40.0, 2: bad, 3: -60.0}, 2, seed_ranks=seed_ranks)
 
+    @pytest.mark.parametrize("seed_ranks", [None, (1, 2)])
+    def test_values_whose_squares_overflow_rejected(self, seed_ranks):
+        # finite, but sums and squares of such values overflow to inf
+        with pytest.raises(ValueError, match="too large"):
+            kmeans_1d({1: 1e200, 2: -40.0, 3: -60.0}, 2, seed_ranks=seed_ranks)
+        with pytest.raises(ValueError, match="too large"):
+            kmeans_1d({1: 1e308, 2: 1e308, 3: -78.5}, 2, seed_ranks=seed_ranks)
+
 
 class TestKmeansProperties:
     @pytest.mark.parametrize("seed", [3, 17, 251])
