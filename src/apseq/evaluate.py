@@ -90,6 +90,11 @@ class ExperimentConfig:
         instant_count(self.duration_s, self.cadence_s)
         self.params()  # validates the propagation fields
 
+    @property
+    def n_points(self) -> int:
+        """Test points of one run: test_points, squared in grid mode."""
+        return self.test_points ** (2 if self.test_point_mode == "grid" else 1)
+
     def params(self, seed: int | None = None) -> PropagationParams:
         values = {f.name: getattr(self, f.name) for f in fields(PropagationParams)}
         if seed is not None:
@@ -249,11 +254,13 @@ def run_experiment(
     deployment = load_deployment(config.deployment)
     if stores is None:
         stores = build_stores(deployment, config.k_values, config.cell_size)
-    points: list[tuple[float, float]] = []
+    # Filled by index, not appended: small allocations made while windows
+    # come and go pin allocator arenas and raise the process's peak RSS.
+    points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
     errors: dict[int, list[float]] = {k: [] for k in config.k_values}
     missed: dict[int, int] = {k: 0 for k in config.k_values}
-    for point, window in simulate(config, deployment, seed):
-        points.append(point)
+    for idx, (point, window) in enumerate(simulate(config, deployment, seed)):
+        points[idx] = point
         scan = aggregate_scan(window)
         for k in config.k_values:
             outcome = localize(scan, stores, k)

@@ -10,8 +10,13 @@ every candidate misses, the attempt is a missed detection.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .mapgen import FingerprintMap, MapStore, Region
 from .model import (
@@ -19,7 +24,6 @@ from .model import (
     RssScan,
     Signature,
     SubsetKey,
-    make_signature,
     signature_to_text,
     subset_key,
 )
@@ -44,30 +48,95 @@ def instant_count(duration_s: float, cadence_s: float) -> int:
     return int(duration_s / cadence_s + 1e-9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanWindow:
-    """Per-AP RSS time series over one observation window.
+    """RSS samples of one observation window as one matrix.
 
-    aps maps ap_id -> tuple of (timestamp_s, rss_dbm) samples; instants
-    where an AP was not heard simply have no sample for it.  duration_s and
-    cadence_s describe the sampling schedule (see instant_count).
+    Row r holds the samples taken at times[r] (non-decreasing) and column j
+    those of AP ap_ids[j]; rss[r, j] is in dBm, NaN where that AP went
+    unheard at that instant.  The arrays are read-only copies.  duration_s
+    and cadence_s describe the sampling schedule (see instant_count).
     """
 
-    aps: Mapping[int, tuple[tuple[float, float], ...]]
+    times: np.ndarray
+    ap_ids: tuple[int, ...]
+    rss: np.ndarray
     duration_s: float
     cadence_s: float
 
     def __post_init__(self):
         instant_count(self.duration_s, self.cadence_s)
-        object.__setattr__(self, "aps", dict(self.aps))
-        for ap_id, series in self.aps.items():
-            ts = [t for t, _ in series]
+        times = np.array(self.times, dtype=float)
+        rss = np.array(self.rss, dtype=float)
+        ap_ids = tuple(self.ap_ids)
+        if times.ndim != 1 or rss.shape != (len(times), len(ap_ids)):
+            raise ValueError(
+                f"rss must be a (times, ap_ids) matrix of shape "
+                f"{(len(times), len(ap_ids))}, got {rss.shape}"
+            )
+        if len(set(ap_ids)) != len(ap_ids):
+            raise ValueError("duplicate ap_id in window")
+        if not np.isfinite(times).all() or (times[1:] < times[:-1]).any():
+            raise ValueError("timestamps must be finite and non-decreasing")
+        times.flags.writeable = rss.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "ap_ids", ap_ids)
+        object.__setattr__(self, "rss", rss)
+
+    @classmethod
+    def from_series(
+        cls,
+        series: Mapping[int, Sequence[tuple[float, float]]],
+        duration_s: float,
+        cadence_s: float,
+    ) -> "ScanWindow":
+        """Build a window from ap_id -> (timestamp_s, rss_dbm) samples.
+
+        Each AP's timestamps must be non-decreasing.  Samples taken at one
+        timestamp share a row; an AP sampled m times at one timestamp fills
+        the first m rows with that time, in its series order.
+        """
+        rows: Counter[float] = Counter()
+        for ap_id, samples in series.items():
+            ts = [t for t, _ in samples]
             if any(b < a for a, b in zip(ts, ts[1:])):
                 raise ValueError(f"timestamps for AP {ap_id} are not non-decreasing")
+            rows |= Counter(ts)
+        times = sorted(rows.elements())
+        first_row: dict[float, int] = {}
+        for r, t in enumerate(times):
+            first_row.setdefault(t, r)
+        rss = np.full((len(times), len(series)), np.nan)
+        for j, samples in enumerate(series.values()):
+            prev, m = None, 0
+            for t, r in samples:
+                m = m + 1 if t == prev else 0  # earlier samples of this AP at t
+                rss[first_row[t] + m, j] = r
+                prev = t
+        if np.count_nonzero(~np.isnan(rss)) != sum(map(len, series.values())):
+            raise ValueError("an RSS sample is NaN, which marks an unheard instant")
+        return cls(
+            times=times,
+            ap_ids=tuple(series),
+            rss=rss,
+            duration_s=duration_s,
+            cadence_s=cadence_s,
+        )
 
     @property
     def n_instants(self) -> int:
         return instant_count(self.duration_s, self.cadence_s)
+
+    @cached_property
+    def aps(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
+        """Read-only ap_id -> ((timestamp_s, rss_dbm), ...) view of the heard samples."""
+        times = self.times.tolist()
+        out = {}
+        for j, ap_id in enumerate(self.ap_ids):
+            col = self.rss[:, j]
+            rows = np.flatnonzero(~np.isnan(col)).tolist()
+            out[ap_id] = tuple(zip([times[r] for r in rows], col[rows].tolist()))
+        return MappingProxyType(out)
 
 
 def aggregate_scan(window: ScanWindow) -> RssScan:
@@ -76,18 +145,20 @@ def aggregate_scan(window: ScanWindow) -> RssScan:
     APs heard in fewer than 10% of the sampling instants get the undetected
     sentinel.  Raises ValueError("no signal") when nothing at all survives.
     """
-    n = window.n_instants
-    values: dict[int, float] = {}
-    any_detected = False
-    for ap_id, series in window.aps.items():
-        if len(series) < DETECTION_RATIO * n:
-            values[ap_id] = UNDETECTED_DBM
-            continue
-        values[ap_id] = sum(r for _, r in series) / len(series)
-        any_detected = True
-    if not any_detected:
+    heard = ~np.isnan(window.rss)
+    counts = np.add.reduce(heard, axis=0, dtype=float).tolist()
+    floor = DETECTION_RATIO * window.n_instants
+    if not any(c >= floor for c in counts):
         raise ValueError("no signal")
-    return RssScan(values=values)
+    # accumulate adds row after row, so each total is the left-to-right sum
+    # of the AP's samples; + 0.0 turns an all -0.0 total into 0.0, as 0 + -0.0.
+    sums = np.add.accumulate(np.where(heard, window.rss, 0.0), axis=0)[-1].tolist()
+    return RssScan(
+        values={
+            ap_id: (s + 0.0) / c if c >= floor else UNDETECTED_DBM
+            for ap_id, s, c in zip(window.ap_ids, sums, counts)
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -160,15 +231,16 @@ def localize(
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
     clustering = kmeans_1d(detected, k_eff, seed_ranks=range(1, k_eff + 1))
+    # Clusters are runs of the (-rss, id) order, so each candidate's picks
+    # are already its subset's signature.
     tried = 0
     for cand in generate_candidate_sets(clustering):
         tried += 1
-        sig = make_signature(scan, cand.subset)
-        region = match_signature(sig, the_store.maps[cand.subset])
+        region = the_store.maps[cand.subset].regions.get(cand.picks)
         if region is not None:
             return Estimate(
                 position=region.centroid,
-                matched_signature=sig,
+                matched_signature=cand.picks,
                 subset=cand.subset,
                 region_accuracy=region.accuracy,
                 region_radius=region.radius,
@@ -178,15 +250,19 @@ def localize(
 
 
 # ----------------------------------------------------------------------------
-# Scan file format: header line, then one line per sample.
+# Scan file format: header line, the sampling schedule, then one line per
+# sample, in time order and by ap_id within one instant.
 #
-#   APSEQ-SCAN v1
+#   APSEQ-SCAN v2
+#   window <duration_s> <cadence_s>
 #   sample <t_seconds> <ap_id> <rss_dbm>
 #
-# Samples are written in time order.  The loader reconstructs the sampling
-# schedule from the distinct timestamps present in the file.
+# The schedule is written exactly (shortest round-trip repr).  Version 1
+# files carry no window line; their schedule is inferred from the distinct
+# timestamps present in the file.
 
-SCAN_HEADER = "APSEQ-SCAN v1"
+SCAN_HEADER = "APSEQ-SCAN v2"
+SCAN_HEADER_V1 = "APSEQ-SCAN v1"
 
 
 def save_scan(window: ScanWindow, path) -> None:
@@ -195,13 +271,16 @@ def save_scan(window: ScanWindow, path) -> None:
 
 
 def scan_to_text(window: ScanWindow) -> str:
-    rows = []
-    for ap_id in sorted(window.aps):
-        for t, rss in window.aps[ap_id]:
-            rows.append((t, ap_id, rss))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    out = [SCAN_HEADER]
-    out.extend(f"sample {t:.3f} {ap_id} {rss:.6f}" for t, ap_id, rss in rows)
+    order = sorted(range(len(window.ap_ids)), key=window.ap_ids.__getitem__)
+    ids = [window.ap_ids[j] for j in order]
+    rss = window.rss[:, order]
+    rows, cols = np.nonzero(~np.isnan(rss))
+    times = window.times.tolist()
+    out = [SCAN_HEADER, f"window {float(window.duration_s)!r} {float(window.cadence_s)!r}"]
+    out.extend(
+        f"sample {times[r]:.3f} {ids[c]} {v:.6f}"
+        for r, c, v in zip(rows.tolist(), cols.tolist(), rss[rows, cols].tolist())
+    )
     return "\n".join(out) + "\n"
 
 
@@ -212,11 +291,26 @@ def load_scan(path) -> ScanWindow:
 
 def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SCAN_HEADER:
-        raise ValueError(f"{source}: unsupported version (expected {SCAN_HEADER!r})")
+    if not lines or lines[0] not in (SCAN_HEADER, SCAN_HEADER_V1):
+        raise ValueError(
+            f"{source}: unsupported version "
+            f"(expected {SCAN_HEADER!r} or {SCAN_HEADER_V1!r})"
+        )
+    schedule = None
+    body = lines[1:]
+    if lines[0] == SCAN_HEADER:
+        parts = body[0].split() if body else []
+        try:
+            if len(parts) != 3 or parts[0] != "window":
+                raise ValueError
+            schedule = float(parts[1]), float(parts[2])
+            instant_count(*schedule)
+        except ValueError:
+            raise ValueError(f"{source}: malformed window line {' '.join(parts)!r}") from None
+        body = body[1:]
     series: dict[int, list[tuple[float, float]]] = {}
     instants: set[float] = set()
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 4 or parts[0] != "sample":
             raise ValueError(f"{source}: malformed sample line {ln!r}")
@@ -230,13 +324,10 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         instants.add(t)
     if not series:
         raise ValueError(f"{source}: scan file contains no samples")
-    ts = sorted(instants)
-    # Infer the schedule: cadence from the smallest gap between distinct
-    # instants, duration covering all of them.
-    cadence = min((b - a for a, b in zip(ts, ts[1:])), default=1.0)
-    duration = cadence * len(ts)
-    return ScanWindow(
-        aps={i: tuple(s) for i, s in series.items()},
-        duration_s=duration,
-        cadence_s=cadence,
-    )
+    if schedule is None:
+        ts = sorted(instants)
+        # Infer the schedule: cadence from the smallest gap between distinct
+        # instants, duration covering all of them.
+        cadence = min((b - a for a, b in zip(ts, ts[1:])), default=1.0)
+        schedule = cadence * len(ts), cadence
+    return ScanWindow.from_series(series, *schedule)

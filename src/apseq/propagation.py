@@ -71,7 +71,8 @@ def synth_window(
     row-by-row in instant order, so with the same generator state a shorter
     window is a sample-for-sample prefix of a longer one.  Each sample is
     min(mean_rss + noise, p0_dbm), rounded when round_to_int is set; samples
-    below detect_floor_dbm are dropped.
+    below detect_floor_dbm go unheard (NaN), and APs never heard get no
+    column.
     """
     n_instants = instant_count(duration_s, cadence_s)
     aps = deployment.aps
@@ -86,15 +87,15 @@ def synth_window(
     if params.round_to_int:
         rss = np.rint(rss) + 0.0  # + 0.0 turns -0.0 into 0.0, as float(round(x)) does
     heard = rss >= params.detect_floor_dbm
-    # Object dtype: one float per instant, shared by every AP heard at it,
-    # so a window holds no time object per sample.
-    times = (np.arange(n_instants) * cadence_s).astype(object)
-    series = {}
-    for j, (ap_id, _, _) in enumerate(aps):
-        col = heard[:, j]
-        if col.any():
-            series[ap_id] = tuple(zip(times[col].tolist(), rss[col, j].tolist()))
-    return ScanWindow(aps=series, duration_s=duration_s, cadence_s=cadence_s)
+    rss[~heard] = np.nan
+    keep = heard.any(axis=0)
+    return ScanWindow(
+        times=np.arange(n_instants) * cadence_s,
+        ap_ids=tuple(ap_id for (ap_id, _, _), k in zip(aps, keep.tolist()) if k),
+        rss=rss[:, keep],
+        duration_s=duration_s,
+        cadence_s=cadence_s,
+    )
 
 
 def gen_test_points(

@@ -123,50 +123,51 @@ def kmeans_1d(
             raise ValueError(f"seed_ranks out of range [1, {len(distinct)}]")
         centroids = sorted((distinct[r - 1] for r in seed_ranks), reverse=True)
 
-    def assign(cents: list[float]) -> list[int]:
-        # Nearest centroid; ties go to the stronger (higher-RSS) centroid,
-        # which is the earlier index since cents stay sorted descending.
-        out = []
-        for x in xs:
-            best, best_d = 0, abs(x - cents[0])
-            for c in range(1, len(cents)):
-                d = abs(x - cents[c])
-                if d < best_d:
-                    best, best_d = c, d
-            out.append(best)
-        return out
-
-    assignment = assign(centroids)
+    # Values and centroids both run strongest-first, so every pass splits xs
+    # into k contiguous runs, one per centroid.
+    bounds = _nearest_runs(xs, centroids)
     history: list[float] = []
     iterations = 1
     while True:
-        centroids = []
-        for c in range(k):
-            member_xs = [x for x, a in zip(xs, assignment) if a == c]
-            assert member_xs, "empty cluster cannot arise from value or split-mean seeds"
-            centroids.append(sum(member_xs) / len(member_xs))
+        runs = list(zip(bounds, bounds[1:]))
+        assert all(a < b for a, b in runs), "empty cluster cannot arise from value or split-mean seeds"
+        centroids = [sum(xs[a:b]) / (b - a) for a, b in runs]
         history.append(
-            sum((x - centroids[a]) ** 2 for x, a in zip(xs, assignment))
+            sum((x - c) ** 2 for (a, b), c in zip(runs, centroids) for x in xs[a:b])
         )
         if iterations >= MAX_ITERATIONS:
             break
-        new_assignment = assign(centroids)
-        if new_assignment == assignment:
+        new_bounds = _nearest_runs(xs, centroids)
+        if new_bounds == bounds:
             break
-        assignment = new_assignment
+        bounds = new_bounds
         iterations += 1
 
-    clusters = []
-    for c in range(k):
-        members = tuple(
-            (i, values[i]) for i, a in zip(ids, assignment) if a == c
-        )
-        clusters.append(Cluster(members=members, centroid=centroids[c]))
     return Clustering(
-        clusters=tuple(clusters),
+        clusters=tuple(
+            Cluster(members=tuple(zip(ids[a:b], xs[a:b])), centroid=c)
+            for (a, b), c in zip(runs, centroids)
+        ),
         iterations=iterations,
         objective_history=tuple(history),
     )
+
+
+def _nearest_runs(xs: list[float], cents: list[float]) -> list[int]:
+    """Run bounds [0, ..., len(xs)] of the nearest-centroid assignment.
+
+    xs and cents are sorted descending; run c is xs[bounds[c]:bounds[c + 1]].
+    Each run ends at the first value strictly nearer to the next centroid,
+    so ties go to the stronger (higher-RSS) centroid.
+    """
+    bounds = [0]
+    for here, there in zip(cents, cents[1:]):
+        i = bounds[-1]
+        while i < len(xs) and abs(xs[i] - there) >= abs(xs[i] - here):
+            i += 1
+        bounds.append(i)
+    bounds.append(len(xs))
+    return bounds
 
 
 def _optimal_split_means(xs: list[float], k: int) -> list[float]:

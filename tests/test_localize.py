@@ -1,7 +1,9 @@
 """Window aggregation, signature matching, and the localization pipeline."""
 
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from apseq.localize import (
@@ -26,7 +28,7 @@ def window_of(samples, duration_s=10.0, cadence_s=1.0):
         ap_id: tuple((float(i), float(r)) for i, r in enumerate(series))
         for ap_id, series in samples.items()
     }
-    return ScanWindow(aps=aps, duration_s=duration_s, cadence_s=cadence_s)
+    return ScanWindow.from_series(aps, duration_s=duration_s, cadence_s=cadence_s)
 
 
 class TestScanWindow:
@@ -40,8 +42,8 @@ class TestScanWindow:
 
     def test_timestamps_must_not_decrease(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            ScanWindow(
-                aps={1: ((1.0, -40.0), (0.5, -41.0))},
+            ScanWindow.from_series(
+                {1: ((1.0, -40.0), (0.5, -41.0))},
                 duration_s=2.0,
                 cadence_s=1.0,
             )
@@ -60,7 +62,39 @@ class TestScanWindow:
     )
     def test_schedule_validation(self, duration, cadence):
         with pytest.raises(ValueError):
-            ScanWindow(aps={}, duration_s=duration, cadence_s=cadence)
+            ScanWindow.from_series({}, duration_s=duration, cadence_s=cadence)
+
+    def test_series_share_instant_rows(self):
+        w = ScanWindow.from_series(
+            {3: ((0.0, -40.0), (2.0, -41.0)), 1: ((2.0, -60.0), (2.0, -61.0))},
+            duration_s=3.0,
+            cadence_s=1.0,
+        )
+        assert w.times.tolist() == [0.0, 2.0, 2.0]
+        assert w.ap_ids == (3, 1)
+        np.testing.assert_array_equal(
+            w.rss, [[-40.0, math.nan], [-41.0, -60.0], [math.nan, -61.0]]
+        )
+        assert dict(w.aps) == {3: ((0.0, -40.0), (2.0, -41.0)), 1: ((2.0, -60.0), (2.0, -61.0))}
+        with pytest.raises(ValueError):
+            w.rss[0, 0] = -1.0
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"times": [0.0, 1.0], "ap_ids": (1,), "rss": [[-40.0]]}, "shape"),
+            ({"times": [0.0], "ap_ids": (1, 1), "rss": [[-40.0, -41.0]]}, "duplicate ap_id"),
+            ({"times": [1.0, 0.5], "ap_ids": (1,), "rss": [[-40.0], [-41.0]]}, "non-decreasing"),
+            ({"times": [0.0, math.nan], "ap_ids": (1,), "rss": [[-40.0], [-41.0]]}, "finite"),
+        ],
+    )
+    def test_matrix_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScanWindow(**kwargs, duration_s=2.0, cadence_s=1.0)
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ScanWindow.from_series({1: ((0.0, math.nan),)}, duration_s=1.0, cadence_s=1.0)
 
 
 class TestAggregation:
@@ -85,6 +119,11 @@ class TestAggregation:
             {1: [-40.0] * 20, 2: [-70.0, -71.0]}, duration_s=20.0, cadence_s=1.0
         )
         assert set(aggregate_scan(w).detected()) == {1, 2}
+
+    def test_negative_zero_mean_is_zero(self):
+        # A left-to-right sum starts from 0, and 0 + -0.0 is 0.0.
+        w = window_of({1: [-0.0, -0.0], 2: [-40.0, -40.0]}, duration_s=2.0, cadence_s=1.0)
+        assert math.copysign(1.0, aggregate_scan(w).values[1]) == 1.0
 
     def test_all_sparse_raises_no_signal(self):
         w = window_of({1: [-40.0], 2: [-50.0]}, duration_s=20.0, cadence_s=1.0)
@@ -289,13 +328,38 @@ class TestScanFiles:
     def test_samples_written_in_time_order(self):
         w = window_of({2: [-50.0, -51.0], 1: [-40.0, -41.0]}, duration_s=2.0, cadence_s=1.0)
         lines = scan_to_text(w).splitlines()
-        assert lines[0] == "APSEQ-SCAN v1"
-        assert lines[1:] == [
+        assert lines[:2] == ["APSEQ-SCAN v2", "window 2.0 1.0"]
+        assert lines[2:] == [
             "sample 0.000 1 -40.000000",
             "sample 0.000 2 -50.000000",
             "sample 1.000 1 -41.000000",
             "sample 1.000 2 -51.000000",
         ]
+
+    def test_round_trip_keeps_the_schedule(self):
+        # 20 instants: AP 2, heard once, is under the 10% detection bar.
+        w = ScanWindow.from_series(
+            {1: ((0.0, -40.0), (1.0, -41.0)), 2: ((1.0, -60.0),)},
+            duration_s=20.0,
+            cadence_s=1.0,
+        )
+        loaded = scan_from_text(scan_to_text(w))
+        assert (loaded.duration_s, loaded.cadence_s) == (20.0, 1.0)
+        assert aggregate_scan(loaded).values == {1: -40.5, 2: UNDETECTED_DBM}
+
+    def test_v1_schedule_inferred_from_timestamps(self):
+        text = "APSEQ-SCAN v1\nsample 0.000 1 -40.0\nsample 1.000 1 -41.0\nsample 1.000 2 -60.0\n"
+        loaded = scan_from_text(text)
+        assert (loaded.duration_s, loaded.cadence_s, loaded.n_instants) == (2.0, 1.0, 2)
+        assert aggregate_scan(loaded).values == {1: -40.5, 2: -60.0}
+
+    @pytest.mark.parametrize(
+        "window_line",
+        ["sample 0.0 1 -40.0", "window 2.0", "window x 1.0", "window 1.0 2.0", "window nan 1.0", "span 2.0 1.0"],
+    )
+    def test_malformed_window_line(self, window_line):
+        with pytest.raises(ValueError, match="malformed window line"):
+            scan_from_text(f"APSEQ-SCAN v2\n{window_line}\nsample 0.0 1 -40.0\n")
 
     def test_unsupported_version(self):
         with pytest.raises(ValueError, match="unsupported version"):

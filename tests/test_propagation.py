@@ -52,6 +52,19 @@ class TestPathLossModel:
         w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0)
         assert set(w.aps) == {1}
 
+    def test_window_is_one_matrix_with_nan_where_unheard(self):
+        # mean_rss(30 m) is about -66.9 dBm, so with 8 dB of shadowing AP 2
+        # is heard at some instants of the -65 dBm floor and not at others.
+        dep = ApDeployment(width=60.0, height=10.0, aps=((1, 0.0, 0.0), (2, 30.0, 0.0)))
+        params = PropagationParams(sigma_db=8.0, detect_floor_dbm=-65.0, seed=3)
+        w = synth_window((0.0, 0.0), dep, params, duration_s=6.0, cadence_s=0.3)
+        assert w.ap_ids == (1, 2)
+        assert w.rss.shape == (20, 2)
+        assert w.times.tolist() == (np.arange(20) * 0.3).tolist()
+        unheard = np.isnan(w.rss[:, 1])
+        assert unheard.any() and not unheard.all()
+        assert (w.rss[~unheard, 1] >= -65.0).all()
+
     def test_integer_rounding(self):
         dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
         params = PropagationParams(round_to_int=True)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apseq.localize import ScanWindow, localize, scan_from_text, scan_to_text
+from apseq.localize import (
+    ScanWindow,
+    aggregate_scan,
+    localize,
+    scan_from_text,
+    scan_to_text,
+)
 from apseq.mapgen import GridSpec, build_map_store
 from apseq.model import (
     UNDETECTED_DBM,
@@ -14,8 +20,10 @@ from apseq.model import (
     RssScan,
     deployment_from_text,
     deployment_to_text,
+    make_signature,
 )
 from apseq.propagation import PropagationParams, mean_rss, synth_window
+from apseq.selection import generate_candidate_sets, kmeans_1d
 
 # No example database: a run records no failing examples in the checkout.
 PROPERTY = settings(database=None, deadline=None, max_examples=50)
@@ -40,15 +48,14 @@ def test_deployment_text_round_trips(dep):
 
 
 @st.composite
-def windows(draw):
+def windows(draw, rss=st.floats(-99.0, 0.0)):
     cadence = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
     n = draw(st.integers(1, 30))
-    rss = st.floats(-99.0, 0.0)
     aps = {}
     for ap_id in draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True)):
         instants = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         aps[ap_id] = tuple((i * cadence, draw(rss)) for i in sorted(instants))
-    return ScanWindow(aps=aps, duration_s=n * cadence, cadence_s=cadence)
+    return ScanWindow.from_series(aps, duration_s=n * cadence, cadence_s=cadence)
 
 
 @PROPERTY
@@ -56,6 +63,39 @@ def windows(draw):
 def test_scan_text_round_trips(window):
     text = scan_to_text(window)
     assert scan_to_text(scan_from_text(text)) == text
+
+
+def _aggregate_or_error(window):
+    try:
+        return aggregate_scan(window).values
+    except ValueError as exc:
+        return str(exc)
+
+
+# RSS at the 6 decimals of the scan format, so that a round trip is exact.
+@PROPERTY
+@given(windows(rss=st.integers(-99_000_000, 0).map(lambda m: m / 1e6)))
+def test_saving_and_loading_keeps_the_aggregate(window):
+    assert _aggregate_or_error(scan_from_text(scan_to_text(window))) == _aggregate_or_error(window)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.integers(1, 30),
+        st.one_of(st.integers(-399, -120).map(lambda q: q / 4), st.floats(-99.9, -20.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 7),
+    st.booleans(),
+)
+def test_candidate_picks_are_the_subset_signature(values, k, exact):
+    k = min(k, len(set(values.values())))
+    clustering = kmeans_1d(values, k, seed_ranks=None if exact else range(1, k + 1))
+    for cand in generate_candidate_sets(clustering):
+        if len(cand.subset) >= 2:
+            assert cand.picks == make_signature(values, cand.subset)
 
 
 @PROPERTY

@@ -1,12 +1,19 @@
 """RSS clustering and candidate-subset generation."""
 
 import itertools
+import math
+import random
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from apseq.selection import (
+    MAX_ITERATIONS,
+    Cluster,
+    Clustering,
     DegenerateClusteringError,
+    _optimal_split_means,
     generate_candidate_sets,
     kmeans_1d,
 )
@@ -264,3 +271,148 @@ def _clustering_of(values, groups):
         iterations=1,
         objective_history=(0.0,),
     )
+
+
+# ---------------------------------------------------------------------------
+# The Lloyd loop that assigned each value to its nearest centroid one by one,
+# kept verbatim (less its docstring) as the reference for the run-based loop
+# in kmeans_1d.
+
+def _lloyd_oracle(
+    values: Mapping[int, float], k: int, seed_ranks: Sequence[int] | None = None
+) -> Clustering:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not values:
+        raise ValueError("no RSS values to cluster")
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError("RSS values to cluster must be finite")
+    # Every sum below, and its square, is at most (n * 2 * max|v|)**2.
+    bound = len(values) * 2.0 * max(map(abs, values.values()))
+    if not math.isfinite(bound * bound):
+        raise ValueError("RSS values to cluster are too large")
+    ids = sorted(values, key=lambda i: (-values[i], i))
+    xs = [values[i] for i in ids]
+    distinct = sorted(set(xs), reverse=True)
+    if len(distinct) < k:
+        raise DegenerateClusteringError(k, len(distinct))
+    if seed_ranks is None:
+        centroids = _optimal_split_means(xs, k)
+    else:
+        seed_ranks = [int(r) for r in seed_ranks]
+        if len(seed_ranks) != k or len(set(seed_ranks)) != k:
+            raise ValueError(f"seed_ranks must be {k} distinct ranks")
+        if any(not 1 <= r <= len(distinct) for r in seed_ranks):
+            raise ValueError(f"seed_ranks out of range [1, {len(distinct)}]")
+        centroids = sorted((distinct[r - 1] for r in seed_ranks), reverse=True)
+
+    def assign(cents: list[float]) -> list[int]:
+        # Nearest centroid; ties go to the stronger (higher-RSS) centroid,
+        # which is the earlier index since cents stay sorted descending.
+        out = []
+        for x in xs:
+            best, best_d = 0, abs(x - cents[0])
+            for c in range(1, len(cents)):
+                d = abs(x - cents[c])
+                if d < best_d:
+                    best, best_d = c, d
+            out.append(best)
+        return out
+
+    assignment = assign(centroids)
+    history: list[float] = []
+    iterations = 1
+    while True:
+        centroids = []
+        for c in range(k):
+            member_xs = [x for x, a in zip(xs, assignment) if a == c]
+            assert member_xs, "empty cluster cannot arise from value or split-mean seeds"
+            centroids.append(sum(member_xs) / len(member_xs))
+        history.append(
+            sum((x - centroids[a]) ** 2 for x, a in zip(xs, assignment))
+        )
+        if iterations >= MAX_ITERATIONS:
+            break
+        new_assignment = assign(centroids)
+        if new_assignment == assignment:
+            break
+        assignment = new_assignment
+        iterations += 1
+
+    clusters = []
+    for c in range(k):
+        members = tuple(
+            (i, values[i]) for i, a in zip(ids, assignment) if a == c
+        )
+        clusters.append(Cluster(members=members, centroid=centroids[c]))
+    return Clustering(
+        clusters=tuple(clusters),
+        iterations=iterations,
+        objective_history=tuple(history),
+    )
+
+
+def _draw_clustering_input(rng):
+    """Values with duplicates and near-ties, a feasible k, and a seeding."""
+    n = rng.randint(1, 14)
+    kind = rng.randrange(5)
+    if kind == 0:  # whole dBm: many duplicates
+        xs = [float(rng.randint(-95, -30)) for _ in range(n)]
+    elif kind == 1:
+        xs = [rng.uniform(-95, -30) for _ in range(n)]
+    elif kind == 2:  # whole dBm with near-ties of 5e-15
+        xs = [rng.randint(-95, -30) + rng.randint(-2, 2) * 5e-15 for _ in range(n)]
+    elif kind == 3:  # four levels with near-ties of 1e-13
+        levels = [rng.uniform(-95, -30) for _ in range(4)]
+        xs = [rng.choice(levels) + rng.randint(-2, 2) * 1e-13 for _ in range(n)]
+    else:  # three levels, each a cloud of near-ties
+        levels = [float(rng.randint(-95, -30)) for _ in range(3)]
+        tie = rng.choice([5e-15, 1e-13])
+        xs = [rng.choice(levels) + rng.randint(-3, 3) * tie for _ in range(n)]
+    values = dict(zip(rng.sample(range(1, 60), n), xs))
+    distinct = len(set(xs))
+    k = rng.randint(1, distinct)
+    pick = rng.random()
+    if pick < 0.4:
+        seed_ranks = None
+    elif pick < 0.7:
+        seed_ranks = range(1, k + 1)
+    else:
+        seed_ranks = rng.sample(range(1, distinct + 1), k)
+    return values, k, seed_ranks
+
+
+def _outcome(fn, values, k, seed_ranks):
+    try:
+        return repr(fn(values, k, seed_ranks))  # repr tells -0.0 from 0.0
+    except (ValueError, AssertionError) as exc:
+        # First line only: pytest appends its own lines to a failed assert.
+        return f"{type(exc).__name__}: {str(exc).splitlines()[0]}"
+
+
+def test_run_based_kmeans_matches_the_lloyd_oracle():
+    """Same members, centroids, iterations and objective history.
+
+    The oracle breaks ties by centroid index.  When two centroids lie within
+    a few ulps of each other, the rounded distances of a weaker value to both
+    can tie, and the oracle puts that value on the stronger centroid although
+    a stronger value already sits on the weaker one: its clusters stop being
+    runs and can come out of strongest-first order.  The run-based loop keeps
+    the runs there, so it may differ on such near-tie inputs, and only there.
+    """
+    rng = random.Random(20_000)
+    differ = []
+    cases = 20_000
+    for _ in range(cases):
+        values, k, seed_ranks = _draw_clustering_input(rng)
+        want = _outcome(_lloyd_oracle, values, k, seed_ranks)
+        got = _outcome(kmeans_1d, values, k, seed_ranks)
+        if got != want:
+            differ.append((values, k, seed_ranks))
+    for values, k, seed_ranks in differ:
+        xs = sorted(set(values.values()))
+        assert min(b - a for a, b in zip(xs, xs[1:])) < 1e-12, (values, k, seed_ranks)
+        result = kmeans_1d(values, k, seed_ranks)
+        order = sorted(values, key=lambda i: (-values[i], i))
+        assert [i for c in result.clusters for i in c.ap_ids] == order
+    assert len(differ) <= cases // 2000, differ
