@@ -2,9 +2,9 @@
 
 A plain-text config describes one scenario (deployment file, grid, the k
 values to evaluate, propagation and window parameters, test points, seed).
-The harness builds one map store per k, simulates an observation window at
-every test point, localizes it at every k, and reports per-k error lists,
-missed-detection rates and empirical CDFs.
+The harness builds one map store per k (all from one shared build),
+simulates an observation window at every test point, localizes it at every
+k, and reports per-k error lists, missed-detection rates and empirical CDFs.
 
 `simulate` is the one source of the experiment's test points and windows;
 `run_experiment` and `apseq simulate` both draw from it.  All randomness
@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import os
 import statistics
+import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .localize import Estimate, ScanWindow, aggregate_scan, instant_count, localize
-from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_map_store
+from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, _build_maps, enumerate_ap_subsets
 from .model import ApDeployment, load_deployment
 from .propagation import (
     DEFAULT_CADENCE_S,
@@ -208,8 +209,20 @@ class ExperimentReport:
 def build_stores(
     deployment: ApDeployment, k_values: Sequence[int], cell_size: float
 ) -> dict[int, MapStore]:
+    """One map store per k, all from one shared build of every k's subsets.
+
+    Each store's build_ms is the wall time of that one shared build.
+    """
     grid = GridSpec.for_deployment(deployment, cell_size)
-    return {k: build_map_store(deployment, k, grid) for k in sorted(set(k_values))}
+    ks = sorted(set(k_values))
+    subsets = [s for k in ks for s in enumerate_ap_subsets(deployment.ap_ids, k)]
+    t0 = time.perf_counter()
+    maps = _build_maps(deployment, subsets, grid)
+    build_ms = (time.perf_counter() - t0) * 1000.0
+    return {
+        k: MapStore(deployment, k, grid, {s: m for s, m in maps.items() if len(s) == k}, build_ms)
+        for k in ks
+    }
 
 
 def simulate(

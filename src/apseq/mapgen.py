@@ -12,8 +12,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,8 +98,7 @@ class Region:
     radius     max distance of member centres to the centroid
 
     All three are quantized to 6 fractional digits (file precision).
-    The member cells are not held: ``cells`` derives them from the cell
-    labels of the region's map through ``members``.
+    The member cells are not held; FingerprintMap.cells_of derives them.
     """
 
     signature: Signature
@@ -108,7 +106,6 @@ class Region:
     centroid: tuple[float, float] = (0.0, 0.0)
     accuracy: float = 0.0
     radius: float = 0.0
-    members: Callable[[], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -119,11 +116,6 @@ class Region:
         if self.radius + 1e-9 < self.accuracy:
             raise ValueError("region radius cannot be below its accuracy")
 
-    @property
-    def cells(self) -> np.ndarray:
-        """(m, 2) int array of member (i, j) indices sorted lexicographically."""
-        return self.members()
-
 
 @dataclass(frozen=True, eq=False)
 class FingerprintMap:
@@ -131,8 +123,8 @@ class FingerprintMap:
 
     regions is ordered by signature, and flat cell c (see GridSpec.centers)
     lies in the region numbered lut[cell_labels[c]] in that order.
-    cell_labels numbers each cell's ordering of all the APs the map was
-    built from, so every map of a store shares one such array.
+    cell_labels numbers each cell's ordering of all the deployment's APs,
+    so every map built together shares one such array.
     """
 
     subset: SubsetKey
@@ -154,6 +146,12 @@ class FingerprintMap:
         i, j = self.grid.cell_of(x, y)
         return self._numbered[self.lut[self.cell_labels[j * self.grid.cols + i]]]
 
+    def cells_of(self, sig: Signature) -> np.ndarray:
+        """(m, 2) int array of the (i, j) cells of region `sig`, sorted lexicographically."""
+        number = list(self.regions).index(sig)
+        inside = (self.lut[self.cell_labels] == number).reshape(self.grid.rows, self.grid.cols)
+        return np.argwhere(inside.T).astype(np.int32)  # (i, j) pairs, i-major
+
     def __eq__(self, other):
         if not isinstance(other, FingerprintMap):
             return NotImplemented
@@ -170,7 +168,9 @@ class MapStore:
     """All C(n, k) fingerprint maps of a deployment for one subset size k.
 
     build_ms is informational (wall-clock build time) and excluded from
-    equality so that save/load round-trips compare equal.
+    equality so that save/load round-trips compare equal.  Stores made
+    together by one evaluate.build_stores call share one build, and each
+    carries the wall time of that whole build.
     """
 
     deployment: ApDeployment
@@ -222,60 +222,93 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse.ravel()
 
 
-def _region_cells(grid: GridSpec, cell_labels: np.ndarray, lut: np.ndarray, number: int) -> np.ndarray:
-    inside = (lut[cell_labels] == number).reshape(grid.rows, grid.cols)
-    return np.argwhere(inside.T).astype(np.int32)  # (i, j) pairs, i-major
+class _Partition(NamedTuple):
+    """Grid cells grouped by their ordering of all the deployment's APs.
 
-
-def _build_maps(
-    deployment: ApDeployment, subsets: Sequence[SubsetKey], grid: GridSpec
-) -> dict[SubsetKey, FingerprintMap]:
-    """Fingerprint maps of the given subsets from one pass over the grid.
-
-    A subset's signature at a cell is the cell's ordering of all the APs
-    involved, restricted to the subset.  So the cells are grouped once by
-    that full ordering (the ordered order-n Voronoi cells; Okabe et al.,
-    Spatial Tessellations, ch. 3) and every subset region is a union of
-    those groups, found from the few distinct full orderings alone.
+    ids          AP ids in ascending order, the columns `orders` indexes
+    orders       (groups, n) each group's ordering, lexicographic by group
+    cell_labels  group of each flat cell (see GridSpec.centers)
+    xs, ys       cell centres, sorted by group so that each group is a slice
+    starts       where each group's slice of xs and ys begins
+    count        cells per group
+    sum_x/sum_y  per-group sums of xs and ys
     """
-    ids = np.asarray(sorted(set().union(*subsets)))
+
+    ids: np.ndarray
+    orders: np.ndarray
+    cell_labels: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    starts: np.ndarray
+    count: np.ndarray
+    sum_x: np.ndarray
+    sum_y: np.ndarray
+
+
+def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
+    """Group the cells by their full distance ordering of the deployment's APs.
+
+    These groups are the ordered order-n Voronoi cells (Okabe et al.,
+    Spatial Tessellations, ch. 3), sampled at the cell centres.
+    """
+    ids = np.asarray(deployment.ap_ids)
     xs, ys = np.ascontiguousarray(grid.centers().T)
-    pos = np.asarray(deployment.positions(ids.tolist()), dtype=np.float64)
+    pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
     # Squared distances, same arithmetic as cell_signature: dx*dx + dy*dy
     dx = xs[:, None] - pos[None, :, 0]
     dy = ys[:, None] - pos[None, :, 1]
     # Stable argsort on distance; columns are in ascending-id order, so ties
     # resolve toward the smaller ap_id exactly as the scalar version does.
     orders, cell_labels = _unique_rows(np.argsort(dx * dx + dy * dy, axis=1, kind="stable"))
+    # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
+    perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
+    count = np.bincount(cell_labels)
+    starts = np.concatenate(([0], np.cumsum(count[:-1])))
+    xs, ys = xs[perm], ys[perm]
+    return _Partition(ids, orders, cell_labels, xs, ys, starts, count,
+                      np.add.reduceat(xs, starts), np.add.reduceat(ys, starts))
+
+
+def _map_stats(part: _Partition, lut: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cell count, centroid x and y, accuracy and radius of each region of a
+    map whose region numbers by group are `lut`.
+
+    Counts, centroids and the accuracy sums add up per-group values, so
+    only the per-cell distance to the centroid is computed over the cells.
+    """
+    count = np.bincount(lut, weights=part.count)
+    cx = np.bincount(lut, weights=part.sum_x) / count
+    cy = np.bincount(lut, weights=part.sum_y) / count
+    dist = np.hypot(part.xs - np.repeat(cx[lut], part.count), part.ys - np.repeat(cy[lut], part.count))
+    accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
+    radius = np.zeros(len(count))
+    np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
+    return count.astype(np.int64), cx, cy, accuracy, radius
+
+
+def _build_maps(
+    deployment: ApDeployment, subsets: Sequence[SubsetKey], grid: GridSpec
+) -> dict[SubsetKey, FingerprintMap]:
+    """Fingerprint maps of the given subsets from one partition of the grid.
+
+    A subset's signature at a cell is the cell's ordering of all the APs,
+    restricted to the subset.  So every subset region is a union of the
+    partition's groups, found from the few distinct full orderings alone.
+    """
+    part = _partition(deployment, grid)
     maps: dict[SubsetKey, FingerprintMap] = {}
     for subset in subsets:
         # Each full ordering keeps the subset's columns in order; numbering
         # the restricted rows lexicographically numbers regions by signature.
-        kept = orders[np.isin(orders, np.searchsorted(ids, subset))]
-        rows, lut = _unique_rows(kept.reshape(len(orders), len(subset)))
-        region = lut[cell_labels]
-        count = np.bincount(region)
-        cx = np.bincount(region, weights=xs) / count
-        cy = np.bincount(region, weights=ys) / count
-        dist = np.hypot(xs - cx[region], ys - cy[region])
-        accuracy = np.bincount(region, weights=dist) / count
-        radius = np.zeros(len(count))
-        np.maximum.at(radius, region, dist)
+        kept = part.orders[np.isin(part.orders, np.searchsorted(part.ids, subset))]
+        rows, lut = _unique_rows(kept.reshape(len(part.orders), len(subset)))
         regions = {
-            sig: Region(
-                signature=sig,
-                cell_count=n,
-                centroid=(x, y),
-                accuracy=acc,
-                radius=rad,
-                members=partial(_region_cells, grid, cell_labels, lut, r),
-            )
-            for r, (sig, n, x, y, acc, rad) in enumerate(
-                zip(map(tuple, ids[rows].tolist()), count.tolist(), cx.tolist(), cy.tolist(),
-                    accuracy.tolist(), radius.tolist())
+            sig: Region(signature=sig, cell_count=n, centroid=(x, y), accuracy=acc, radius=rad)
+            for sig, n, x, y, acc, rad in zip(
+                map(tuple, part.ids[rows].tolist()), *(a.tolist() for a in _map_stats(part, lut))
             )
         }
-        maps[subset] = FingerprintMap(subset, grid, regions, cell_labels, lut)
+        maps[subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
     return maps
 
 
@@ -284,6 +317,9 @@ def build_fingerprint_map(
 ) -> FingerprintMap:
     """Assign every grid cell its signature and collect the regions."""
     sub = subset_key(subset)
+    unknown = set(sub) - deployment.ap_id_set
+    if unknown:
+        raise ValueError(f"unknown ap_id {min(unknown)}")
     return _build_maps(deployment, [sub], grid)[sub]
 
 
@@ -386,7 +422,7 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             raise ValueError(f"{source}: map subset {subset} is not size {k}")
         if subset in declared_maps:
             raise ValueError(f"{source}: duplicate map block for subset {subset}")
-        unknown = sorted(set(subset) - set(deployment.ap_ids))
+        unknown = sorted(set(subset) - deployment.ap_id_set)
         if unknown:
             raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
         declared: dict[Signature, tuple[float, float, float, float, int]] = {}
@@ -434,14 +470,16 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
                     f"{source}: cell_count mismatch for region {signature_to_text(sig)} "
                     f"(file {cell_count}, rebuilt {reb.cell_count})"
                 )
-            # "not <=" so that a NaN in the file fails the check too.
-            if not (
-                abs(reb.centroid[0] - cx) <= 2e-6
-                and abs(reb.centroid[1] - cy) <= 2e-6
-                and abs(reb.accuracy - acc) <= 2e-6
-                and abs(reb.radius - rad) <= 2e-6
-            ):
-                raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
-            regions[sig] = replace(reb, centroid=(cx, cy), accuracy=acc, radius=rad)
+            if (cx, cy, acc, rad) != (*reb.centroid, reb.accuracy, reb.radius):
+                # "not <=" so that a NaN in the file fails the check too.
+                if not (
+                    abs(reb.centroid[0] - cx) <= 2e-6
+                    and abs(reb.centroid[1] - cy) <= 2e-6
+                    and abs(reb.accuracy - acc) <= 2e-6
+                    and abs(reb.radius - rad) <= 2e-6
+                ):
+                    raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
+                reb = replace(reb, centroid=(cx, cy), accuracy=acc, radius=rad)
+            regions[sig] = reb
         maps[subset] = replace(fmap, regions=regions)
     return MapStore(deployment=deployment, k=k, grid=grid, maps=maps)

@@ -108,8 +108,8 @@ def test_signatures_match_brute_force_oracle():
     assert (grid.cols, grid.rows) == (50, 50)
     fmap = build_fingerprint_map(dep, (1, 2, 3, 4, 5), grid)
     mismatches = 0
-    for sig, region in fmap.regions.items():
-        for i, j in region.cells:
+    for sig in fmap.regions:
+        for i, j in fmap.cells_of(sig):
             cx, cy = grid.cell_center(int(i), int(j))
             d = sorted(
                 ((cx - x) ** 2 + (cy - y) ** 2, ap_id) for ap_id, x, y in aps

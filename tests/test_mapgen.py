@@ -1,10 +1,12 @@
 """Fingerprint-map construction: geometry oracles and partition properties."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from apseq.evaluate import build_stores, load_config
 from apseq.mapgen import (
     GridSpec,
     build_fingerprint_map,
@@ -16,7 +18,9 @@ from apseq.mapgen import (
     map_store_to_text,
     save_map_store,
 )
-from apseq.model import ApDeployment
+from apseq.model import ApDeployment, load_deployment
+
+DATA = resources.files("apseq") / "data"
 
 
 def brute_force_signature(cx, cy, subset, deployment):
@@ -103,11 +107,16 @@ class TestTwoApGeometry:
         assert fmap.regions[(1, 2)].cell_count == 50
         assert fmap.regions[(2, 1)].cell_count == 50
 
+    def test_subset_naming_an_unknown_ap_rejected(self, two_ap_deployment):
+        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
+        with pytest.raises(ValueError, match="unknown ap_id 9"):
+            build_fingerprint_map(two_ap_deployment, (1, 9), grid)
+
     def test_region_stats_match_direct_computation(self, two_ap_deployment):
         grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
         fmap = build_fingerprint_map(two_ap_deployment, (1, 2), grid)
         reg = fmap.regions[(1, 2)]
-        pts = np.array([grid.cell_center(i, j) for i, j in reg.cells])
+        pts = np.array([grid.cell_center(i, j) for i, j in fmap.cells_of((1, 2))])
         d = np.hypot(pts[:, 0] - 2.5, pts[:, 1] - 5.0)
         assert reg.accuracy == pytest.approx(d.mean(), abs=1e-6)
         assert reg.radius == pytest.approx(d.max(), abs=1e-6)
@@ -153,8 +162,8 @@ class TestOracleEquivalence:
         subset = tuple(range(1, n_aps + 1))
         fmap = build_fingerprint_map(dep, subset, grid)
         mismatches = 0
-        for sig, reg in fmap.regions.items():
-            for i, j in reg.cells:
+        for sig in fmap.regions:
+            for i, j in fmap.cells_of(sig):
                 cx, cy = grid.cell_center(int(i), int(j))
                 if brute_force_signature(cx, cy, subset, dep) != sig:
                     mismatches += 1
@@ -189,8 +198,8 @@ class TestMapProperties:
             fmap = build_fingerprint_map(random_deployment, subset, grid)
             seen = set()
             total = 0
-            for reg in fmap.regions.values():
-                for i, j in reg.cells:
+            for sig in fmap.regions:
+                for i, j in fmap.cells_of(sig):
                     seen.add((int(i), int(j)))
                     total += 1
             assert total == grid.n_cells
@@ -214,10 +223,11 @@ class TestMapProperties:
         for sig, reg in fmap.regions.items():
             if reg.cell_count < 2:
                 continue
+            cells = fmap.cells_of(sig)
             idx = rng.integers(0, reg.cell_count, size=(40, 2))
             for a, b in idx:
-                pa = grid.cell_center(int(reg.cells[a][0]), int(reg.cells[a][1]))
-                pb = grid.cell_center(int(reg.cells[b][0]), int(reg.cells[b][1]))
+                pa = grid.cell_center(int(cells[a][0]), int(cells[a][1]))
+                pb = grid.cell_center(int(cells[b][0]), int(cells[b][1]))
                 mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
                 checked += 1
                 if cell_signature(mid, sig, random_deployment) != sig:
@@ -231,9 +241,9 @@ class TestMapProperties:
         grid = GridSpec(cell_size=0.5, width=20.0, height=15.0)
         fine = build_fingerprint_map(random_deployment, (1, 2, 4), grid)
         coarse = build_fingerprint_map(random_deployment, (1, 4), grid)
-        for sig, reg in fine.regions.items():
+        for sig in fine.regions:
             reduced = tuple(i for i in sig if i in (1, 4))
-            for i, j in reg.cells:
+            for i, j in fine.cells_of(sig):
                 cx, cy = grid.cell_center(int(i), int(j))
                 assert cell_signature((cx, cy), (1, 4), random_deployment) == reduced
 
@@ -279,8 +289,9 @@ class TestStoreOracle:
         for subset, fmap in store.maps.items():
             owner = {}
             for sig, reg in fmap.regions.items():
-                assert len(reg.cells) == reg.cell_count
-                for i, j in reg.cells:
+                cells = fmap.cells_of(sig)
+                assert len(cells) == reg.cell_count
+                for i, j in cells:
                     owner[(int(i), int(j))] = sig
             assert len(owner) == grid.n_cells
             for i in range(grid.cols):
@@ -293,6 +304,38 @@ class TestStoreOracle:
                     ties += len(set(d2)) < len(d2)
         if deployment_name == "tie_heavy_deployment":
             assert ties >= 50  # (cell, map) pairs with a distance tie
+
+    @pytest.mark.parametrize(
+        "deployment_name, cell_size",
+        [("random_deployment", 0.5), ("tie_heavy_deployment", 1.0)],
+    )
+    def test_region_stats_of_every_map(self, request, deployment_name, cell_size):
+        # Direct per-region computation from the member cell centres.
+        dep = request.getfixturevalue(deployment_name)
+        grid = GridSpec.for_deployment(dep, cell_size)
+        for k in range(2, dep.n_aps + 1):
+            for fmap in build_map_store(dep, k, grid).maps.values():
+                for sig, reg in fmap.regions.items():
+                    pts = np.array([grid.cell_center(i, j) for i, j in fmap.cells_of(sig)])
+                    centroid = pts.mean(axis=0)
+                    d = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1])
+                    assert reg.cell_count == len(pts)
+                    assert reg.centroid == pytest.approx(tuple(centroid), abs=1e-6)
+                    assert reg.accuracy == pytest.approx(d.mean(), abs=1e-6)
+                    assert reg.radius == pytest.approx(d.max(), abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["dover", "ecc", "random"])
+    def test_shared_build_gives_the_per_k_store_texts(self, random_deployment, name):
+        if name == "random":
+            dep, cell_size = random_deployment, 0.5
+        else:
+            config = load_config(str(DATA / f"{name}.cfg"))
+            dep, cell_size = load_deployment(config.deployment), config.cell_size
+        ks = range(2, dep.n_aps + 1)
+        grid = GridSpec.for_deployment(dep, cell_size)
+        stores = build_stores(dep, ks, cell_size)
+        for k in ks:
+            assert map_store_to_text(stores[k]) == map_store_to_text(build_map_store(dep, k, grid))
 
 
 @pytest.fixture(scope="module")
@@ -399,3 +442,6 @@ class TestMapStore:
 
     def test_build_time_recorded(self, small_store):
         assert small_store.build_ms > 0.0
+        # Stores of one build_stores call carry the time of their one build.
+        stores = build_stores(small_store.deployment, [2, 3], small_store.grid.cell_size)
+        assert stores[2].build_ms == stores[3].build_ms > 0.0

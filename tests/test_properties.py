@@ -13,7 +13,7 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import GridSpec, build_map_store
+from apseq.mapgen import GridSpec, build_map_store, map_store_from_text, map_store_to_text
 from apseq.model import (
     UNDETECTED_DBM,
     ApDeployment,
@@ -30,10 +30,10 @@ PROPERTY = settings(database=None, deadline=None, max_examples=50)
 
 
 @st.composite
-def deployments(draw):
+def deployments(draw, max_aps=10):
     width = draw(st.floats(1.0, 500.0))
     height = draw(st.floats(1.0, 500.0))
-    ids = draw(st.lists(st.integers(1, 999), min_size=2, max_size=10, unique=True))
+    ids = draw(st.lists(st.integers(1, 999), min_size=2, max_size=max_aps, unique=True))
     unit = st.floats(0.0, 1.0)
     aps = tuple((i, draw(unit) * width, draw(unit) * height) for i in ids)
     return ApDeployment(width=width, height=height, aps=aps)
@@ -45,6 +45,33 @@ def test_deployment_text_round_trips(dep):
     text = deployment_to_text(dep)
     assert deployment_from_text(text) == dep
     assert deployment_to_text(deployment_from_text(text)) == text
+
+
+@st.composite
+def map_stores(draw):
+    """A store over 2-5 APs on a grid of at most 8 x 8 cells, any valid k."""
+    dep = draw(deployments(max_aps=5))
+    cell_size = max(dep.width, dep.height) / draw(st.integers(2, 8))
+    k = draw(st.integers(2, dep.n_aps))
+    return build_map_store(dep, k, GridSpec.for_deployment(dep, cell_size))
+
+
+@PROPERTY
+@given(map_stores(), st.data())
+def test_map_store_text_round_trips(store, data):
+    text = map_store_to_text(store)
+    assert map_store_from_text(text) == store
+    assert map_store_to_text(map_store_from_text(text)) == text
+    # Move one declared stat by at least 3e-6, beyond the loader's 2e-6.
+    lines = text.splitlines()
+    row = data.draw(st.sampled_from([n for n, ln in enumerate(lines) if ln.startswith("region ")]))
+    parts = lines[row].split()
+    col = data.draw(st.integers(2, 5))
+    shift = data.draw(st.integers(3, 10**6) | st.integers(-(10**6), -3))
+    parts[col] = f"{float(parts[col]) + shift * 1e-6:.6f}"
+    lines[row] = " ".join(parts)
+    with pytest.raises(ValueError, match="mismatch"):
+        map_store_from_text("\n".join(lines) + "\n")
 
 
 @st.composite
