@@ -211,17 +211,6 @@ def cell_signature(point: Sequence[float], subset: Iterable[int], deployment: Ap
     return tuple(sorted(sub, key=lambda i: (d2[i], i)))
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a non-negative int matrix in lexicographic order,
-    and the index of each input row among them."""
-    # Big-endian rows compare bytewise in numeric lexicographic order, so
-    # one scalar unique over the row bytes sorts them as tuples would.
-    packed = np.ascontiguousarray(rows, dtype=">u4")
-    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse.ravel()
-
-
 class _Partition(NamedTuple):
     """Grid cells grouped by their ordering of all the deployment's APs.
 
@@ -249,17 +238,40 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     """Group the cells by their full distance ordering of the deployment's APs.
 
     These groups are the ordered order-n Voronoi cells (Okabe et al.,
-    Spatial Tessellations, ch. 3), sampled at the cell centres.
+    Spatial Tessellations, ch. 3), sampled at the cell centres: the faces
+    of the arrangement of the AP pairs' perpendicular bisectors.
     """
     ids = np.asarray(deployment.ap_ids)
     xs, ys = np.ascontiguousarray(grid.centers().T)
     pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
-    # Squared distances, same arithmetic as cell_signature: dx*dx + dy*dy
-    dx = xs[:, None] - pos[None, :, 0]
-    dy = ys[:, None] - pos[None, :, 1]
-    # Stable argsort on distance; columns are in ascending-id order, so ties
-    # resolve toward the smaller ap_id exactly as the scalar version does.
-    orders, cell_labels = _unique_rows(np.argsort(dx * dx + dy * dy, axis=1, kind="stable"))
+    # Squared distances, (APs, cells), same arithmetic as cell_signature:
+    # dx*dx + dy*dy, computed in place to spare two fresh arrays.
+    d2 = xs - pos[:, :1]
+    d2 *= d2
+    dy = ys - pos[:, 1:]
+    dy *= dy
+    d2 += dy
+    # One bit per AP pair a < b (columns in ascending-id order): the side of
+    # their bisector, with ties on the smaller id's side.  A stable argsort
+    # puts a before b exactly when the bit is set, so the bits determine a
+    # cell's ordering; 63 bits a word keep every word non-negative.
+    words = np.zeros((-(-math.comb(len(ids), 2) // 63), len(xs)), dtype=np.int64)
+    for bit, (a, b) in enumerate(itertools.combinations(range(len(ids)), 2)):
+        words[bit // 63] |= (d2[a] <= d2[b]).astype(np.int64) << (bit % 63)
+    by_key = np.lexsort(words)
+    sorted_words = words[:, by_key]
+    new_group = np.empty(len(xs), dtype=bool)
+    new_group[0] = True
+    np.any(sorted_words[:, 1:] != sorted_words[:, :-1], axis=0, out=new_group[1:])
+    # Only one cell per group is argsorted; the groups are then numbered
+    # lexicographically by their orderings.
+    orders = np.argsort(d2[:, by_key[new_group]].T, axis=1, kind="stable")
+    by_order = np.lexsort(orders.T[::-1])
+    rank = np.empty(len(orders), dtype=np.intp)
+    rank[by_order] = np.arange(len(orders))
+    orders = orders[by_order]
+    cell_labels = np.empty(len(xs), dtype=np.intp)
+    cell_labels[by_key] = rank[np.cumsum(new_group) - 1]
     # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
     perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
     count = np.bincount(cell_labels)
@@ -296,20 +308,37 @@ def _build_maps(
     partition's groups, found from the few distinct full orderings alone.
     """
     part = _partition(deployment, grid)
+    groups = len(part.orders)
     maps: dict[SubsetKey, FingerprintMap] = {}
-    for subset in subsets:
-        # Each full ordering keeps the subset's columns in order; numbering
-        # the restricted rows lexicographically numbers regions by signature.
-        kept = part.orders[np.isin(part.orders, np.searchsorted(part.ids, subset))]
-        rows, lut = _unique_rows(kept.reshape(len(part.orders), len(subset)))
-        regions = {
-            sig: Region(signature=sig, cell_count=n, centroid=(x, y), accuracy=acc, radius=rad)
-            for sig, n, x, y, acc, rad in zip(
-                map(tuple, part.ids[rows].tolist()), *(a.tolist() for a in _map_stats(part, lut))
-            )
-        }
-        maps[subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
-    return maps
+    for k in sorted({len(s) for s in subsets}):
+        same_k = [s for s in subsets if len(s) == k]
+        member = np.zeros((len(same_k), len(part.ids)), dtype=bool)
+        np.put_along_axis(member, np.searchsorted(part.ids, same_k), True, axis=1)
+        # Each full ordering keeps a subset's columns in order: rows are the
+        # (subset, group) pairs, each the group's ordering of the subset.
+        rows = np.broadcast_to(part.orders, member.shape[:1] + part.orders.shape)
+        rows = rows[member[:, part.orders]].reshape(-1, k)
+        # Sorting by subset, then lexicographically by the row, numbers
+        # every map's regions by signature, since ids ascend with columns.
+        by_row = np.lexsort(np.vstack([rows.T[::-1], np.arange(len(rows)) // groups]))
+        sorted_rows = rows[by_row]
+        new_region = np.empty(len(rows), dtype=bool)
+        np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=new_region[1:])
+        new_region[::groups] = True  # each subset's block starts a region
+        number = np.cumsum(new_region) - 1
+        first = number[::groups]
+        luts = np.empty_like(number)
+        luts[by_row] = number - np.repeat(first, groups)
+        sigs = np.split(part.ids[sorted_rows[new_region]], first[1:])
+        for subset, lut, sig_rows in zip(same_k, luts.reshape(-1, groups), sigs):
+            regions = {
+                sig: Region(signature=sig, cell_count=n, centroid=(x, y), accuracy=acc, radius=rad)
+                for sig, n, x, y, acc, rad in zip(
+                    map(tuple, sig_rows.tolist()), *(a.tolist() for a in _map_stats(part, lut))
+                )
+            }
+            maps[subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
+    return {subset: maps[subset] for subset in subsets}
 
 
 def build_fingerprint_map(
@@ -345,12 +374,14 @@ def build_map_store(
 #   region <signature-text> <cx> <cy> <accuracy> <radius> <cell_count>
 #   ...                                 (one map block per k-subset)
 #
-# Cell memberships are not stored; the loader rebuilds the whole store once
-# from the deployment and grid, in the single pass of build_map_store, then
-# verifies every declared signature, cell count and statistic against it.
-# All reals carry exactly six fractional digits, which together with
-# construction-time quantization makes save -> load field-exact and
-# re-saves byte-identical.
+# Maps are written in subset order and regions in signature order.  Cell
+# memberships are not stored: the loader checks that the file declares
+# exactly the C(n, k) k-subset maps, rebuilds the store once from the
+# deployment and grid (build_map_store), and checks every declared
+# signature and cell count exactly and every statistic to within 2e-6,
+# keeping the file's value.  All reals carry exactly six fractional digits,
+# which together with construction-time quantization makes save -> load
+# field-exact and re-saves byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 

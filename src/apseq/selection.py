@@ -96,7 +96,9 @@ def kmeans_1d(
     Raises:
         DegenerateClusteringError: fewer than k distinct values.
         ValueError: a value is NaN or infinite, or so large that the
-            squared deviations would overflow.
+            squared deviations would overflow; or a pass left a cluster
+            empty (no value nearest to its centroid), which Lloyd seeds and
+            values within a few ulps of each other can both do.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -130,7 +132,14 @@ def kmeans_1d(
     iterations = 1
     while True:
         runs = list(zip(bounds, bounds[1:]))
-        assert all(a < b for a, b in runs), "empty cluster cannot arise from value or split-mean seeds"
+        empty = [c for c, (a, b) in enumerate(runs, 1) if a == b]
+        if empty:
+            # A Lloyd pass can strand a centroid, and centroids a few ulps
+            # apart can tie, so that no value is nearest to some centroid.
+            raise ValueError(
+                f"K-means left clusters {empty} of {k} empty (numbered "
+                f"strongest-first from 1): no RSS value is nearest to their centroids"
+            )
         centroids = [sum(xs[a:b]) / (b - a) for a, b in runs]
         history.append(
             sum((x - c) ** 2 for (a, b), c in zip(runs, centroids) for x in xs[a:b])

@@ -221,6 +221,23 @@ class TestLocalize:
         assert result.candidates_tried == 1
         assert result.position == store.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
 
+    def test_empty_cluster_is_a_value_error(self):
+        # Near-tie RSS values on which a top-rank Lloyd pass leaves a cluster
+        # empty: localize raises ValueError, not AssertionError.
+        values = {
+            30: -44.00000000000001, 6: -74.00000000000001, 26: -44.000000000000014,
+            3: -41.00000000000001, 29: -44.000000000000014, 13: -43.99999999999999,
+            50: -44.000000000000014, 49: -44.00000000000001, 16: -73.99999999999999,
+            19: -41.00000000000001,
+        }
+        dep = ApDeployment(
+            width=10.0, height=10.0,
+            aps=tuple((ap_id, float(n % 4) * 3.0, float(n // 4) * 3.0) for n, ap_id in enumerate(values)),
+        )
+        store = build_map_store(dep, 6, GridSpec(cell_size=2.5, width=10.0, height=10.0))
+        with pytest.raises(ValueError, match=r"K-means left clusters \[4\] of 6 empty"):
+            localize(RssScan(values=values), store, 6)
+
     @pytest.mark.parametrize("foreign_rss", [-20.0, -45.0, -51.0, -90.0])
     def test_ap_outside_the_deployment_is_ignored(self, fallback_store, foreign_rss):
         values = {1: -30.0, 2: -70.0, 3: -50.0, 4: -52.0}

@@ -9,6 +9,8 @@ import pytest
 from apseq.evaluate import build_stores, load_config
 from apseq.mapgen import (
     GridSpec,
+    _Partition,
+    _partition,
     build_fingerprint_map,
     build_map_store,
     cell_signature,
@@ -149,15 +151,21 @@ class TestCollinearGeometry:
         assert fmap.regions[(3, 2, 1)].centroid == (9.0, 5.0)
 
 
+def uniform_deployment(seed, n_aps):
+    """n_aps APs drawn uniformly over a 12 m x 9 m floor."""
+    rng = np.random.default_rng(seed)
+    aps = tuple(
+        (i + 1, float(rng.uniform(0, 12)), float(rng.uniform(0, 9)))
+        for i in range(n_aps)
+    )
+    return ApDeployment(width=12.0, height=9.0, aps=aps)
+
+
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("seed, n_aps", [(11, 4), (29, 5)])
+    # 12 APs make 66 AP pairs, more than one 63-bit word of bisector sides.
+    @pytest.mark.parametrize("seed, n_aps", [(11, 4), (29, 5), (41, 12)])
     def test_every_cell_matches_brute_force(self, seed, n_aps):
-        rng = np.random.default_rng(seed)
-        aps = tuple(
-            (i + 1, float(rng.uniform(0, 12)), float(rng.uniform(0, 9)))
-            for i in range(n_aps)
-        )
-        dep = ApDeployment(width=12.0, height=9.0, aps=aps)
+        dep = uniform_deployment(seed, n_aps)
         grid = GridSpec(cell_size=0.5, width=12.0, height=9.0)
         subset = tuple(range(1, n_aps + 1))
         fmap = build_fingerprint_map(dep, subset, grid)
@@ -324,18 +332,94 @@ class TestStoreOracle:
                     assert reg.accuracy == pytest.approx(d.mean(), abs=1e-6)
                     assert reg.radius == pytest.approx(d.max(), abs=1e-6)
 
-    @pytest.mark.parametrize("name", ["dover", "ecc", "random"])
+    @pytest.mark.parametrize("name", ["dover", "ecc", "random", "twelve"])
     def test_shared_build_gives_the_per_k_store_texts(self, random_deployment, name):
         if name == "random":
             dep, cell_size = random_deployment, 0.5
+        elif name == "twelve":
+            dep, cell_size = uniform_deployment(41, 12), 0.5
         else:
             config = load_config(str(DATA / f"{name}.cfg"))
             dep, cell_size = load_deployment(config.deployment), config.cell_size
         ks = range(2, dep.n_aps + 1)
+        if name == "twelve":
+            # k = 4..9 hold 3 718 of the 4 083 maps and take seconds.
+            ks = [2, 3, 10, 11, 12]
         grid = GridSpec.for_deployment(dep, cell_size)
         stores = build_stores(dep, ks, cell_size)
         for k in ks:
             assert map_store_to_text(stores[k]) == map_store_to_text(build_map_store(dep, k, grid))
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative int matrix in lexicographic order,
+    and the index of each input row among them."""
+    # Big-endian rows compare bytewise in numeric lexicographic order, so
+    # one scalar unique over the row bytes sorts them as tuples would.
+    packed = np.ascontiguousarray(rows, dtype=">u4")
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse.ravel()
+
+
+def _partition_oracle(deployment: ApDeployment, grid: GridSpec) -> _Partition:
+    """Reference partition: every cell's full argsort, grouped by unique rows."""
+    ids = np.asarray(deployment.ap_ids)
+    xs, ys = np.ascontiguousarray(grid.centers().T)
+    pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
+    # Squared distances, same arithmetic as cell_signature: dx*dx + dy*dy
+    dx = xs[:, None] - pos[None, :, 0]
+    dy = ys[:, None] - pos[None, :, 1]
+    # Stable argsort on distance; columns are in ascending-id order, so ties
+    # resolve toward the smaller ap_id exactly as the scalar version does.
+    orders, cell_labels = _unique_rows(np.argsort(dx * dx + dy * dy, axis=1, kind="stable"))
+    # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
+    perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
+    count = np.bincount(cell_labels)
+    starts = np.concatenate(([0], np.cumsum(count[:-1])))
+    xs, ys = xs[perm], ys[perm]
+    return _Partition(ids, orders, cell_labels, xs, ys, starts, count,
+                      np.add.reduceat(xs, starts), np.add.reduceat(ys, starts))
+
+
+def lattice_deployment(seed):
+    """2-13 APs with shuffled ids on a half-metre lattice over 10 m x 8 m:
+    many bisectors pass exactly through cell centres."""
+    rng = np.random.default_rng(seed)
+    n_aps = 2 + seed % 12
+    spots = rng.choice(21 * 17, size=n_aps, replace=False)
+    ids = rng.choice(np.arange(1, 60), size=n_aps, replace=False)
+    return ApDeployment(
+        width=10.0, height=8.0,
+        aps=tuple((int(i), float(p % 21) / 2, float(p // 21) / 2) for i, p in zip(ids, spots)),
+    )
+
+
+class TestPartitionOracle:
+    """The bisector-side grouping against every cell's full argsort."""
+
+    @staticmethod
+    def assert_same_partition(dep, cell_size):
+        grid = GridSpec.for_deployment(dep, cell_size)
+        got, want = _partition(dep, grid), _partition_oracle(dep, grid)
+        for name, a, b in zip(_Partition._fields, got, want):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("name", ["dover", "ecc"])
+    @pytest.mark.parametrize("cell_size", [0.25, 0.4, 0.5])
+    def test_bundled_deployments(self, name, cell_size):
+        dep = load_deployment(load_config(str(DATA / f"{name}.cfg")).deployment)
+        self.assert_same_partition(dep, cell_size)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lattice_deployments(self, seed):
+        dep = lattice_deployment(seed)
+        for cell_size in (0.25, 0.4, 0.5):
+            self.assert_same_partition(dep, cell_size)
+
+    def test_lattice_deployments_reach_two_words(self):
+        assert {lattice_deployment(seed).n_aps for seed in range(30)} == set(range(2, 14))
 
 
 @pytest.fixture(scope="module")

@@ -68,7 +68,43 @@ class TestKmeansWorkedExamples:
         assert members == {frozenset({1, 2}), frozenset({3})}
 
 
+# Inputs on which a K-means pass leaves a cluster empty: top-rank seeds on
+# near-ties, the exact default on near-ties, and whole-dBm values with
+# scattered seed ranks.
+EMPTY_CLUSTER_INPUTS = [
+    (
+        {30: -44.00000000000001, 6: -74.00000000000001, 26: -44.000000000000014,
+         3: -41.00000000000001, 29: -44.000000000000014, 13: -43.99999999999999,
+         50: -44.000000000000014, 49: -44.00000000000001, 16: -73.99999999999999,
+         19: -41.00000000000001},
+        6,
+        range(1, 7),
+    ),
+    (
+        {32: -59.9999999999998, 18: -59.9999999999998, 4: -78.0, 33: -59.9999999999997,
+         47: -60.0000000000003, 2: -31.0000000000003, 12: -77.9999999999997,
+         10: -30.9999999999997, 31: -78.0000000000001, 13: -78.0000000000001,
+         52: -60.0000000000002},
+        7,
+        None,
+    ),
+    (
+        {55: -90, 26: -60, 57: -36, 30: -87, 21: -83, 53: -92, 2: -44, 23: -62,
+         54: -48, 42: -50, 9: -62, 18: -70, 7: -49},
+        6,
+        [1, 8, 5, 3, 2, 10],
+    ),
+]
+
+
 class TestKmeansErrors:
+    @pytest.mark.parametrize(
+        "values, k, seed_ranks", EMPTY_CLUSTER_INPUTS, ids=["top-rank", "exact", "whole-dbm"]
+    )
+    def test_empty_cluster_is_a_value_error(self, values, k, seed_ranks):
+        with pytest.raises(ValueError, match=rf"K-means left clusters \[4\] of {k} empty"):
+            kmeans_1d(values, k, seed_ranks)
+
     def test_too_few_distinct_values_is_degenerate(self):
         with pytest.raises(DegenerateClusteringError) as exc:
             kmeans_1d({1: -40.0, 2: -40.0, 3: -40.0}, 2)
@@ -387,7 +423,14 @@ def _outcome(fn, values, k, seed_ranks):
         return repr(fn(values, k, seed_ranks))  # repr tells -0.0 from 0.0
     except (ValueError, AssertionError) as exc:
         # First line only: pytest appends its own lines to a failed assert.
-        return f"{type(exc).__name__}: {str(exc).splitlines()[0]}"
+        message = str(exc).splitlines()[0]
+        # The oracle asserts that no cluster is empty, where kmeans_1d raises
+        # a ValueError naming the empty clusters: one outcome.
+        if isinstance(exc, AssertionError) and message.startswith("empty cluster"):
+            return "empty cluster"
+        if isinstance(exc, ValueError) and message.startswith("K-means left clusters"):
+            return "empty cluster"
+        return f"{type(exc).__name__}: {message}"
 
 
 def test_run_based_kmeans_matches_the_lloyd_oracle():
