@@ -7,11 +7,13 @@ simulates an observation window at every test point, localizes it at every
 k, and reports per-k error lists, missed-detection rates and empirical CDFs.
 
 `simulate` is the one source of the experiment's test points and windows;
-`run_experiment` and `apseq simulate` both draw from it.  All randomness
+the experiment loop and `apseq simulate` both draw from it.  All randomness
 flows from the single config seed through named substreams: test-point
 coordinates use substream (seed, 0) and the window of test point i uses
 substream (seed, i+1), so adding test points never perturbs earlier ones
-and windows of different durations share their leading samples.
+and windows of different durations share their leading samples.  A
+window-duration sweep therefore simulates each point once, at the longest
+duration, and localizes that window's head for each shorter one.
 """
 
 from __future__ import annotations
@@ -231,7 +233,9 @@ def simulate(
     """Yield the experiment's (test point, simulated window) pairs in order.
 
     Windows are made one at a time, so a caller that consumes each before
-    the next holds only one.  `seed` overrides the config seed.
+    the next holds only one.  `seed` overrides the config seed.  A window's
+    noise comes from its point's own substream, so the window of a shorter
+    duration is the head (ScanWindow.head) of a longer one.
     """
     seed = config.seed if seed is None else seed
     params = config.params(seed=seed)
@@ -253,6 +257,28 @@ def simulate(
         )
 
 
+def _checked_stores(
+    config: ExperimentConfig,
+    deployment: ApDeployment,
+    stores: Mapping[int, MapStore] | None,
+) -> Mapping[int, MapStore]:
+    """The passed stores once they fit the config, else one fresh build."""
+    if stores is None:
+        return build_stores(deployment, config.k_values, config.cell_size)
+    grid = GridSpec.for_deployment(deployment, config.cell_size)
+    for k, store in stores.items():
+        if store.deployment != deployment:
+            raise ValueError(
+                f"store for k={k} was built for another deployment than {config.deployment}"
+            )
+        if store.grid != grid:
+            raise ValueError(f"store for k={k} has grid {store.grid}, the config needs {grid}")
+    for k in config.k_values:
+        if k not in stores:
+            raise ValueError(f"store/k mismatch (no store for k={k})")
+    return stores
+
+
 def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
@@ -262,39 +288,12 @@ def run_experiment(
 
     The same simulated window is localized at each k, mirroring one walk
     evaluated under different subset sizes.  Pass `stores` to reuse maps
-    across repeated runs (they depend only on deployment and grid).
+    across repeated runs (they depend only on deployment and grid); they
+    must be built for the config's deployment and cell size and hold every
+    configured k, or ValueError is raised before any window is drawn.
+    This is window_sweep at the config's one duration.
     """
-    deployment = load_deployment(config.deployment)
-    if stores is None:
-        stores = build_stores(deployment, config.k_values, config.cell_size)
-    # Filled by index, not appended: small allocations made while windows
-    # come and go pin allocator arenas and raise the process's peak RSS.
-    points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
-    errors: dict[int, list[float]] = {k: [] for k in config.k_values}
-    missed: dict[int, int] = {k: 0 for k in config.k_values}
-    for idx, (point, window) in enumerate(simulate(config, deployment, seed)):
-        points[idx] = point
-        scan = aggregate_scan(window)
-        for k in config.k_values:
-            outcome = localize(scan, stores, k)
-            if isinstance(outcome, Estimate):
-                ex, ey = outcome.position
-                errors[k].append(float(np.hypot(ex - point[0], ey - point[1])))
-            else:
-                missed[k] += 1
-    per_k = {
-        k: KReport(
-            k=k,
-            n_points=len(points),
-            errors=tuple(errors[k]),
-            missed=missed[k],
-            build_ms=stores[k].build_ms,
-            n_maps=stores[k].n_maps,
-            total_regions=sum(m.n_regions for m in stores[k].maps.values()),
-        )
-        for k in config.k_values
-    }
-    return ExperimentReport(config=config, points=tuple(points), per_k=per_k)
+    return window_sweep(config, (config.duration_s,), seed, stores)[float(config.duration_s)]
 
 
 def window_sweep(
@@ -303,18 +302,60 @@ def window_sweep(
     seed: int | None = None,
     stores: Mapping[int, MapStore] | None = None,
 ) -> dict[float, ExperimentReport]:
-    """Re-run the experiment at several window durations.
+    """Re-run the experiment at several window durations, keyed by duration.
 
-    Every duration replays the same per-point noise streams, so a shorter
-    window is a prefix of a longer one and the comparison isolates the
-    effect of observation time.
+    Each test point's window is simulated once, at the longest duration,
+    and a shorter duration localizes its head: the samples a window
+    simulated for that duration would hold, since every duration replays
+    the point's noise stream.  The comparison thus isolates the effect of
+    observation time.  `stores` is checked as in run_experiment.
     """
     # Check every duration before any store is built.
-    configs = [replace(config, duration_s=float(d)) for d in durations]
+    configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
     deployment = load_deployment(config.deployment)
-    if stores is None:
-        stores = build_stores(deployment, config.k_values, config.cell_size)
-    return {cfg.duration_s: run_experiment(cfg, seed=seed, stores=stores) for cfg in configs}
+    stores = _checked_stores(config, deployment, stores)
+    if not configs:
+        return {}
+    ks = config.k_values
+    longest = max(configs)
+    # Filled by index, not appended: small allocations made while windows
+    # come and go pin allocator arenas and raise the process's peak RSS.
+    points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
+    # Per duration and k, each point's error; None where it was missed.
+    errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
+    for idx, (point, window) in enumerate(simulate(configs[longest], deployment, seed)):
+        points[idx] = point
+        for d in configs:
+            scan = aggregate_scan(window if d == longest else window.head(d))
+            for k in ks:
+                outcome = localize(scan, stores, k)
+                if isinstance(outcome, Estimate):
+                    ex, ey = outcome.position
+                    errors[d][k][idx] = float(np.hypot(ex - point[0], ey - point[1]))
+    hits = {
+        d: {k: tuple(e for e in errs if e is not None) for k, errs in per_k.items()}
+        for d, per_k in errors.items()
+    }
+    regions = {k: sum(m.n_regions for m in stores[k].maps.values()) for k in ks}
+    return {
+        d: ExperimentReport(
+            config=cfg,
+            points=tuple(points),
+            per_k={
+                k: KReport(
+                    k=k,
+                    n_points=len(points),
+                    errors=hits[d][k],
+                    missed=len(points) - len(hits[d][k]),
+                    build_ms=stores[k].build_ms,
+                    n_maps=stores[k].n_maps,
+                    total_regions=regions[k],
+                )
+                for k in ks
+            },
+        )
+        for d, cfg in configs.items()
+    }
 
 
 def write_report_csvs(report: ExperimentReport, out_dir) -> list[str]:

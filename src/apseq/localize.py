@@ -127,6 +127,28 @@ class ScanWindow:
     def n_instants(self) -> int:
         return instant_count(self.duration_s, self.cadence_s)
 
+    def head(self, duration_s: float) -> "ScanWindow":
+        """The first instant_count(duration_s, cadence_s) rows, as a window
+        of that duration; APs unheard in them get no column.
+
+        A simulated window's head is the window simulated for duration_s
+        from the same noise stream.  Raises ValueError when duration_s
+        exceeds the window's own duration.
+        """
+        if duration_s > self.duration_s:
+            raise ValueError(
+                f"head of {duration_s} s exceeds the window's {self.duration_s} s"
+            )
+        rss = self.rss[: instant_count(duration_s, self.cadence_s)]
+        keep = ~np.isnan(rss).all(axis=0)
+        return ScanWindow(
+            times=self.times[: len(rss)],
+            ap_ids=tuple(ap_id for ap_id, k in zip(self.ap_ids, keep.tolist()) if k),
+            rss=rss[:, keep],
+            duration_s=duration_s,
+            cadence_s=self.cadence_s,
+        )
+
     @cached_property
     def aps(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
         """Read-only ap_id -> ((timestamp_s, rss_dbm), ...) view of the heard samples."""

@@ -2,23 +2,31 @@
 
 import math
 import os
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
+from importlib import resources
 
+import numpy as np
 import pytest
 
+from apseq import evaluate
 from apseq.evaluate import (
     ExperimentConfig,
+    ExperimentReport,
     KReport,
     build_stores,
     error_cdf,
     load_config,
     parse_config,
     run_experiment,
+    simulate,
     window_sweep,
     write_report_csvs,
 )
-from apseq.model import ApDeployment, save_deployment
+from apseq.localize import Estimate, aggregate_scan, localize
+from apseq.model import ApDeployment, load_deployment, save_deployment
 from apseq.propagation import PropagationParams
+
+DATA = resources.files("apseq") / "data"
 
 TINY_DEPLOY = ApDeployment(
     width=10.0,
@@ -251,6 +259,53 @@ class TestRunExperiment:
             assert all(e == e for e in rep.errors)
 
 
+def sweep_oracle(config, durations, seed, stores):
+    """Each duration's report from its own simulation, as one run at that duration."""
+    deployment = load_deployment(config.deployment)
+    reports = {}
+    for d in durations:
+        cfg = replace(config, duration_s=float(d))
+        points, errors, missed = [], {k: [] for k in cfg.k_values}, dict.fromkeys(cfg.k_values, 0)
+        for point, window in simulate(cfg, deployment, seed):
+            points.append(point)
+            scan = aggregate_scan(window)
+            for k in cfg.k_values:
+                outcome = localize(scan, stores, k)
+                if isinstance(outcome, Estimate):
+                    ex, ey = outcome.position
+                    errors[k].append(float(np.hypot(ex - point[0], ey - point[1])))
+                else:
+                    missed[k] += 1
+        per_k = {
+            k: KReport(
+                k=k,
+                n_points=len(points),
+                errors=tuple(errors[k]),
+                missed=missed[k],
+                build_ms=stores[k].build_ms,
+                n_maps=stores[k].n_maps,
+                total_regions=sum(m.n_regions for m in stores[k].maps.values()),
+            )
+            for k in cfg.k_values
+        }
+        reports[cfg.duration_s] = ExperimentReport(config=cfg, points=tuple(points), per_k=per_k)
+    return reports
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """name -> (config, its stores) for the bundled scenarios."""
+    out = {}
+    for name in ("dover", "ecc"):
+        cfg = load_config(str(DATA / f"{name}.cfg"))
+        stores = build_stores(load_deployment(cfg.deployment), cfg.k_values, cfg.cell_size)
+        out[name] = (cfg, stores)
+    return out
+
+
+SWEEP = (12.0, 3.0, 60.0, 12.0)  # unsorted, with a duplicate
+
+
 class TestWindowSweep:
     def test_noise_free_sweep_is_duration_invariant(self, scenario_dir):
         cfg = load_config(scenario_dir / "tiny.cfg")
@@ -269,6 +324,75 @@ class TestWindowSweep:
     def test_nonpositive_duration_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="positive"):
             window_sweep(tiny_config, (1.0, 0.0))
+
+    def test_no_durations_give_no_reports(self, tiny_config):
+        assert window_sweep(tiny_config, ()) == {}
+
+    @pytest.mark.parametrize("name", ["dover", "ecc"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_one_simulation_per_duration(self, bundled, name, seed):
+        cfg, stores = bundled[name]
+        sweep = window_sweep(cfg, SWEEP, seed=seed, stores=stores)
+        assert list(sweep) == [12.0, 3.0, 60.0]
+        assert sweep == sweep_oracle(cfg, SWEEP, seed, stores)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"sigma_db": 0.0},
+            {"round_to_int": True},
+            {"test_point_mode": "grid", "test_points": 3},
+        ],
+    )
+    def test_matches_one_simulation_per_duration_when(self, bundled, change):
+        base, stores = bundled["ecc"]
+        cfg = replace(base, **change)
+        assert window_sweep(cfg, SWEEP, seed=1, stores=stores) == sweep_oracle(cfg, SWEEP, 1, stores)
+
+    def test_run_experiment_is_the_one_duration_sweep(self, bundled):
+        cfg, stores = bundled["ecc"]
+        want = sweep_oracle(cfg, (cfg.duration_s,), 2, stores)[cfg.duration_s]
+        assert run_experiment(cfg, seed=2, stores=stores) == want
+
+
+def no_windows(*args, **kwargs):
+    raise AssertionError("a window was drawn")
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [lambda cfg, stores: run_experiment(cfg, stores=stores),
+     lambda cfg, stores: window_sweep(cfg, (1.0, 2.0), stores=stores)],
+    ids=["run_experiment", "window_sweep"],
+)
+class TestStoreChecks:
+    def test_stores_of_another_deployment(self, tiny_config, experiment, monkeypatch):
+        moved = ApDeployment(width=10.0, height=8.0, aps=TINY_DEPLOY.aps[:3] + ((4, 8.0, 6.5),))
+        stores = build_stores(moved, tiny_config.k_values, tiny_config.cell_size)
+        monkeypatch.setattr(evaluate, "synth_window", no_windows)
+        with pytest.raises(ValueError, match="another deployment"):
+            experiment(tiny_config, stores)
+
+    def test_stores_on_another_grid(self, tiny_config, experiment, monkeypatch):
+        stores = build_stores(TINY_DEPLOY, tiny_config.k_values, 1.0)
+        monkeypatch.setattr(evaluate, "synth_window", no_windows)
+        with pytest.raises(ValueError, match="grid"):
+            experiment(tiny_config, stores)
+
+    def test_no_store_for_a_configured_k(self, tiny_config, experiment, monkeypatch):
+        stores = build_stores(TINY_DEPLOY, (2,), tiny_config.cell_size)
+        monkeypatch.setattr(evaluate, "synth_window", no_windows)
+        with pytest.raises(ValueError, match=r"store/k mismatch \(no store for k=3\)"):
+            experiment(tiny_config, stores)
+
+    def test_matching_stores_accepted(self, tiny_config, experiment):
+        stores = build_stores(TINY_DEPLOY, tiny_config.k_values, tiny_config.cell_size)
+        experiment(tiny_config, stores)
+
+    def test_bundled_ecc_config_rejects_dover_stores(self, bundled, experiment):
+        ecc = replace(bundled["ecc"][0], test_points=5)
+        with pytest.raises(ValueError, match="another deployment"):
+            experiment(ecc, bundled["dover"][1])
 
 
 class TestReportCsvs:

@@ -186,6 +186,53 @@ class TestSynthWindow:
                          duration_s=1.0, cadence_s=2.0)
 
 
+def same_window(a, b) -> bool:
+    """Equal schedules, times and AP columns, and RSS equal bit for bit."""
+    return (
+        a.duration_s == b.duration_s
+        and a.cadence_s == b.cadence_s
+        and a.ap_ids == b.ap_ids
+        and a.times.tobytes() == b.times.tobytes()
+        and a.rss.shape == b.rss.shape
+        and a.rss.tobytes() == b.rss.tobytes()
+    )
+
+
+class TestWindowHead:
+    # At the centre every AP is ~2 sigma below the floor: seed 1 first
+    # hears AP 3 at its eighth instant (2.1 s) and no other AP in 6 s.
+    FAINT = PropagationParams(sigma_db=3.0, detect_floor_dbm=-50.0)
+
+    def faint(self, square_deployment, duration_s):
+        return synth_window((10.0, 10.0), square_deployment, self.FAINT,
+                            duration_s=duration_s, cadence_s=0.3,
+                            rng=np.random.default_rng(1))
+
+    def test_head_of_own_duration_is_the_window(self, square_deployment):
+        w = synth_window((4.0, 9.0), square_deployment, PropagationParams(sigma_db=3.0),
+                         duration_s=6.0, cadence_s=0.3)
+        assert same_window(w.head(6.0), w)
+
+    def test_longer_head_rejected(self, square_deployment):
+        w = self.faint(square_deployment, 6.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            w.head(6.5)
+
+    def test_ap_first_heard_after_the_head_gets_no_column(self, square_deployment):
+        long = self.faint(square_deployment, 6.0)
+        assert long.ap_ids == (3,) and np.isnan(long.rss[:7]).all()
+        assert same_window(long.head(2.4), self.faint(square_deployment, 2.4))
+        assert long.head(2.4).ap_ids == (3,)
+        assert same_window(long.head(2.1), self.faint(square_deployment, 2.1))
+        assert long.head(2.1).ap_ids == ()
+
+    def test_silent_head_has_no_signal(self, square_deployment):
+        head = self.faint(square_deployment, 6.0).head(1.5)
+        for window in (head, self.faint(square_deployment, 1.5)):
+            with pytest.raises(ValueError, match="no signal"):
+                aggregate_scan(window)
+
+
 class TestTestPoints:
     def test_grid_mode_centers(self):
         points = gen_test_points(9.0, 6.0, 3, mode="grid")

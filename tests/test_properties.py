@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,43 @@ def test_noise_free_window_follows_the_model(dep, fx, fy, p0, gamma, d0, floor, 
             assert w.aps[ap_id] == tuple((float(i), expect) for i in range(n))
         else:
             assert ap_id not in w.aps
+
+
+@PROPERTY
+@given(
+    deployments(max_aps=6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 2.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.data(),
+    st.booleans(),
+)
+def test_head_is_the_shorter_simulated_window(
+    dep, fx, fy, seed, cadence, short_frac, long_frac, data, rounded
+):
+    point = (fx * dep.width, fy * dep.height)
+    # A floor 0-2 sigma above one AP's mean RSS makes that AP heard in few
+    # instants, so it is often first heard after the head.
+    _, ax, ay = data.draw(st.sampled_from(dep.aps))
+    mean = mean_rss(math.hypot(point[0] - ax, point[1] - ay), PropagationParams())
+    floor = min(max(mean + data.draw(st.floats(0.0, 12.0)), -99.0), -30.0)
+    params = PropagationParams(sigma_db=6.0, detect_floor_dbm=floor, round_to_int=rounded)
+    long_s = cadence * (1 + 60 * long_frac)
+    short_s = min(cadence + (long_s - cadence) * short_frac, long_s)
+
+    def window(duration_s):
+        return synth_window(point, dep, params, duration_s=duration_s, cadence_s=cadence,
+                            rng=np.random.default_rng(seed))
+
+    head, direct = window(long_s).head(short_s), window(short_s)
+    assert head.times.tobytes() == direct.times.tobytes()
+    assert head.ap_ids == direct.ap_ids
+    assert (head.duration_s, head.cadence_s) == (direct.duration_s, direct.cadence_s)
+    assert head.rss.shape == direct.rss.shape
+    assert head.rss.tobytes() == direct.rss.tobytes()  # NaN in the same places
 
 
 @pytest.fixture(scope="module")
