@@ -49,7 +49,7 @@ def main():
     try:
         kmeans_1d(flat, 2)
     except DegenerateClusteringError as exc:
-        print(f"  {exc} (feasible ceiling: K={exc.max_k})")
+        print(f"  {exc}")
 
     print("\n== top-rank seeding, as the localizer runs it ==")
     top = kmeans_1d(SCAN, 3, seed_ranks=(1, 2, 3))

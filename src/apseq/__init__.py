@@ -27,7 +27,6 @@ from .localize import (
     aggregate_scan,
     load_scan,
     localize,
-    match_signature,
     save_scan,
 )
 from .mapgen import (
@@ -114,7 +113,6 @@ __all__ = [
     "make_signature",
     "map_store_from_text",
     "map_store_to_text",
-    "match_signature",
     "mean_rss",
     "parse_config",
     "parse_signature",

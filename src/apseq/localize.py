@@ -18,15 +18,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .mapgen import FingerprintMap, MapStore, Region
-from .model import (
-    UNDETECTED_DBM,
-    RssScan,
-    Signature,
-    SubsetKey,
-    signature_to_text,
-    subset_key,
-)
+from .mapgen import MapStore
+from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
 from .selection import generate_candidate_sets, kmeans_1d
 
 # An AP must appear in at least this fraction of the window's sampling
@@ -203,15 +196,6 @@ class MissedDetection:
 
 
 LocalizationOutcome = Union[Estimate, MissedDetection]
-
-
-def match_signature(sig: Signature, fmap: FingerprintMap) -> Region | None:
-    """Exact-equality lookup of a measured signature in one fingerprint map."""
-    if subset_key(sig) != fmap.subset:
-        raise ValueError(
-            f"signature {signature_to_text(sig)} is not over map subset {fmap.subset}"
-        )
-    return fmap.regions.get(sig)
 
 
 def _store_for(

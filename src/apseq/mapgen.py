@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -89,32 +89,23 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Cells sharing one signature, with summary geometry.
 
     centroid   mean of the member cell centres
     accuracy   mean distance of member centres to the centroid
     radius     max distance of member centres to the centroid
 
-    All three are quantized to 6 fractional digits (file precision).
+    A built region has all three quantized to 6 fractional digits (file
+    precision); a loaded one carries the file's values, quantized alike.
     The member cells are not held; FingerprintMap.cells_of derives them.
     """
 
     signature: Signature
     cell_count: int
-    centroid: tuple[float, float] = (0.0, 0.0)
-    accuracy: float = 0.0
-    radius: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "centroid", (_quantize(self.centroid[0]), _quantize(self.centroid[1]))
-        )
-        object.__setattr__(self, "accuracy", _quantize(self.accuracy))
-        object.__setattr__(self, "radius", _quantize(self.radius))
-        if self.radius + 1e-9 < self.accuracy:
-            raise ValueError("region radius cannot be below its accuracy")
+    centroid: tuple[float, float]
+    accuracy: float
+    radius: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +123,6 @@ class FingerprintMap:
     regions: dict[Signature, Region]
     cell_labels: np.ndarray = field(repr=False)
     lut: np.ndarray = field(repr=False)
-    _numbered: tuple[Region, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_numbered", tuple(self.regions.values()))
 
     @property
     def n_regions(self) -> int:
@@ -144,7 +131,7 @@ class FingerprintMap:
     def region_at(self, x: float, y: float) -> Region:
         """Region owning the grid cell containing (x, y)."""
         i, j = self.grid.cell_of(x, y)
-        return self._numbered[self.lut[self.cell_labels[j * self.grid.cols + i]]]
+        return list(self.regions.values())[self.lut[self.cell_labels[j * self.grid.cols + i]]]
 
     def cells_of(self, sig: Signature) -> np.ndarray:
         """(m, 2) int array of the (i, j) cells of region `sig`, sorted lexicographically."""
@@ -332,7 +319,7 @@ def _build_maps(
         sigs = np.split(part.ids[sorted_rows[new_region]], first[1:])
         for subset, lut, sig_rows in zip(same_k, luts.reshape(-1, groups), sigs):
             regions = {
-                sig: Region(signature=sig, cell_count=n, centroid=(x, y), accuracy=acc, radius=rad)
+                sig: Region(sig, n, (_quantize(x), _quantize(y)), _quantize(acc), _quantize(rad))
                 for sig, n, x, y, acc, rad in zip(
                     map(tuple, sig_rows.tolist()), *(a.tolist() for a in _map_stats(part, lut))
                 )
@@ -375,13 +362,14 @@ def build_map_store(
 #   ...                                 (one map block per k-subset)
 #
 # Maps are written in subset order and regions in signature order.  Cell
-# memberships are not stored: the loader checks that the file declares
-# exactly the C(n, k) k-subset maps, rebuilds the store once from the
-# deployment and grid (build_map_store), and checks every declared
-# signature and cell count exactly and every statistic to within 2e-6,
-# keeping the file's value.  All reals carry exactly six fractional digits,
-# which together with construction-time quantization makes save -> load
-# field-exact and re-saves byte-identical.
+# memberships are not stored.  At the first map line the loader knows k,
+# rebuilds the store once from the deployment and grid (build_map_store),
+# and checks each map block against that rebuild as it reads it: the region
+# count, then every signature and cell count exactly and every statistic to
+# within 2e-6, keeping the file's value.  After the last block it checks
+# that the file declared exactly the C(n, k) k-subset maps.  All reals carry
+# exactly six fractional digits, which together with construction-time
+# quantization makes save -> load field-exact and re-saves byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -417,50 +405,47 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != STORE_HEADER:
         raise ValueError(f"{source}: unsupported version (expected {STORE_HEADER!r})")
-    pos = 1
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError(f"{source}: truncated store file")
-        ln = lines[pos]
-        pos += 1
-        return ln
-
     # Deployment block: header line then area/ap lines until 'grid'.
-    dep_lines = [take()]
-    if dep_lines[0] != "APSEQ-DEPLOY v1":
+    grid_at = next((n for n, ln in enumerate(lines) if ln.startswith("grid ")), len(lines))
+    if grid_at == len(lines):
+        raise ValueError(f"{source}: truncated store file")
+    if lines[1] != "APSEQ-DEPLOY v1":
         raise ValueError(f"{source}: missing deployment block")
-    while pos < len(lines) and not lines[pos].startswith("grid "):
-        dep_lines.append(take())
-    deployment = deployment_from_text("\n".join(dep_lines), source=source)
-
-    grid_ln = take().split()
-    if len(grid_ln) != 2 or grid_ln[0] != "grid":
+    deployment = deployment_from_text("\n".join(lines[1:grid_at]), source=source)
+    grid_ln = lines[grid_at].split()
+    if len(grid_ln) != 2:
         raise ValueError(f"{source}: malformed grid line")
     grid = GridSpec(cell_size=float(grid_ln[1]), width=deployment.width, height=deployment.height)
 
-    declared_maps: dict[SubsetKey, dict[Signature, tuple[float, float, float, float, int]]] = {}
-    k: int | None = None
-    while pos < len(lines):
-        map_ln = take().split()
+    # Each map block runs from its map line to the next line that is not a
+    # region line; the first line after the grid starts a block regardless.
+    body = lines[grid_at + 1:]
+    if not body:
+        raise ValueError(f"{source}: store contains no maps")
+    heads = [n for n, ln in enumerate(body) if n == 0 or not ln.startswith("region ")]
+    rebuilt: MapStore | None = None
+    maps: dict[SubsetKey, FingerprintMap] = {}
+    for head, end in zip(heads, heads[1:] + [len(body)]):
+        map_ln = body[head].split()
         if map_ln[0] != "map":
-            raise ValueError(f"{source}: expected map line, got {lines[pos - 1]!r}")
+            raise ValueError(f"{source}: expected map line, got {body[head]!r}")
         subset = subset_key(int(i) for i in map_ln[1:])
-        if k is None:
-            k = len(subset)
-        elif len(subset) != k:
-            raise ValueError(f"{source}: map subset {subset} is not size {k}")
-        if subset in declared_maps:
+        if rebuilt is not None and len(subset) != rebuilt.k:
+            raise ValueError(f"{source}: map subset {subset} is not size {rebuilt.k}")
+        if subset in maps:
             raise ValueError(f"{source}: duplicate map block for subset {subset}")
         unknown = sorted(set(subset) - deployment.ap_id_set)
         if unknown:
             raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
+        if rebuilt is None:
+            # k is now known: rebuild the store once and check each block
+            # against it as the block is read.
+            rebuilt = build_map_store(deployment, len(subset), grid)
         declared: dict[Signature, tuple[float, float, float, float, int]] = {}
-        while pos < len(lines) and lines[pos].startswith("region "):
-            parts = take().split()
+        for ln in body[head + 1:end]:
+            parts = ln.split()
             if len(parts) != 7:
-                raise ValueError(f"{source}: malformed region line {lines[pos - 1]!r}")
+                raise ValueError(f"{source}: malformed region line {ln!r}")
             sig = parse_signature(parts[1])
             if subset_key(sig) != subset:
                 raise ValueError(f"{source}: region signature {parts[1]} not over map subset")
@@ -469,31 +454,15 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             try:
                 declared[sig] = (*(float(v) for v in parts[2:6]), int(parts[6]))
             except ValueError:
-                raise ValueError(
-                    f"{source}: malformed region line {lines[pos - 1]!r}"
-                ) from None
-        declared_maps[subset] = declared
-    if k is None:
-        raise ValueError(f"{source}: store contains no maps")
-    expected = math.comb(deployment.n_aps, k)
-    if len(declared_maps) != expected:
-        raise ValueError(
-            f"{source}: {len(declared_maps)} maps does not match C({deployment.n_aps},{k})={expected}"
-        )
-    # The declared subsets are now exactly the k-subsets of the deployment:
-    # rebuild the store once and verify what the file declares against it.
-    rebuilt = build_map_store(deployment, k, grid)
-    maps: dict[SubsetKey, FingerprintMap] = {}
-    for subset, declared in declared_maps.items():
+                raise ValueError(f"{source}: malformed region line {ln!r}") from None
         fmap = rebuilt.maps[subset]
         if len(declared) != fmap.n_regions:
             raise ValueError(
                 f"{source}: map {subset} declares {len(declared)} regions, "
                 f"rebuild gives {fmap.n_regions}"
             )
-        if set(fmap.regions) != set(declared):
+        if fmap.regions.keys() != declared.keys():
             raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
-        regions: dict[Signature, Region] = {}
         for sig, reb in fmap.regions.items():
             cx, cy, acc, rad, cell_count = declared[sig]
             if reb.cell_count != cell_count:
@@ -510,7 +479,14 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
                     and abs(reb.radius - rad) <= 2e-6
                 ):
                     raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
-                reb = replace(reb, centroid=(cx, cy), accuracy=acc, radius=rad)
-            regions[sig] = reb
-        maps[subset] = replace(fmap, regions=regions)
-    return MapStore(deployment=deployment, k=k, grid=grid, maps=maps)
+                cx, cy, acc, rad = (_quantize(v) for v in (cx, cy, acc, rad))
+                if rad + 1e-9 < acc:
+                    raise ValueError("region radius cannot be below its accuracy")
+                fmap.regions[sig] = Region(sig, cell_count, (cx, cy), acc, rad)
+        maps[subset] = fmap
+    expected = math.comb(deployment.n_aps, rebuilt.k)
+    if len(maps) != expected:
+        raise ValueError(
+            f"{source}: {len(maps)} maps does not match C({deployment.n_aps},{rebuilt.k})={expected}"
+        )
+    return MapStore(deployment=deployment, k=rebuilt.k, grid=grid, maps=maps)

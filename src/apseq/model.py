@@ -49,8 +49,8 @@ class ApDeployment:
     def __post_init__(self):
         object.__setattr__(self, "width", _quantize(self.width))
         object.__setattr__(self, "height", _quantize(self.height))
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("deployment area must have positive width and height")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("deployment area must have finite, positive width and height")
         aps = tuple(
             sorted((int(i), _quantize(x), _quantize(y)) for i, x, y in self.aps)
         )
@@ -103,9 +103,6 @@ class RssScan:
     def detected(self) -> dict[int, float]:
         """The detected portion of the scan (sentinel entries dropped)."""
         return {i: v for i, v in self.values.items() if v != UNDETECTED_DBM}
-
-    def __getitem__(self, ap_id: int) -> float:
-        return self.values[ap_id]
 
 
 def subset_key(ids: Iterable[int]) -> SubsetKey:

@@ -19,17 +19,13 @@ MAX_ITERATIONS = 100
 
 
 class DegenerateClusteringError(ValueError):
-    """Raised when fewer distinct RSS values exist than requested clusters.
-
-    max_k carries the largest feasible cluster count for the same values.
-    """
+    """Raised when fewer distinct RSS values exist than requested clusters."""
 
     def __init__(self, requested: int, max_k: int):
         super().__init__(
             f"degenerate clustering: {requested} clusters requested but only "
             f"{max_k} distinct RSS values"
         )
-        self.max_k = max_k
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,14 @@ class TestMapgen:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("area", ["inf 9", "12 inf"])
+    def test_non_finite_area_is_reported(self, workspace, capsys, area):
+        path = workspace / "infinite.deploy"
+        path.write_text(f"APSEQ-DEPLOY v1\narea {area}\nap 1 1.0 1.0\nap 2 2.0 2.0\n")
+        rc = main(["mapgen", "--deploy", str(path), "--k", "2", "--out", str(workspace / "x.map")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSimulate:
     def test_writes_scans_and_truth(self, workspace, capsys):

@@ -13,7 +13,6 @@ from apseq.localize import (
     aggregate_scan,
     load_scan,
     localize,
-    match_signature,
     save_scan,
     scan_from_text,
     scan_to_text,
@@ -156,21 +155,6 @@ def fallback_store():
         aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
     )
     return build_map_store(dep, 3, GridSpec(cell_size=0.5, width=10.0, height=10.0))
-
-
-class TestMatchSignature:
-    def test_present_and_absent(self, half_plane_store):
-        fmap = half_plane_store.maps[(1, 2)]
-        assert match_signature((1, 2), fmap).centroid == (2.5, 5.0)
-        assert match_signature((2, 1), fmap).centroid == (7.5, 5.0)
-
-    def test_infeasible_signature_returns_none(self, collinear_store):
-        fmap = collinear_store.maps[(1, 2, 3)]
-        assert match_signature((1, 3, 2), fmap) is None
-
-    def test_wrong_subset_rejected(self, half_plane_store):
-        with pytest.raises(ValueError, match="subset"):
-            match_signature((1, 3), half_plane_store.maps[(1, 2)])
 
 
 class TestLocalize:

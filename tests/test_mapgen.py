@@ -431,6 +431,61 @@ def small_store():
     return build_map_store(dep, 3, GridSpec(cell_size=0.5, width=12.0, height=8.0))
 
 
+def _drop_block(text, head):
+    """The store text without the map block that starts at line `head`."""
+    start = text.index(head + "\n")
+    end = text.find("map ", start + len(head))
+    return text[:start] + (text[end:] if end >= 0 else "")
+
+
+# One edit of small_store's text per loader message, with the message's
+# wording; the wrong-size and unknown-AP map lines have tests of their own.
+# Every map of small_store holds all six orderings of its subset.
+LOADER_FAULTS = [
+    (lambda t: t.replace("APSEQMAP v1", "APSEQMAP v2"),
+     r"<string>: unsupported version \(expected 'APSEQMAP v1'\)"),
+    (lambda t: t[: t.index("grid ")],
+     r"<string>: truncated store file"),
+    (lambda t: t.replace("APSEQ-DEPLOY v1", "APSEQ-DEPLOY v0"),
+     r"<string>: missing deployment block"),
+    (lambda t: t.replace("grid 0.500000", "grid 0.500000 1"),
+     r"<string>: malformed grid line"),
+    (lambda t: t.replace("grid 0.500000\n", "grid 0.500000\nregion 1-2-3\n"),
+     r"<string>: expected map line, got 'region 1-2-3'"),
+    (lambda t: t[: t.index("map ")],
+     r"<string>: store contains no maps"),
+    (lambda t: t + t[t.index("map 1 2 3"): t.index("map 1 2 4")],
+     r"<string>: duplicate map block for subset \(1, 2, 3\)"),
+    (lambda t: t.replace(" 21\n", "\n", 1),
+     r"<string>: malformed region line 'region 1-2-3 4.773810 0.964286 0.975918 2.146161'$"),
+    (lambda t: t.replace(" 0.964286 ", " x ", 1),
+     r"<string>: malformed region line 'region 1-2-3 4.773810 x "),
+    (lambda t: t.replace("region 1-2-3 ", "region 1-2-4 "),
+     r"<string>: region signature 1-2-4 not over map subset"),
+    (lambda t: t.replace("region 1-3-2 ", "region 1-2-3 "),
+     r"<string>: duplicate region signature 1-2-3"),
+    (lambda t: _drop_block(t, "map 2 3 4"),
+     r"<string>: 3 maps does not match C\(4,3\)=4"),
+    (lambda t: t.replace("region 1-3-2 2.113208 3.193396 2.055213 4.464031 106\n", ""),
+     r"<string>: map \(1, 2, 3\) declares 5 regions, rebuild gives 6"),
+    # AP 3 moved onto the line through APs 1 and 2, between them: the map
+    # of (1, 2, 3) loses the two orderings that put AP 3 last.
+    (lambda t: t.replace("ap 3 6.000000 7.000000", "ap 3 6.000000 2.000000")
+     .replace("region 1-2-3 4.773810 0.964286 0.975918 2.146161 21\n", "")
+     .replace("region 1-3-2 2.113208 3.193396 2.055213 4.464031 106\n", ""),
+     r"<string>: region signatures disagree with rebuild for map \(1, 2, 3\)"),
+    (lambda t: t.replace(" 2.146161 21\n", " 2.146161 22\n", 1),
+     r"<string>: cell_count mismatch for region 1-2-3 \(file 22, rebuilt 21\)"),
+    (lambda t: t.replace(" 0.975918 ", " 0.975921 ", 1),
+     r"<string>: region stats mismatch for 1-2-3"),
+    # Region 1-4-3 of map (1, 3, 4) has accuracy = radius = 0.25 over 2 cells;
+    # an accuracy 1e-6 higher lies inside the loader's 2e-6 tolerance.
+    (lambda t: t.replace("region 1-4-3 7.750000 0.500000 0.250000 ",
+                         "region 1-4-3 7.750000 0.500000 0.250001 "),
+     r"region radius cannot be below its accuracy"),
+]
+
+
 class TestMapStore:
     def test_one_map_per_subset(self, small_store):
         assert small_store.n_maps == 4
@@ -523,6 +578,29 @@ class TestMapStore:
         )
         with pytest.raises(ValueError, match="does not match"):
             map_store_from_text("\n".join(lines[:start] + lines[end:]) + "\n")
+
+    @pytest.mark.parametrize(
+        "edit, message", LOADER_FAULTS,
+        ids=[m.removeprefix("<string>: ").replace("\\", "") for _, m in LOADER_FAULTS],
+    )
+    def test_loader_message(self, small_store, edit, message):
+        text = edit(map_store_to_text(small_store))
+        with pytest.raises(ValueError, match=message):
+            map_store_from_text(text)
+
+    def test_stats_within_tolerance_load_quantized(self, small_store):
+        # A stat 1e-6 off keeps the file's value; extra digits are rounded off.
+        text = map_store_to_text(small_store)
+        edited = text.replace(" 4.773810 0.964286 ", " 4.7738114 0.964286 ", 1)
+        loaded = map_store_from_text(edited)
+        assert loaded.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid == (4.773811, 0.964286)
+        assert map_store_to_text(loaded) == text.replace(" 4.773810 ", " 4.773811 ", 1)
+
+    @pytest.mark.parametrize("area", ["area inf 8.000000", "area 12.000000 inf"])
+    def test_non_finite_area_detected(self, small_store, area):
+        text = map_store_to_text(small_store).replace("area 12.000000 8.000000", area)
+        with pytest.raises(ValueError, match="finite, positive width and height"):
+            map_store_from_text(text)
 
     def test_build_time_recorded(self, small_store):
         assert small_store.build_ms > 0.0

@@ -155,6 +155,12 @@ class TestDeploymentFile:
         with pytest.raises(ValueError):
             deployment_from_text(text)
 
+    @pytest.mark.parametrize("area", ["inf 10", "10 inf", "-inf 10", "nan 10"])
+    def test_non_finite_area_rejected(self, area):
+        text = f"APSEQ-DEPLOY v1\narea {area}\nap 1 1.0 1.0\nap 2 2.0 2.0\n"
+        with pytest.raises(ValueError, match="finite, positive width"):
+            deployment_from_text(text)
+
     def test_missing_area_rejected(self):
         with pytest.raises(ValueError):
             deployment_from_text("APSEQ-DEPLOY v1\nap 1 1.000000 1.000000\n")

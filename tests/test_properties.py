@@ -73,6 +73,14 @@ def test_map_store_text_round_trips(store, data):
     lines[row] = " ".join(parts)
     with pytest.raises(ValueError, match="mismatch"):
         map_store_from_text("\n".join(lines) + "\n")
+    # Dropping that region line, or one whole map block, is refused too.
+    lines = text.splitlines()
+    heads = [n for n, ln in enumerate(lines) if ln.startswith("map ")] + [len(lines)]
+    with pytest.raises(ValueError):
+        map_store_from_text("\n".join(lines[:row] + lines[row + 1:]) + "\n")
+    block = data.draw(st.integers(0, len(heads) - 2))
+    with pytest.raises(ValueError):
+        map_store_from_text("\n".join(lines[: heads[block]] + lines[heads[block + 1]:]) + "\n")
 
 
 @st.composite
