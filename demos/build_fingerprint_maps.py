@@ -7,7 +7,7 @@ geometry, and shows the text form the store serializes to.
 
 import argparse
 
-from apseq import ApDeployment, GridSpec, build_map_store, map_store_to_text
+from apseq import ApDeployment, build_map_store, map_store_to_text
 
 
 def main():
@@ -21,7 +21,9 @@ def main():
         height=12.0,
         aps=((1, 2.0, 2.0), (2, 18.0, 2.5), (3, 10.0, 10.0), (4, 17.0, 9.5)),
     )
-    grid = GridSpec(cell_size=args.cell, width=deployment.width, height=deployment.height)
+    # One store per subset size; the grid follows from the area and the cell size.
+    stores = {k: build_map_store(deployment, k, args.cell) for k in range(2, deployment.n_aps + 1)}
+    grid = stores[2].grid
 
     print("== deployment ==")
     print(f"area: {deployment.width:g} x {deployment.height:g} m, "
@@ -31,11 +33,8 @@ def main():
         print(f"  AP {ap_id} at ({x:g}, {y:g})")
 
     print("\n== map counts per subset size ==")
-    print("building one fingerprint map per k-subset of the APs:")
-    stores = {}
-    for k in range(2, deployment.n_aps + 1):
-        store = build_map_store(deployment, k, grid)
-        stores[k] = store
+    print("one fingerprint map per k-subset of the APs:")
+    for k, store in stores.items():
         regions = sum(m.n_regions for m in store.maps.values())
         print(f"  k={k}: {store.n_maps:2d} maps, {regions:3d} regions total, "
               f"built in {store.build_ms:.1f} ms")
@@ -64,7 +63,7 @@ def main():
         print(f"  {line}")
     print("  ...")
     print("cell memberships are not stored; a loader rebuilds them from the")
-    print("deployment and grid, then cross-checks every region line.")
+    print("deployment and cell size, then cross-checks every region line.")
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ import numpy as np
 
 from apseq import (
     Estimate,
-    GridSpec,
     PropagationParams,
     aggregate_scan,
-    build_map_store,
+    build_stores,
     load_deployment,
     localize,
     signature_to_text,
@@ -36,16 +35,16 @@ def main():
     args = parser.parse_args()
 
     deployment = load_deployment(str(DATA / "dover.deploy"))
-    grid = GridSpec(cell_size=0.2, width=deployment.width, height=deployment.height)
     print(f"== floor: {deployment.width:g} x {deployment.height:g} m, "
           f"{deployment.n_aps} APs ==")
-    print("building map stores for k = 3..7 (one per subset size)...")
-    stores = {k: build_map_store(deployment, k, grid) for k in range(3, 8)}
+    stores = build_stores(deployment, range(3, 8), 0.2)
+    print(f"built map stores for k = 3..7 at 0.2 m in one shared build of "
+          f"{stores[3].build_ms:.0f} ms:")
     for k, store in stores.items():
-        print(f"  k={k}: {store.n_maps} maps in {store.build_ms:.0f} ms")
+        print(f"  k={k}: {store.n_maps} maps")
 
     truth = (args.x, args.y)
-    params = PropagationParams(sigma_db=args.sigma, seed=args.seed)
+    params = PropagationParams(sigma_db=args.sigma)
     print(f"\n== simulating a 12 s window at {truth}, "
           f"sigma = {args.sigma:g} dB, seed {args.seed} ==")
     window = synth_window(truth, deployment, params,

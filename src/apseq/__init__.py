@@ -10,7 +10,6 @@ from .evaluate import (
     ExperimentConfig,
     ExperimentReport,
     KReport,
-    build_stores,
     error_cdf,
     load_config,
     parse_config,
@@ -34,8 +33,8 @@ from .mapgen import (
     GridSpec,
     MapStore,
     Region,
-    build_fingerprint_map,
     build_map_store,
+    build_stores,
     cell_signature,
     enumerate_ap_subsets,
     load_map_store,
@@ -96,7 +95,6 @@ __all__ = [
     "SubsetKey",
     "UNDETECTED_DBM",
     "aggregate_scan",
-    "build_fingerprint_map",
     "build_map_store",
     "build_stores",
     "cell_signature",

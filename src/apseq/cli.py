@@ -8,14 +8,12 @@ import sys
 
 from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
-from .mapgen import DEFAULT_CELL_SIZE, GridSpec, build_map_store, load_map_store, save_map_store
+from .mapgen import DEFAULT_CELL_SIZE, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
 
 
 def _cmd_mapgen(args) -> int:
-    deployment = load_deployment(args.deploy)
-    grid = GridSpec.for_deployment(deployment, args.grid)
-    store = build_map_store(deployment, args.k, grid)
+    store = build_map_store(load_deployment(args.deploy), args.k, args.grid)
     save_map_store(store, args.out)
     total_regions = sum(m.n_regions for m in store.maps.values())
     print(

@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .localize import Estimate, ScanWindow, aggregate_scan, instant_count, localize
-from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, _build_maps, enumerate_ap_subsets
+from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_stores
 from .model import ApDeployment, load_deployment
 from .propagation import (
     DEFAULT_CADENCE_S,
@@ -75,7 +74,7 @@ class ExperimentConfig:
     test_points: int = 27
     duration_s: float = DEFAULT_DURATION_S
     cadence_s: float = DEFAULT_CADENCE_S
-    seed: int = PropagationParams.seed
+    seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -98,11 +97,8 @@ class ExperimentConfig:
         """Test points of one run: test_points, squared in grid mode."""
         return self.test_points ** (2 if self.test_point_mode == "grid" else 1)
 
-    def params(self, seed: int | None = None) -> PropagationParams:
-        values = {f.name: getattr(self, f.name) for f in fields(PropagationParams)}
-        if seed is not None:
-            values["seed"] = seed
-        return PropagationParams(**values)
+    def params(self) -> PropagationParams:
+        return PropagationParams(**{f.name: getattr(self, f.name) for f in fields(PropagationParams)})
 
 
 def _parse_bool(raw: str) -> bool:
@@ -208,25 +204,6 @@ class ExperimentReport:
     per_k: Mapping[int, KReport] = field(default_factory=dict)
 
 
-def build_stores(
-    deployment: ApDeployment, k_values: Sequence[int], cell_size: float
-) -> dict[int, MapStore]:
-    """One map store per k, all from one shared build of every k's subsets.
-
-    Each store's build_ms is the wall time of that one shared build.
-    """
-    grid = GridSpec.for_deployment(deployment, cell_size)
-    ks = sorted(set(k_values))
-    subsets = [s for k in ks for s in enumerate_ap_subsets(deployment.ap_ids, k)]
-    t0 = time.perf_counter()
-    maps = _build_maps(deployment, subsets, grid)
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    return {
-        k: MapStore(deployment, k, grid, {s: m for s, m in maps.items() if len(s) == k}, build_ms)
-        for k in ks
-    }
-
-
 def simulate(
     config: ExperimentConfig, deployment: ApDeployment, seed: int | None = None
 ) -> Iterator[tuple[tuple[float, float], ScanWindow]]:
@@ -238,7 +215,7 @@ def simulate(
     duration is the head (ScanWindow.head) of a longer one.
     """
     seed = config.seed if seed is None else seed
-    params = config.params(seed=seed)
+    params = config.params()
     points = gen_test_points(
         deployment.width,
         deployment.height,

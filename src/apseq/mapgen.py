@@ -29,6 +29,7 @@ from .model import (
 )
 
 DEFAULT_CELL_SIZE = 0.2
+MAX_CELLS = 10_000_000
 
 # Tolerance applied to width/cell_size before ceil() so that an exactly
 # divisible area does not gain a spurious extra row from float division.
@@ -55,6 +56,10 @@ class GridSpec:
             raise ValueError("cell_size must be finite and positive")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("grid area must have positive width and height")
+        # Counted in floats, so that even an unbounded grid is refused unallocated.
+        cols, rows = (np.ceil(v / self.cell_size - _DIV_EPS) for v in (self.width, self.height))
+        if cols * rows > MAX_CELLS:
+            raise ValueError(f"grid of {cols:.0f} x {rows:.0f} cells exceeds the limit of {MAX_CELLS}")
 
     @classmethod
     def for_deployment(cls, deployment: ApDeployment, cell_size: float = DEFAULT_CELL_SIZE) -> "GridSpec":
@@ -156,8 +161,8 @@ class MapStore:
 
     build_ms is informational (wall-clock build time) and excluded from
     equality so that save/load round-trips compare equal.  Stores made
-    together by one evaluate.build_stores call share one build, and each
-    carries the wall time of that whole build.
+    together by one build_stores call share one build, and each carries
+    the wall time of that whole build.
     """
 
     deployment: ApDeployment
@@ -286,9 +291,9 @@ def _map_stats(part: _Partition, lut: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _build_maps(
-    deployment: ApDeployment, subsets: Sequence[SubsetKey], grid: GridSpec
-) -> dict[SubsetKey, FingerprintMap]:
-    """Fingerprint maps of the given subsets from one partition of the grid.
+    deployment: ApDeployment, subsets: dict[int, list[SubsetKey]], grid: GridSpec
+) -> dict[int, dict[SubsetKey, FingerprintMap]]:
+    """Fingerprint maps by subset size and subset, from one partition of the grid.
 
     A subset's signature at a cell is the cell's ordering of all the APs,
     restricted to the subset.  So every subset region is a union of the
@@ -296,9 +301,8 @@ def _build_maps(
     """
     part = _partition(deployment, grid)
     groups = len(part.orders)
-    maps: dict[SubsetKey, FingerprintMap] = {}
-    for k in sorted({len(s) for s in subsets}):
-        same_k = [s for s in subsets if len(s) == k]
+    maps: dict[int, dict[SubsetKey, FingerprintMap]] = {}
+    for k, same_k in subsets.items():
         member = np.zeros((len(same_k), len(part.ids)), dtype=bool)
         np.put_along_axis(member, np.searchsorted(part.ids, same_k), True, axis=1)
         # Each full ordering keeps a subset's columns in order: rows are the
@@ -317,6 +321,7 @@ def _build_maps(
         luts = np.empty_like(number)
         luts[by_row] = number - np.repeat(first, groups)
         sigs = np.split(part.ids[sorted_rows[new_region]], first[1:])
+        maps[k] = {}
         for subset, lut, sig_rows in zip(same_k, luts.reshape(-1, groups), sigs):
             regions = {
                 sig: Region(sig, n, (_quantize(x), _quantize(y)), _quantize(acc), _quantize(rad))
@@ -324,31 +329,29 @@ def _build_maps(
                     map(tuple, sig_rows.tolist()), *(a.tolist() for a in _map_stats(part, lut))
                 )
             }
-            maps[subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
-    return {subset: maps[subset] for subset in subsets}
+            maps[k][subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
+    return maps
 
 
-def build_fingerprint_map(
-    deployment: ApDeployment, subset: Iterable[int], grid: GridSpec
-) -> FingerprintMap:
-    """Assign every grid cell its signature and collect the regions."""
-    sub = subset_key(subset)
-    unknown = set(sub) - deployment.ap_id_set
-    if unknown:
-        raise ValueError(f"unknown ap_id {min(unknown)}")
-    return _build_maps(deployment, [sub], grid)[sub]
+def build_stores(
+    deployment: ApDeployment, k_values: Iterable[int], cell_size: float = DEFAULT_CELL_SIZE
+) -> dict[int, MapStore]:
+    """One map store per k, all from one shared build of every k's subsets.
 
-
-def build_map_store(
-    deployment: ApDeployment, k: int, grid: GridSpec | None = None
-) -> MapStore:
-    """Build fingerprint maps for every k-subset of the deployment's APs."""
-    if grid is None:
-        grid = GridSpec.for_deployment(deployment)
+    The grid covers the deployment's area at `cell_size`, and each store's
+    build_ms is the wall time of that one shared build.
+    """
+    grid = GridSpec.for_deployment(deployment, cell_size)
+    subsets = {k: enumerate_ap_subsets(deployment.ap_ids, k) for k in sorted(set(k_values))}
     t0 = time.perf_counter()
-    maps = _build_maps(deployment, enumerate_ap_subsets(deployment.ap_ids, k), grid)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return MapStore(deployment=deployment, k=k, grid=grid, maps=maps, build_ms=elapsed_ms)
+    maps = _build_maps(deployment, subsets, grid)
+    build_ms = (time.perf_counter() - t0) * 1000.0
+    return {k: MapStore(deployment, k, grid, maps[k], build_ms) for k in subsets}
+
+
+def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT_CELL_SIZE) -> MapStore:
+    """Fingerprint maps for every k-subset of the deployment's APs: build_stores for one k."""
+    return build_stores(deployment, (k,), cell_size)[k]
 
 
 # ----------------------------------------------------------------------------
@@ -363,7 +366,7 @@ def build_map_store(
 #
 # Maps are written in subset order and regions in signature order.  Cell
 # memberships are not stored.  At the first map line the loader knows k,
-# rebuilds the store once from the deployment and grid (build_map_store),
+# rebuilds the store once from the deployment and cell size (build_map_store),
 # and checks each map block against that rebuild as it reads it: the region
 # count, then every signature and cell count exactly and every statistic to
 # within 2e-6, keeping the file's value.  After the last block it checks
@@ -413,9 +416,12 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         raise ValueError(f"{source}: missing deployment block")
     deployment = deployment_from_text("\n".join(lines[1:grid_at]), source=source)
     grid_ln = lines[grid_at].split()
-    if len(grid_ln) != 2:
-        raise ValueError(f"{source}: malformed grid line")
-    grid = GridSpec(cell_size=float(grid_ln[1]), width=deployment.width, height=deployment.height)
+    try:
+        if len(grid_ln) != 2:
+            raise ValueError("expected one cell size")
+        grid = GridSpec.for_deployment(deployment, float(grid_ln[1]))
+    except ValueError as exc:
+        raise ValueError(f"{source}: malformed grid line {lines[grid_at]!r} ({exc})") from None
 
     # Each map block runs from its map line to the next line that is not a
     # region line; the first line after the grid starts a block regardless.
@@ -429,7 +435,10 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         map_ln = body[head].split()
         if map_ln[0] != "map":
             raise ValueError(f"{source}: expected map line, got {body[head]!r}")
-        subset = subset_key(int(i) for i in map_ln[1:])
+        try:
+            subset = subset_key(int(i) for i in map_ln[1:])
+        except ValueError as exc:
+            raise ValueError(f"{source}: malformed map line {body[head]!r} ({exc})") from None
         if rebuilt is not None and len(subset) != rebuilt.k:
             raise ValueError(f"{source}: map subset {subset} is not size {rebuilt.k}")
         if subset in maps:
@@ -440,21 +449,22 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         if rebuilt is None:
             # k is now known: rebuild the store once and check each block
             # against it as the block is read.
-            rebuilt = build_map_store(deployment, len(subset), grid)
+            rebuilt = build_map_store(deployment, len(subset), grid.cell_size)
         declared: dict[Signature, tuple[float, float, float, float, int]] = {}
         for ln in body[head + 1:end]:
             parts = ln.split()
-            if len(parts) != 7:
-                raise ValueError(f"{source}: malformed region line {ln!r}")
-            sig = parse_signature(parts[1])
+            try:
+                if len(parts) != 7:
+                    raise ValueError
+                sig = parse_signature(parts[1])
+                values = (*(float(v) for v in parts[2:6]), int(parts[6]))
+            except ValueError:
+                raise ValueError(f"{source}: malformed region line {ln!r}") from None
             if subset_key(sig) != subset:
                 raise ValueError(f"{source}: region signature {parts[1]} not over map subset")
             if sig in declared:
                 raise ValueError(f"{source}: duplicate region signature {parts[1]}")
-            try:
-                declared[sig] = (*(float(v) for v in parts[2:6]), int(parts[6]))
-            except ValueError:
-                raise ValueError(f"{source}: malformed region line {ln!r}") from None
+            declared[sig] = values
         fmap = rebuilt.maps[subset]
         if len(declared) != fmap.n_regions:
             raise ValueError(
@@ -481,7 +491,10 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
                     raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
                 cx, cy, acc, rad = (_quantize(v) for v in (cx, cy, acc, rad))
                 if rad + 1e-9 < acc:
-                    raise ValueError("region radius cannot be below its accuracy")
+                    raise ValueError(
+                        f"{source}: region radius cannot be below its accuracy for "
+                        f"{signature_to_text(sig)} (radius {rad:.6f}, accuracy {acc:.6f})"
+                    )
                 fmap.regions[sig] = Region(sig, cell_count, (cx, cy), acc, rad)
         maps[subset] = fmap
     expected = math.comb(deployment.n_aps, rebuilt.k)

@@ -26,7 +26,7 @@ class PropagationParams:
 
     sigma_db is the shadowing standard deviation; samples below
     detect_floor_dbm are dropped as undetected.  round_to_int emulates
-    hardware that reports whole dBm.  seed drives the default noise stream.
+    hardware that reports whole dBm.
     """
 
     p0_dbm: float = -30.0
@@ -34,7 +34,6 @@ class PropagationParams:
     d0_m: float = 1.0
     sigma_db: float = 0.0
     detect_floor_dbm: float = -95.0
-    seed: int = 0
     round_to_int: bool = False
 
     def __post_init__(self):
@@ -62,26 +61,22 @@ def synth_window(
     params: PropagationParams,
     duration_s: float = DEFAULT_DURATION_S,
     cadence_s: float = DEFAULT_CADENCE_S,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ScanWindow:
     """Simulate one observation window at a point.
 
-    Shadowing draws are i.i.d. per (instant, AP) and come from `rng` (or a
-    fresh generator seeded by params.seed).  The noise matrix is drawn
-    row-by-row in instant order, so with the same generator state a shorter
-    window is a sample-for-sample prefix of a longer one.  Each sample is
-    min(mean_rss + noise, p0_dbm), rounded when round_to_int is set; samples
-    below detect_floor_dbm go unheard (NaN), and APs never heard get no
-    column.
+    Shadowing draws are i.i.d. per (instant, AP) and come from `rng` (none
+    at sigma_db 0).  The noise matrix is drawn row-by-row in instant order,
+    so with the same generator state a shorter window is a sample-for-sample
+    prefix of a longer one.  Each sample is min(mean_rss + noise, p0_dbm),
+    rounded when round_to_int is set; samples below detect_floor_dbm go
+    unheard (NaN), and APs never heard get no column.
     """
     n_instants = instant_count(duration_s, cadence_s)
     aps = deployment.aps
-    if params.sigma_db > 0:
-        if rng is None:
-            rng = np.random.default_rng(params.seed)
-        noise = rng.normal(0.0, params.sigma_db, size=(n_instants, len(aps)))
-    else:
-        noise = np.zeros((n_instants, len(aps)))
+    shape = (n_instants, len(aps))
+    noise = rng.normal(0.0, params.sigma_db, size=shape) if params.sigma_db > 0 else np.zeros(shape)
     mean = [mean_rss(math.hypot(point[0] - x, point[1] - y), params) for _, x, y in aps]
     rss = np.minimum(noise + mean, params.p0_dbm)
     if params.round_to_int:
@@ -103,14 +98,14 @@ def gen_test_points(
     height: float,
     count: int,
     mode: str = "random",
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
+    *,
+    rng: np.random.Generator,
 ) -> list[tuple[float, float]]:
     """Deterministic test-point layouts strictly inside a rectangle.
 
     mode "grid": count points per side, placed at the centers of a
-    count x count tiling.  mode "random": uniform draws, one point at a
-    time, so a longer list extends a shorter one for the same stream.
+    count x count tiling.  mode "random": uniform draws from `rng`, one
+    point at a time, so a longer list extends a shorter one from equal rngs.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -122,8 +117,6 @@ def gen_test_points(
         ]
     if mode != "random":
         raise ValueError(f"unknown test-point mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     points: list[tuple[float, float]] = []
     while len(points) < count:
         x = float(rng.uniform(0.0, width))

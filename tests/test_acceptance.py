@@ -16,13 +16,7 @@ import pytest
 
 from apseq.evaluate import build_stores, load_config, run_experiment, window_sweep
 from apseq.localize import Estimate, aggregate_scan, localize
-from apseq.mapgen import (
-    GridSpec,
-    build_fingerprint_map,
-    build_map_store,
-    load_map_store,
-    save_map_store,
-)
+from apseq.mapgen import build_map_store, load_map_store, save_map_store
 from apseq.model import ApDeployment, load_deployment
 from apseq.propagation import PropagationParams, synth_window
 from apseq.selection import kmeans_1d
@@ -72,9 +66,8 @@ def dover_sweep(dover_config, dover_stores):
 
 
 def test_map_counts_match_subset_combinatorics(dover):
-    grid = GridSpec(cell_size=1.0, width=dover.width, height=dover.height)
     t0 = time.perf_counter()
-    counts = [build_map_store(dover, k, grid).n_maps for k in range(2, 8)]
+    counts = [build_map_store(dover, k, 1.0).n_maps for k in range(2, 8)]
     elapsed = time.perf_counter() - t0
     ok = counts == [21, 35, 35, 21, 7, 1] and elapsed < 1.0
     verdict(ok, "map counts", f"k=2..7 -> {counts} in {elapsed:.3f} s (limit 1 s)")
@@ -83,9 +76,8 @@ def test_map_counts_match_subset_combinatorics(dover):
 
 
 def test_dense_grid_build_performance(dover):
-    grid = GridSpec(cell_size=0.2, width=dover.width, height=dover.height)
     t0 = time.perf_counter()
-    store = build_map_store(dover, 4, grid)
+    store = build_map_store(dover, 4, 0.2)
     elapsed = time.perf_counter() - t0
     ok = store.n_maps == 35 and elapsed < 2.0
     verdict(
@@ -104,9 +96,9 @@ def test_signatures_match_brute_force_oracle():
         for i in range(5)
     )
     dep = ApDeployment(width=10.0, height=10.0, aps=aps)
-    grid = GridSpec(cell_size=0.2, width=10.0, height=10.0)
+    fmap = build_map_store(dep, 5, 0.2).maps[(1, 2, 3, 4, 5)]
+    grid = fmap.grid
     assert (grid.cols, grid.rows) == (50, 50)
-    fmap = build_fingerprint_map(dep, (1, 2, 3, 4, 5), grid)
     mismatches = 0
     for sig in fmap.regions:
         for i, j in fmap.cells_of(sig):
@@ -154,7 +146,7 @@ def test_zero_noise_estimates_are_sound(dover, dover_stores):
         if _bisector_clearance(p, dover) < margin:
             continue
         accepted += 1
-        window = synth_window(p, dover, params, duration_s=0.3, cadence_s=0.3)
+        window = synth_window(p, dover, params, duration_s=0.3, cadence_s=0.3, rng=rng)
         outcome = localize(aggregate_scan(window), store, 7)
         if not isinstance(outcome, Estimate):
             missed += 1
@@ -306,9 +298,8 @@ def test_longer_windows_do_not_hurt_accuracy():
 
 
 def test_store_files_are_stable(dover, tmp_path):
-    grid = GridSpec(cell_size=1.0, width=dover.width, height=dover.height)
-    store_a = build_map_store(dover, 4, grid)
-    store_b = build_map_store(dover, 4, grid)
+    store_a = build_map_store(dover, 4, 1.0)
+    store_b = build_map_store(dover, 4, 1.0)
     path_a, path_b = tmp_path / "a.map", tmp_path / "b.map"
     save_map_store(store_a, path_a)
     save_map_store(store_b, path_b)

@@ -7,7 +7,7 @@ import pytest
 from apseq.cli import main
 from apseq.evaluate import load_config, run_experiment, simulate
 from apseq.localize import scan_to_text
-from apseq.mapgen import load_map_store
+from apseq.mapgen import GridSpec, load_map_store
 from apseq.model import ApDeployment, load_deployment, save_deployment
 
 CONFIG = """\
@@ -65,6 +65,20 @@ class TestMapgen:
         rc = main(["mapgen", "--deploy", str(path), "--k", "2", "--out", str(workspace / "x.map")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_huge_grid_is_reported_before_any_cell_exists(self, workspace, capsys, monkeypatch):
+        def no_centers(grid):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(GridSpec, "centers", no_centers)
+        path = workspace / "huge.deploy"
+        path.write_text("APSEQ-DEPLOY v1\narea 1000000 1000000\nap 1 1.0 1.0\nap 2 2.0 2.0\n")
+        rc = main(["mapgen", "--deploy", str(path), "--grid", "0.2", "--k", "2",
+                   "--out", str(workspace / "huge.map")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid of 5000000 x 5000000 cells exceeds the limit")
+        assert not (workspace / "huge.map").exists()
 
 
 class TestSimulate:

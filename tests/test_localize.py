@@ -17,7 +17,7 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import GridSpec, build_map_store
+from apseq.mapgen import build_map_store, build_stores
 from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
 
 
@@ -133,7 +133,7 @@ class TestAggregation:
 @pytest.fixture(scope="module")
 def half_plane_store():
     dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 10.0, 0.0)))
-    return build_map_store(dep, 2, GridSpec(cell_size=1.0, width=10.0, height=10.0))
+    return build_map_store(dep, 2, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def collinear_store():
     dep = ApDeployment(
         width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0))
     )
-    return build_map_store(dep, 3, GridSpec(cell_size=1.0, width=10.0, height=10.0))
+    return build_map_store(dep, 3, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ def fallback_store():
         height=10.0,
         aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
     )
-    return build_map_store(dep, 3, GridSpec(cell_size=0.5, width=10.0, height=10.0))
+    return build_map_store(dep, 3, 0.5)
 
 
 class TestLocalize:
@@ -196,7 +196,7 @@ class TestLocalize:
         # {1, 2}, {3, 4, 5}, {6, 7} would try (1, 3, 6) first, which also
         # matches on dover.  Outcomes are pinned to the top-rank clustering.
         dep = load_deployment(str(resources.files("apseq") / "data" / "dover.deploy"))
-        store = build_map_store(dep, 3, GridSpec(cell_size=1.0, width=dep.width, height=dep.height))
+        store = build_map_store(dep, 3, 1.0)
         values = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
         result = localize(RssScan(values=values), store, 3)
         assert isinstance(result, Estimate)
@@ -218,7 +218,7 @@ class TestLocalize:
             width=10.0, height=10.0,
             aps=tuple((ap_id, float(n % 4) * 3.0, float(n // 4) * 3.0) for n, ap_id in enumerate(values)),
         )
-        store = build_map_store(dep, 6, GridSpec(cell_size=2.5, width=10.0, height=10.0))
+        store = build_map_store(dep, 6, 2.5)
         with pytest.raises(ValueError, match=r"K-means left clusters \[4\] of 6 empty"):
             localize(RssScan(values=values), store, 6)
 
@@ -243,8 +243,7 @@ def store_family():
         height=10.0,
         aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
     )
-    grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-    return {k: build_map_store(dep, k, grid) for k in (2, 3, 4)}
+    return build_stores(dep, (2, 3, 4), 1.0)
 
 
 class TestKDegradation:

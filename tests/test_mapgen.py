@@ -6,13 +6,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from apseq.evaluate import build_stores, load_config
+from apseq.evaluate import load_config
 from apseq.mapgen import (
     GridSpec,
     _Partition,
     _partition,
-    build_fingerprint_map,
     build_map_store,
+    build_stores,
     cell_signature,
     enumerate_ap_subsets,
     load_map_store,
@@ -61,6 +61,17 @@ class TestGridSpec:
         grid = GridSpec(cell_size=1.0, width=5.5, height=3.2)
         assert (grid.cols, grid.rows) == (6, 4)
 
+    def test_cell_limit_refuses_a_huge_grid(self):
+        # 1e6 m at 0.2 m is 5e6 x 5e6 cells: refused before any cell exists.
+        dep = ApDeployment(width=1e6, height=1e6, aps=((1, 1.0, 1.0), (2, 9.0, 9.0)))
+        with pytest.raises(ValueError, match="5000000 x 5000000 cells exceeds the limit of 10000000$"):
+            GridSpec.for_deployment(dep, 0.2)
+
+    def test_cell_limit_admits_its_own_size(self):
+        assert GridSpec(cell_size=1.0, width=5000.0, height=2000.0).n_cells == 10_000_000
+        with pytest.raises(ValueError, match="5001 x 2000 cells"):
+            GridSpec(cell_size=1.0, width=5000.5, height=2000.0)
+
     @pytest.mark.parametrize("cell_size", [0.0, -0.5, math.inf, math.nan])
     def test_cell_size_must_be_finite_and_positive(self, cell_size):
         with pytest.raises(ValueError, match="cell_size"):
@@ -101,24 +112,17 @@ class TestTwoApGeometry:
     """Half-plane split of a 10x10 area by APs at (0,0) and (10,0)."""
 
     def test_two_regions_with_known_centroids(self, two_ap_deployment):
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        fmap = build_fingerprint_map(two_ap_deployment, (1, 2), grid)
+        fmap = build_map_store(two_ap_deployment, 2, 1.0).maps[(1, 2)]
         assert fmap.n_regions == 2
         assert fmap.regions[(1, 2)].centroid == (2.5, 5.0)
         assert fmap.regions[(2, 1)].centroid == (7.5, 5.0)
         assert fmap.regions[(1, 2)].cell_count == 50
         assert fmap.regions[(2, 1)].cell_count == 50
 
-    def test_subset_naming_an_unknown_ap_rejected(self, two_ap_deployment):
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        with pytest.raises(ValueError, match="unknown ap_id 9"):
-            build_fingerprint_map(two_ap_deployment, (1, 9), grid)
-
     def test_region_stats_match_direct_computation(self, two_ap_deployment):
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        fmap = build_fingerprint_map(two_ap_deployment, (1, 2), grid)
+        fmap = build_map_store(two_ap_deployment, 2, 1.0).maps[(1, 2)]
         reg = fmap.regions[(1, 2)]
-        pts = np.array([grid.cell_center(i, j) for i, j in fmap.cells_of((1, 2))])
+        pts = np.array([fmap.grid.cell_center(i, j) for i, j in fmap.cells_of((1, 2))])
         d = np.hypot(pts[:, 0] - 2.5, pts[:, 1] - 5.0)
         assert reg.accuracy == pytest.approx(d.mean(), abs=1e-6)
         assert reg.radius == pytest.approx(d.max(), abs=1e-6)
@@ -129,8 +133,7 @@ class TestCollinearGeometry:
     """Three collinear APs: four feasible orderings, two geometrically absent."""
 
     def test_feasible_signatures(self, collinear_deployment):
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        fmap = build_fingerprint_map(collinear_deployment, (1, 2, 3), grid)
+        fmap = build_map_store(collinear_deployment, 3, 1.0).maps[(1, 2, 3)]
         assert set(fmap.regions) == {(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)}
         # middle-AP-last orderings cannot occur anywhere on the line
         assert (1, 3, 2) not in fmap.regions
@@ -139,14 +142,12 @@ class TestCollinearGeometry:
     def test_cell_counts_include_tie_columns(self, collinear_deployment):
         # Columns at x = 2.5 and x = 7.5 sit exactly on bisectors; ties go to
         # the smaller ap_id, widening the "1-2-3" and "2-3-1" strips.
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        fmap = build_fingerprint_map(collinear_deployment, (1, 2, 3), grid)
+        fmap = build_map_store(collinear_deployment, 3, 1.0).maps[(1, 2, 3)]
         counts = {sig: reg.cell_count for sig, reg in fmap.regions.items()}
         assert counts == {(1, 2, 3): 30, (2, 1, 3): 20, (2, 3, 1): 30, (3, 2, 1): 20}
 
     def test_strip_centroids(self, collinear_deployment):
-        grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-        fmap = build_fingerprint_map(collinear_deployment, (1, 2, 3), grid)
+        fmap = build_map_store(collinear_deployment, 3, 1.0).maps[(1, 2, 3)]
         assert fmap.regions[(2, 1, 3)].centroid == (4.0, 5.0)
         assert fmap.regions[(3, 2, 1)].centroid == (9.0, 5.0)
 
@@ -166,9 +167,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed, n_aps", [(11, 4), (29, 5), (41, 12)])
     def test_every_cell_matches_brute_force(self, seed, n_aps):
         dep = uniform_deployment(seed, n_aps)
-        grid = GridSpec(cell_size=0.5, width=12.0, height=9.0)
         subset = tuple(range(1, n_aps + 1))
-        fmap = build_fingerprint_map(dep, subset, grid)
+        fmap = build_map_store(dep, n_aps, 0.5).maps[subset]
+        grid = fmap.grid
         mismatches = 0
         for sig in fmap.regions:
             for i, j in fmap.cells_of(sig):
@@ -201,9 +202,9 @@ def random_deployment():
 
 class TestMapProperties:
     def test_cells_partition_the_grid(self, random_deployment):
-        grid = GridSpec(cell_size=0.5, width=20.0, height=15.0)
-        for subset in enumerate_ap_subsets(5, 3):
-            fmap = build_fingerprint_map(random_deployment, subset, grid)
+        store = build_map_store(random_deployment, 3, 0.5)
+        grid = store.grid
+        for fmap in store.maps.values():
             seen = set()
             total = 0
             for sig in fmap.regions:
@@ -214,17 +215,15 @@ class TestMapProperties:
             assert len(seen) == grid.n_cells
 
     def test_region_count_bounded_by_k_factorial(self, random_deployment):
-        grid = GridSpec(cell_size=0.5, width=20.0, height=15.0)
         for k in (2, 3, 4):
-            for subset in enumerate_ap_subsets(5, k):
-                fmap = build_fingerprint_map(random_deployment, subset, grid)
+            for fmap in build_map_store(random_deployment, k, 0.5).maps.values():
                 assert fmap.n_regions <= math.factorial(k)
 
     def test_discrete_convexity_of_regions(self, random_deployment):
         # Midpoints of random same-region cell pairs stay in the region,
         # except within one cell diagonal of a bisector.
-        grid = GridSpec(cell_size=0.5, width=20.0, height=15.0)
-        fmap = build_fingerprint_map(random_deployment, (1, 2, 3), grid)
+        fmap = build_map_store(random_deployment, 3, 0.5).maps[(1, 2, 3)]
+        grid = fmap.grid
         diag = grid.cell_size * math.sqrt(2.0)
         rng = np.random.default_rng(123)
         checked = violations = 0
@@ -246,9 +245,8 @@ class TestMapProperties:
         assert violations == 0
 
     def test_monotone_refinement_of_sub_subsets(self, random_deployment):
-        grid = GridSpec(cell_size=0.5, width=20.0, height=15.0)
-        fine = build_fingerprint_map(random_deployment, (1, 2, 4), grid)
-        coarse = build_fingerprint_map(random_deployment, (1, 4), grid)
+        fine = build_map_store(random_deployment, 3, 0.5).maps[(1, 2, 4)]
+        grid = fine.grid
         for sig in fine.regions:
             reduced = tuple(i for i in sig if i in (1, 4))
             for i, j in fine.cells_of(sig):
@@ -290,8 +288,8 @@ class TestStoreOracle:
     )
     def test_every_cell_of_every_map(self, request, deployment_name, cell_size):
         dep = request.getfixturevalue(deployment_name)
-        grid = GridSpec.for_deployment(dep, cell_size)
-        store = build_map_store(dep, 3, grid)
+        store = build_map_store(dep, 3, cell_size)
+        grid = store.grid
         assert store.n_maps == 10
         ties = 0
         for subset, fmap in store.maps.items():
@@ -322,7 +320,7 @@ class TestStoreOracle:
         dep = request.getfixturevalue(deployment_name)
         grid = GridSpec.for_deployment(dep, cell_size)
         for k in range(2, dep.n_aps + 1):
-            for fmap in build_map_store(dep, k, grid).maps.values():
+            for fmap in build_map_store(dep, k, cell_size).maps.values():
                 for sig, reg in fmap.regions.items():
                     pts = np.array([grid.cell_center(i, j) for i, j in fmap.cells_of(sig)])
                     centroid = pts.mean(axis=0)
@@ -345,10 +343,9 @@ class TestStoreOracle:
         if name == "twelve":
             # k = 4..9 hold 3 718 of the 4 083 maps and take seconds.
             ks = [2, 3, 10, 11, 12]
-        grid = GridSpec.for_deployment(dep, cell_size)
         stores = build_stores(dep, ks, cell_size)
         for k in ks:
-            assert map_store_to_text(stores[k]) == map_store_to_text(build_map_store(dep, k, grid))
+            assert map_store_to_text(stores[k]) == map_store_to_text(build_map_store(dep, k, cell_size))
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +425,7 @@ def small_store():
         width=12.0, height=8.0,
         aps=((1, 2.0, 2.0), (2, 10.0, 2.0), (3, 6.0, 7.0), (4, 11.0, 6.0)),
     )
-    return build_map_store(dep, 3, GridSpec(cell_size=0.5, width=12.0, height=8.0))
+    return build_map_store(dep, 3, 0.5)
 
 
 def _drop_block(text, head):
@@ -450,6 +447,12 @@ LOADER_FAULTS = [
      r"<string>: missing deployment block"),
     (lambda t: t.replace("grid 0.500000", "grid 0.500000 1"),
      r"<string>: malformed grid line"),
+    (lambda t: t.replace("grid 0.500000", "grid abc"),
+     r"<string>: malformed grid line 'grid abc'"),
+    (lambda t: t.replace("map 1 2 4\n", "map 1 x 4\n"),
+     r"<string>: malformed map line 'map 1 x 4'"),
+    (lambda t: t.replace("map 1 2 4\n", "map 1 1 4\n"),
+     r"<string>: malformed map line 'map 1 1 4' \(duplicate AP id in subset\)"),
     (lambda t: t.replace("grid 0.500000\n", "grid 0.500000\nregion 1-2-3\n"),
      r"<string>: expected map line, got 'region 1-2-3'"),
     (lambda t: t[: t.index("map ")],
@@ -460,6 +463,8 @@ LOADER_FAULTS = [
      r"<string>: malformed region line 'region 1-2-3 4.773810 0.964286 0.975918 2.146161'$"),
     (lambda t: t.replace(" 0.964286 ", " x ", 1),
      r"<string>: malformed region line 'region 1-2-3 4.773810 x "),
+    (lambda t: t.replace("region 1-2-3 ", "region 1-x-3 ", 1),
+     r"<string>: malformed region line 'region 1-x-3 4.773810 "),
     (lambda t: t.replace("region 1-2-3 ", "region 1-2-4 "),
      r"<string>: region signature 1-2-4 not over map subset"),
     (lambda t: t.replace("region 1-3-2 ", "region 1-2-3 "),
@@ -482,7 +487,11 @@ LOADER_FAULTS = [
     # an accuracy 1e-6 higher lies inside the loader's 2e-6 tolerance.
     (lambda t: t.replace("region 1-4-3 7.750000 0.500000 0.250000 ",
                          "region 1-4-3 7.750000 0.500000 0.250001 "),
-     r"region radius cannot be below its accuracy"),
+     r"<string>: region radius cannot be below its accuracy"),
+    (lambda t: t.replace("region 1-4-3 7.750000 0.500000 0.250000 ",
+                         "region 1-4-3 7.750000 0.500000 0.250001 "),
+     r"<string>: region radius cannot be below its accuracy for 1-4-3 "
+     r"\(radius 0.250000, accuracy 0.250001\)"),
 ]
 
 
@@ -503,7 +512,7 @@ class TestMapStore:
         dep = ApDeployment(
             width=12.0, height=8.0, aps=((3, 6.0, 7.0), (1, 2.0, 2.0), (2, 10.0, 2.0))
         )
-        store = build_map_store(dep, 2, GridSpec(cell_size=0.5, width=12.0, height=8.0))
+        store = build_map_store(dep, 2, 0.5)
         assert map_store_from_text(map_store_to_text(store)) == store
 
     def test_resave_is_byte_identical(self, small_store, tmp_path):
@@ -587,6 +596,18 @@ class TestMapStore:
         text = edit(map_store_to_text(small_store))
         with pytest.raises(ValueError, match=message):
             map_store_from_text(text)
+
+    def test_grid_off_the_cell_size_round_trips(self):
+        # 10.3 x 7.1 m is no whole number of 0.5 m cells: 21 x 15 cells.
+        dep = ApDeployment(
+            width=10.3, height=7.1, aps=((1, 1.0, 1.0), (2, 9.8, 2.0), (3, 5.0, 6.9))
+        )
+        grid = GridSpec.for_deployment(dep, 0.5)
+        assert (grid.cols, grid.rows) == (21, 15)
+        store = build_map_store(dep, 2, 0.5)
+        assert store.grid == grid
+        assert build_stores(dep, [2, 3], 0.5)[3].grid == grid
+        assert map_store_from_text(map_store_to_text(store)) == store
 
     def test_stats_within_tolerance_load_quantized(self, small_store):
         # A stat 1e-6 off keeps the file's value; extra digits are rounded off.

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from apseq.localize import aggregate_scan
 from apseq.model import ApDeployment, make_signature
@@ -41,23 +42,23 @@ class TestPathLossModel:
         # 0.5 m from the AP the model mean is p0; shadowing of 20 dB pushes
         # about half the samples above it, and they are capped at p0.
         dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
-        params = PropagationParams(sigma_db=20.0, seed=3)
-        w = synth_window((0.5, 0.0), dep, params, duration_s=30.0, cadence_s=1.0)
+        params = PropagationParams(sigma_db=20.0)
+        w = synth_window((0.5, 0.0), dep, params, duration_s=30.0, cadence_s=1.0, rng=default_rng(3))
         assert max(r for _, r in w.aps[1]) == -30.0
 
     def test_below_floor_is_undetected(self):
         # mean_rss(50 m) is -72.5 dBm, under the -60 dBm floor
         dep = ApDeployment(width=60.0, height=10.0, aps=((1, 0.0, 0.0), (2, 50.0, 0.0)))
         params = PropagationParams(detect_floor_dbm=-60.0)
-        w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0)
+        w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
         assert set(w.aps) == {1}
 
     def test_window_is_one_matrix_with_nan_where_unheard(self):
         # mean_rss(30 m) is about -66.9 dBm, so with 8 dB of shadowing AP 2
         # is heard at some instants of the -65 dBm floor and not at others.
         dep = ApDeployment(width=60.0, height=10.0, aps=((1, 0.0, 0.0), (2, 30.0, 0.0)))
-        params = PropagationParams(sigma_db=8.0, detect_floor_dbm=-65.0, seed=3)
-        w = synth_window((0.0, 0.0), dep, params, duration_s=6.0, cadence_s=0.3)
+        params = PropagationParams(sigma_db=8.0, detect_floor_dbm=-65.0)
+        w = synth_window((0.0, 0.0), dep, params, duration_s=6.0, cadence_s=0.3, rng=default_rng(3))
         assert w.ap_ids == (1, 2)
         assert w.rss.shape == (20, 2)
         assert w.times.tolist() == (np.arange(20) * 0.3).tolist()
@@ -68,7 +69,7 @@ class TestPathLossModel:
     def test_integer_rounding(self):
         dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
         params = PropagationParams(round_to_int=True)
-        w = synth_window((3.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0)
+        w = synth_window((3.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
         assert [r for _, r in w.aps[1]] == [-42.0] * 3  # round(-30 - 25 log10 3)
         assert all(r == float(round(r)) for s in w.aps.values() for _, r in s)
 
@@ -106,7 +107,7 @@ class TestSynthWindow:
     def test_instant_count_and_timestamps(self, square_deployment):
         params = PropagationParams()
         w = synth_window((10.0, 10.0), square_deployment, params,
-                         duration_s=60.0, cadence_s=0.3)
+                         duration_s=60.0, cadence_s=0.3, rng=default_rng(0))
         assert w.n_instants == 200
         series = w.aps[1]
         assert len(series) == 200
@@ -117,7 +118,7 @@ class TestSynthWindow:
         params = PropagationParams()
         point = (5.0, 7.0)
         w = synth_window(point, square_deployment, params,
-                         duration_s=3.0, cadence_s=1.0)
+                         duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
         assert set(w.aps) == {1, 2, 3, 4}
         for ap_id, series in w.aps.items():
             ax, ay = square_deployment.position(ap_id)
@@ -128,7 +129,7 @@ class TestSynthWindow:
         params = PropagationParams()
         point = (6.0, 3.0)
         w = synth_window(point, square_deployment, params,
-                         duration_s=6.0, cadence_s=0.3)
+                         duration_s=6.0, cadence_s=0.3, rng=default_rng(0))
         scan = aggregate_scan(w)
         sig = make_signature(scan, (1, 2, 3, 4))
         dists = sorted(
@@ -142,20 +143,19 @@ class TestSynthWindow:
         assert sig == tuple(dists)
 
     def test_same_seed_reproduces_the_window(self, square_deployment):
-        params = PropagationParams(sigma_db=3.0, seed=42)
+        params = PropagationParams(sigma_db=3.0)
         w1 = synth_window((4.0, 9.0), square_deployment, params,
-                          duration_s=6.0, cadence_s=0.3)
+                          duration_s=6.0, cadence_s=0.3, rng=default_rng(42))
         w2 = synth_window((4.0, 9.0), square_deployment, params,
-                          duration_s=6.0, cadence_s=0.3)
+                          duration_s=6.0, cadence_s=0.3, rng=default_rng(42))
         assert w1.aps == w2.aps
 
     def test_different_seeds_differ(self, square_deployment):
-        w1 = synth_window((4.0, 9.0), square_deployment,
-                          PropagationParams(sigma_db=3.0, seed=1),
-                          duration_s=6.0, cadence_s=0.3)
-        w2 = synth_window((4.0, 9.0), square_deployment,
-                          PropagationParams(sigma_db=3.0, seed=2),
-                          duration_s=6.0, cadence_s=0.3)
+        params = PropagationParams(sigma_db=3.0)
+        w1 = synth_window((4.0, 9.0), square_deployment, params,
+                          duration_s=6.0, cadence_s=0.3, rng=default_rng(1))
+        w2 = synth_window((4.0, 9.0), square_deployment, params,
+                          duration_s=6.0, cadence_s=0.3, rng=default_rng(2))
         assert w1.aps != w2.aps
 
     def test_shorter_window_is_a_prefix_of_longer(self, square_deployment):
@@ -165,10 +165,10 @@ class TestSynthWindow:
         point = (11.0, 13.0)
         short = synth_window(point, square_deployment, params,
                              duration_s=3.0, cadence_s=0.3,
-                             rng=np.random.default_rng(7))
+                             rng=default_rng(7))
         long = synth_window(point, square_deployment, params,
                             duration_s=12.0, cadence_s=0.3,
-                            rng=np.random.default_rng(7))
+                            rng=default_rng(7))
         for ap_id, series in short.aps.items():
             assert long.aps[ap_id][: len(series)] == series
 
@@ -177,13 +177,13 @@ class TestSynthWindow:
             width=100.0, height=10.0, aps=((1, 1.0, 5.0), (2, 99.0, 5.0))
         )
         params = PropagationParams(detect_floor_dbm=-60.0)
-        w = synth_window((2.0, 5.0), dep, params, duration_s=2.0, cadence_s=1.0)
+        w = synth_window((2.0, 5.0), dep, params, duration_s=2.0, cadence_s=1.0, rng=default_rng(0))
         assert set(w.aps) == {1}
 
     def test_bad_schedule_rejected(self, square_deployment):
         with pytest.raises(ValueError, match="duration"):
             synth_window((1.0, 1.0), square_deployment, PropagationParams(),
-                         duration_s=1.0, cadence_s=2.0)
+                         duration_s=1.0, cadence_s=2.0, rng=default_rng(0))
 
 
 def same_window(a, b) -> bool:
@@ -206,11 +206,11 @@ class TestWindowHead:
     def faint(self, square_deployment, duration_s):
         return synth_window((10.0, 10.0), square_deployment, self.FAINT,
                             duration_s=duration_s, cadence_s=0.3,
-                            rng=np.random.default_rng(1))
+                            rng=default_rng(1))
 
     def test_head_of_own_duration_is_the_window(self, square_deployment):
         w = synth_window((4.0, 9.0), square_deployment, PropagationParams(sigma_db=3.0),
-                         duration_s=6.0, cadence_s=0.3)
+                         duration_s=6.0, cadence_s=0.3, rng=default_rng(0))
         assert same_window(w.head(6.0), w)
 
     def test_longer_head_rejected(self, square_deployment):
@@ -235,7 +235,7 @@ class TestWindowHead:
 
 class TestTestPoints:
     def test_grid_mode_centers(self):
-        points = gen_test_points(9.0, 6.0, 3, mode="grid")
+        points = gen_test_points(9.0, 6.0, 3, mode="grid", rng=default_rng(0))
         assert points == [
             (1.5, 1.0), (4.5, 1.0), (7.5, 1.0),
             (1.5, 3.0), (4.5, 3.0), (7.5, 3.0),
@@ -243,25 +243,25 @@ class TestTestPoints:
         ]
 
     def test_random_mode_is_deterministic(self):
-        a = gen_test_points(30.0, 20.0, 27, seed=5)
-        b = gen_test_points(30.0, 20.0, 27, seed=5)
+        a = gen_test_points(30.0, 20.0, 27, rng=default_rng(5))
+        b = gen_test_points(30.0, 20.0, 27, rng=default_rng(5))
         assert a == b
-        assert gen_test_points(30.0, 20.0, 27, seed=6) != a
+        assert gen_test_points(30.0, 20.0, 27, rng=default_rng(6)) != a
 
     def test_random_points_are_strictly_inside(self):
-        for x, y in gen_test_points(12.0, 7.0, 500, seed=3):
+        for x, y in gen_test_points(12.0, 7.0, 500, rng=default_rng(3)):
             assert 0.0 < x < 12.0
             assert 0.0 < y < 7.0
 
     def test_longer_list_extends_shorter(self):
-        short = gen_test_points(30.0, 20.0, 10, seed=9)
-        long = gen_test_points(30.0, 20.0, 25, seed=9)
+        short = gen_test_points(30.0, 20.0, 10, rng=default_rng(9))
+        long = gen_test_points(30.0, 20.0, 25, rng=default_rng(9))
         assert long[:10] == short
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            gen_test_points(10.0, 10.0, 4, mode="spiral")
+            gen_test_points(10.0, 10.0, 4, mode="spiral", rng=default_rng(0))
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError, match="count"):
-            gen_test_points(10.0, 10.0, 0)
+            gen_test_points(10.0, 10.0, 0, rng=default_rng(0))

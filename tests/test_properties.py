@@ -14,7 +14,7 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import GridSpec, build_map_store, map_store_from_text, map_store_to_text
+from apseq.mapgen import build_map_store, build_stores, map_store_from_text, map_store_to_text
 from apseq.model import (
     UNDETECTED_DBM,
     ApDeployment,
@@ -54,7 +54,7 @@ def map_stores(draw):
     dep = draw(deployments(max_aps=5))
     cell_size = max(dep.width, dep.height) / draw(st.integers(2, 8))
     k = draw(st.integers(2, dep.n_aps))
-    return build_map_store(dep, k, GridSpec.for_deployment(dep, cell_size))
+    return build_map_store(dep, k, cell_size)
 
 
 @PROPERTY
@@ -148,7 +148,8 @@ def test_candidate_picks_are_the_subset_signature(values, k, exact):
 def test_noise_free_window_follows_the_model(dep, fx, fy, p0, gamma, d0, floor, n):
     params = PropagationParams(p0_dbm=p0, gamma=gamma, d0_m=d0, detect_floor_dbm=floor)
     point = (fx * dep.width, fy * dep.height)
-    w = synth_window(point, dep, params, duration_s=float(n), cadence_s=1.0)
+    w = synth_window(point, dep, params, duration_s=float(n), cadence_s=1.0,
+                     rng=np.random.default_rng(0))
     for ap_id, x, y in dep.aps:
         expect = mean_rss(math.hypot(point[0] - x, point[1] - y), params)
         if expect >= floor:
@@ -201,8 +202,7 @@ def store_family():
         height=10.0,
         aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
     )
-    grid = GridSpec(cell_size=1.0, width=10.0, height=10.0)
-    return {k: build_map_store(dep, k, grid) for k in (2, 3, 4)}
+    return build_stores(dep, (2, 3, 4), 1.0)
 
 
 # Ids 5, 6 and 99 are foreign to the deployment; the sampled values are
