@@ -31,11 +31,11 @@ def instant_count(duration_s: float, cadence_s: float) -> int:
     """Sampling instants of a window: floor(duration / cadence).
 
     This is the one rule for a sampling schedule; it raises ValueError
-    unless 0 < cadence_s <= duration_s < inf.
+    unless 0 < cadence_s <= duration_s < inf and their ratio is finite.
     """
-    if not 0 < cadence_s <= duration_s < math.inf:
+    if not (0 < cadence_s <= duration_s < math.inf and duration_s / cadence_s < math.inf):
         raise ValueError(
-            f"need 0 < cadence_s <= duration_s < inf "
+            f"need 0 < cadence_s <= duration_s < inf and a finite ratio "
             f"(duration_s={duration_s}, cadence_s={cadence_s})"
         )
     return int(duration_s / cadence_s + 1e-9)

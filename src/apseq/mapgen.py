@@ -12,6 +12,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +37,19 @@ MAX_CELLS = 10_000_000
 _DIV_EPS = 1e-9
 
 
+def _quantize_array(x: np.ndarray) -> np.ndarray:
+    """_quantize of every element of a float array, bit for bit.
+
+    np.rint(x * 1e6) / 1e6 gives it, except where x * 1e6 lies within 1e-6 of
+    a half-integer or is not below 2**52 (so not exact); those take _quantize.
+    """
+    scaled = x * 1e6
+    out = np.rint(scaled) / 1e6
+    slow = ~((np.abs(scaled) < 2.0**52) & (np.abs(np.abs(np.modf(scaled)[0]) - 0.5) >= 1e-6))
+    out[slow] = [_quantize(v) for v in x[slow].tolist()]
+    return out
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid covering the deployment area.
@@ -58,6 +72,8 @@ class GridSpec:
             raise ValueError("grid area must have positive width and height")
         # Counted in floats, so that even an unbounded grid is refused unallocated.
         cols, rows = (np.ceil(v / self.cell_size - _DIV_EPS) for v in (self.width, self.height))
+        if cols * rows < 1:
+            raise ValueError(f"cell_size {self.cell_size} leaves the {self.width} x {self.height} area no cell")
         if cols * rows > MAX_CELLS:
             raise ValueError(f"grid of {cols:.0f} x {rows:.0f} cells exceeds the limit of {MAX_CELLS}")
 
@@ -95,7 +111,7 @@ class GridSpec:
 
 
 class Region(NamedTuple):
-    """Cells sharing one signature, with summary geometry.
+    """Cells sharing one signature, with summary geometry: a FingerprintMap row as a record.
 
     centroid   mean of the member cell centres
     accuracy   mean distance of member centres to the centroid
@@ -117,32 +133,52 @@ class Region(NamedTuple):
 class FingerprintMap:
     """Partition of the grid into signature regions for one AP subset.
 
-    regions is ordered by signature, and flat cell c (see GridSpec.centers)
-    lies in the region numbered lut[cell_labels[c]] in that order.
+    Its regions are columns with one row each, in signature order: signatures
+    (R, k), count (of cells), cx, cy, accuracy and radius.  Flat cell c (see
+    GridSpec.centers) lies in row lut[cell_labels[c]].
     cell_labels numbers each cell's ordering of all the deployment's APs,
     so every map built together shares one such array.
     """
 
     subset: SubsetKey
     grid: GridSpec
-    regions: dict[Signature, Region]
+    signatures: np.ndarray
+    count: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    accuracy: np.ndarray
+    radius: np.ndarray
     cell_labels: np.ndarray = field(repr=False)
     lut: np.ndarray = field(repr=False)
 
     @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in the order of Region's fields."""
+        return (self.signatures, self.count, self.cx, self.cy, self.accuracy, self.radius)
+
+    @property
     def n_regions(self) -> int:
-        return len(self.regions)
+        return len(self.signatures)
+
+    @cached_property
+    def regions(self) -> dict[Signature, Region]:
+        """The regions by signature, as records built from the columns on first use."""
+        return {region.signature: region for region in self._records(slice(None))}
+
+    def _records(self, rows) -> list[Region]:
+        sigs, *stats = (column[rows].tolist() for column in self.columns)
+        return [Region(tuple(sig), n, (x, y), acc, rad) for sig, n, x, y, acc, rad in zip(sigs, *stats)]
 
     def region_at(self, x: float, y: float) -> Region:
         """Region owning the grid cell containing (x, y)."""
         i, j = self.grid.cell_of(x, y)
-        return list(self.regions.values())[self.lut[self.cell_labels[j * self.grid.cols + i]]]
+        return self._records([self.lut[self.cell_labels[j * self.grid.cols + i]]])[0]
 
     def cells_of(self, sig: Signature) -> np.ndarray:
-        """(m, 2) int array of the (i, j) cells of region `sig`, sorted lexicographically."""
-        number = list(self.regions).index(sig)
-        inside = (self.lut[self.cell_labels] == number).reshape(self.grid.rows, self.grid.cols)
-        return np.argwhere(inside.T).astype(np.int32)  # (i, j) pairs, i-major
+        """(m, 2) int array of the (i, j) cells of region `sig` (none if the map has no such
+        region), sorted lexicographically."""
+        inside = np.all(self.signatures == sig, axis=1)[self.lut[self.cell_labels]]
+        return np.argwhere(inside.reshape(self.grid.rows, self.grid.cols).T).astype(np.int32)  # (i, j), i-major
 
     def __eq__(self, other):
         if not isinstance(other, FingerprintMap):
@@ -150,7 +186,7 @@ class FingerprintMap:
         return (
             self.subset == other.subset
             and self.grid == other.grid
-            and self.regions == other.regions
+            and all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
             and np.array_equal(self.lut[self.cell_labels], other.lut[other.cell_labels])
         )
 
@@ -181,8 +217,7 @@ def enumerate_ap_subsets(ids: int | Iterable[int], k: int) -> list[SubsetKey]:
 
     `ids` may be an integer n (shorthand for ids 1..n) or an id collection.
     """
-    pool = range(1, ids + 1) if isinstance(ids, int) else sorted(int(i) for i in ids)
-    pool = list(pool)
+    pool = list(range(1, ids + 1)) if isinstance(ids, int) else sorted(int(i) for i in ids)
     if not 2 <= k <= len(pool):
         raise ValueError(f"subset size {k} out of range [2, {len(pool)}]")
     return [tuple(c) for c in itertools.combinations(pool, k)]
@@ -196,10 +231,7 @@ def cell_signature(point: Sequence[float], subset: Iterable[int], deployment: Ap
     """
     x, y = float(point[0]), float(point[1])
     sub = subset_key(subset)
-    d2 = {}
-    for i in sub:
-        ax, ay = deployment.position(i)
-        d2[i] = (x - ax) ** 2 + (y - ay) ** 2
+    d2 = {i: (x - ax) ** 2 + (y - ay) ** 2 for i, (ax, ay) in zip(sub, deployment.positions(sub))}
     return tuple(sorted(sub, key=lambda i: (d2[i], i)))
 
 
@@ -273,9 +305,9 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
                       np.add.reduceat(xs, starts), np.add.reduceat(ys, starts))
 
 
-def _map_stats(part: _Partition, lut: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cell count, centroid x and y, accuracy and radius of each region of a
-    map whose region numbers by group are `lut`.
+def _map_stats(part: _Partition, lut: np.ndarray) -> np.ndarray:
+    """Rows of cell count, centroid x and y, accuracy and radius, unquantized,
+    over the regions of a map whose region numbers by group are `lut`.
 
     Counts, centroids and the accuracy sums add up per-group values, so
     only the per-cell distance to the centroid is computed over the cells.
@@ -283,11 +315,12 @@ def _map_stats(part: _Partition, lut: np.ndarray) -> tuple[np.ndarray, ...]:
     count = np.bincount(lut, weights=part.count)
     cx = np.bincount(lut, weights=part.sum_x) / count
     cy = np.bincount(lut, weights=part.sum_y) / count
-    dist = np.hypot(part.xs - np.repeat(cx[lut], part.count), part.ys - np.repeat(cy[lut], part.count))
+    dx, dy = part.xs - np.repeat(cx[lut], part.count), part.ys - np.repeat(cy[lut], part.count)
+    dist = np.sqrt(dx * dx + dy * dy)
     accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
     radius = np.zeros(len(count))
     np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
-    return count.astype(np.int64), cx, cy, accuracy, radius
+    return np.stack((count, cx, cy, accuracy, radius))
 
 
 def _build_maps(
@@ -320,16 +353,16 @@ def _build_maps(
         first = number[::groups]
         luts = np.empty_like(number)
         luts[by_row] = number - np.repeat(first, groups)
-        sigs = np.split(part.ids[sorted_rows[new_region]], first[1:])
-        maps[k] = {}
-        for subset, lut, sig_rows in zip(same_k, luts.reshape(-1, groups), sigs):
-            regions = {
-                sig: Region(sig, n, (_quantize(x), _quantize(y)), _quantize(acc), _quantize(rad))
-                for sig, n, x, y, acc, rad in zip(
-                    map(tuple, sig_rows.tolist()), *(a.tolist() for a in _map_stats(part, lut))
-                )
-            }
-            maps[k][subset] = FingerprintMap(subset, grid, regions, part.cell_labels, lut)
+        luts = luts.reshape(-1, groups)
+        # Every region of this k in one set of columns, quantized at once.
+        stats = np.hstack([_map_stats(part, lut) for lut in luts])
+        stats[1:] = _quantize_array(stats[1:])
+        per_map = zip(same_k, luts, np.split(part.ids[sorted_rows[new_region]], first[1:]),
+                      np.split(stats, first[1:], axis=1))
+        maps[k] = {
+            subset: FingerprintMap(subset, grid, sigs, n.astype(np.int64), x, y, acc, rad, part.cell_labels, lut)
+            for subset, lut, sigs, (n, x, y, acc, rad) in per_map
+        }
     return maps
 
 
@@ -389,14 +422,40 @@ def map_store_to_text(store: MapStore) -> str:
     for subset in sorted(store.maps):
         fmap = store.maps[subset]
         out.append("map " + " ".join(str(i) for i in subset))
-        for sig in sorted(fmap.regions):
-            reg = fmap.regions[sig]
-            out.append(
-                f"region {signature_to_text(sig)} "
-                f"{reg.centroid[0]:.6f} {reg.centroid[1]:.6f} "
-                f"{reg.accuracy:.6f} {reg.radius:.6f} {reg.cell_count}"
-            )
+        out.extend(
+            f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
+            for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in fmap.columns))
+        )
     return "\n".join(out) + "\n"
+
+
+def _check_stats(fmap: FingerprintMap, sigs: list[Signature], rows: list[tuple], source: str) -> None:
+    """Check a block's declared rows against the rebuilt map, every row at once.
+
+    The first row to fail any check raises its first failing check.  A stat
+    off but within tolerance keeps the file's value, quantized, in the map.
+    """
+    rows = np.array(rows, dtype=object)
+    stats, rebuilt_stats = rows[:, 1:].astype(np.float64), np.stack(fmap.columns[2:], axis=1)
+    far = ~np.all(np.abs(stats - rebuilt_stats) <= 2e-6, axis=1)  # "not <=": a NaN fails too
+    near = np.any(stats != rebuilt_stats, axis=1) & ~far
+    stats[near] = _quantize_array(stats[near])
+    wrong = (rows[:, 0] != fmap.count) | far | near & (stats[:, 3] + 1e-9 < stats[:, 2])
+    for row in np.flatnonzero(wrong)[:1]:
+        text, cell_count, (acc, rad) = signature_to_text(sigs[row]), rows[row, 0], stats[row, 2:]
+        if cell_count != fmap.count[row]:
+            raise ValueError(
+                f"{source}: cell_count mismatch for region {text} "
+                f"(file {cell_count}, rebuilt {fmap.count[row]})"
+            )
+        if far[row]:
+            raise ValueError(f"{source}: region stats mismatch for {text}")
+        raise ValueError(
+            f"{source}: region radius cannot be below its accuracy for "
+            f"{text} (radius {rad:.6f}, accuracy {acc:.6f})"
+        )
+    for column, values in zip(fmap.columns[2:], stats.T):
+        column[near] = values[near]
 
 
 def load_map_store(path) -> MapStore:
@@ -447,17 +506,15 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         if unknown:
             raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
         if rebuilt is None:
-            # k is now known: rebuild the store once and check each block
-            # against it as the block is read.
             rebuilt = build_map_store(deployment, len(subset), grid.cell_size)
-        declared: dict[Signature, tuple[float, float, float, float, int]] = {}
+        declared: dict[Signature, tuple] = {}
         for ln in body[head + 1:end]:
             parts = ln.split()
             try:
                 if len(parts) != 7:
                     raise ValueError
                 sig = parse_signature(parts[1])
-                values = (*(float(v) for v in parts[2:6]), int(parts[6]))
+                values = (int(parts[6]), *(float(v) for v in parts[2:6]))
             except ValueError:
                 raise ValueError(f"{source}: malformed region line {ln!r}") from None
             if subset_key(sig) != subset:
@@ -471,31 +528,12 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
                 f"{source}: map {subset} declares {len(declared)} regions, "
                 f"rebuild gives {fmap.n_regions}"
             )
-        if fmap.regions.keys() != declared.keys():
+        sigs = sorted(declared)  # the rebuild's row order, if the signatures agree
+        if sigs != list(map(tuple, fmap.signatures.tolist())):
             raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
-        for sig, reb in fmap.regions.items():
-            cx, cy, acc, rad, cell_count = declared[sig]
-            if reb.cell_count != cell_count:
-                raise ValueError(
-                    f"{source}: cell_count mismatch for region {signature_to_text(sig)} "
-                    f"(file {cell_count}, rebuilt {reb.cell_count})"
-                )
-            if (cx, cy, acc, rad) != (*reb.centroid, reb.accuracy, reb.radius):
-                # "not <=" so that a NaN in the file fails the check too.
-                if not (
-                    abs(reb.centroid[0] - cx) <= 2e-6
-                    and abs(reb.centroid[1] - cy) <= 2e-6
-                    and abs(reb.accuracy - acc) <= 2e-6
-                    and abs(reb.radius - rad) <= 2e-6
-                ):
-                    raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
-                cx, cy, acc, rad = (_quantize(v) for v in (cx, cy, acc, rad))
-                if rad + 1e-9 < acc:
-                    raise ValueError(
-                        f"{source}: region radius cannot be below its accuracy for "
-                        f"{signature_to_text(sig)} (radius {rad:.6f}, accuracy {acc:.6f})"
-                    )
-                fmap.regions[sig] = Region(sig, cell_count, (cx, cy), acc, rad)
+        rows = [declared[sig] for sig in sigs]  # count, cx, cy, accuracy, radius
+        if rows != list(zip(*(column.tolist() for column in fmap.columns[1:]))):
+            _check_stats(fmap, sigs, rows, source)
         maps[subset] = fmap
     expected = math.comb(deployment.n_aps, rebuilt.k)
     if len(maps) != expected:

@@ -107,7 +107,7 @@ class RssScan:
 
 def subset_key(ids: Iterable[int]) -> SubsetKey:
     """Normalize a collection of AP ids into a sorted SubsetKey."""
-    key = tuple(sorted(int(i) for i in ids))
+    key = tuple(sorted(map(int, ids)))
     if len(key) < 2:
         raise ValueError("AP subset needs at least 2 ids")
     if len(set(key)) != len(key):
@@ -135,7 +135,7 @@ def make_signature(scan: RssScan | Mapping[int, float], subset: Iterable[int]) -
 
 def signature_to_text(sig: Signature) -> str:
     """Render a signature as dash-joined ids, e.g. ``3-6-7-2``."""
-    return "-".join(str(i) for i in sig)
+    return "-".join(map(str, sig))
 
 
 def parse_signature(text: str) -> Signature:
@@ -184,8 +184,7 @@ def load_deployment(path) -> ApDeployment:
 
 
 def deployment_from_text(text: str, source: str = "<string>") -> ApDeployment:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != DEPLOY_HEADER:
         raise ValueError(f"{source}: unsupported version (expected {DEPLOY_HEADER!r})")
     area = None

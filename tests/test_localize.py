@@ -35,6 +35,13 @@ class TestScanWindow:
         w = window_of({1: [-40.0]}, duration_s=60.0, cadence_s=0.3)
         assert w.n_instants == 200
 
+    def test_schedule_with_an_unbounded_instant_count_is_refused(self):
+        # 1e308 / 0.5 overflows to inf: a ValueError, not an OverflowError from int().
+        with pytest.raises(ValueError, match="malformed window line 'window 1e308 0.5'"):
+            scan_from_text("APSEQ-SCAN v2\nwindow 1e308 0.5\nsample 0.000 1 -40.000000\n")
+        with pytest.raises(ValueError, match="finite ratio"):
+            window_of({1: [-40.0]}, duration_s=1e308, cadence_s=0.5)
+
     def test_single_instant_floor(self):
         w = window_of({1: [-40.0]}, duration_s=0.5, cadence_s=0.5)
         assert w.n_instants == 1

@@ -1,7 +1,11 @@
 """Fingerprint-map construction: geometry oracles and partition properties."""
 
+import dataclasses
+import hashlib
+import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ import pytest
 from apseq.evaluate import load_config
 from apseq.mapgen import (
     GridSpec,
+    _map_stats,
     _Partition,
     _partition,
+    _quantize_array,
     build_map_store,
     build_stores,
     cell_signature,
@@ -20,7 +26,7 @@ from apseq.mapgen import (
     map_store_to_text,
     save_map_store,
 )
-from apseq.model import ApDeployment, load_deployment
+from apseq.model import ApDeployment, _quantize, load_deployment
 
 DATA = resources.files("apseq") / "data"
 
@@ -71,6 +77,11 @@ class TestGridSpec:
         assert GridSpec(cell_size=1.0, width=5000.0, height=2000.0).n_cells == 10_000_000
         with pytest.raises(ValueError, match="5001 x 2000 cells"):
             GridSpec(cell_size=1.0, width=5000.5, height=2000.0)
+
+    def test_cell_size_must_leave_the_area_a_cell(self):
+        # 4 / 1e308 is below the ceil's 1e-9 slack: zero columns and rows.
+        with pytest.raises(ValueError, match="area no cell"):
+            GridSpec(cell_size=1e308, width=4.0, height=4.0)
 
     @pytest.mark.parametrize("cell_size", [0.0, -0.5, math.inf, math.nan])
     def test_cell_size_must_be_finite_and_positive(self, cell_size):
@@ -628,3 +639,122 @@ class TestMapStore:
         # Stores of one build_stores call carry the time of their one build.
         stores = build_stores(small_store.deployment, [2, 3], small_store.grid.cell_size)
         assert stores[2].build_ms == stores[3].build_ms > 0.0
+
+
+class TestColumns:
+    """Region access reads the columns; the regions dict is a view built on first use."""
+
+    def test_region_access_builds_no_dict(self, small_store):
+        fmap = dataclasses.replace(small_store.maps[(1, 2, 3)])  # a copy with no cached view
+        region = fmap.region_at(4.2, 1.3)
+        cells = fmap.cells_of(region.signature)
+        assert "regions" not in vars(fmap)
+        assert fmap.regions[region.signature] == region
+        assert len(cells) == region.cell_count
+        assert fmap.region_at(*fmap.grid.cell_center(*cells[-1])) == region
+
+    def test_regions_view_follows_the_columns(self, small_store):
+        for fmap in small_store.maps.values():
+            assert list(fmap.regions) == [tuple(row) for row in fmap.signatures.tolist()]
+            assert [reg.cell_count for reg in fmap.regions.values()] == fmap.count.tolist()
+            assert [reg.radius for reg in fmap.regions.values()] == fmap.radius.tolist()
+
+    def test_cells_of_an_absent_signature_is_empty(self, small_store):
+        assert small_store.maps[(1, 2, 3)].cells_of((9, 8, 7)).shape == (0, 2)
+
+    @pytest.mark.parametrize("column", ["signatures", "count", "cx", "cy", "accuracy", "radius"])
+    def test_equality_compares_every_column(self, small_store, column):
+        fmap = small_store.maps[(1, 2, 3)]
+        changed = getattr(fmap, column).copy()
+        changed[-1] += 1
+        assert dataclasses.replace(fmap) == fmap
+        assert dataclasses.replace(fmap, **{column: changed}) != fmap
+
+
+class TestQuantizeArray:
+    """_quantize_array against the scalar _quantize, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise_equal(values):
+        values = np.asarray(values, dtype=np.float64)
+        want = np.array([_quantize(v) for v in values.tolist()])
+        assert np.array_equal(_quantize_array(values.copy()).view(np.int64), want.view(np.int64))
+
+    def test_random_values(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-6, 1.0, 60.0, 1e3, 1e6, 1e9):
+            self.assert_bitwise_equal(rng.uniform(-scale, scale, 20_000))
+
+    def test_decimal_half_way_cases(self):
+        k = np.arange(-10_000, 10_000)
+        self.assert_bitwise_equal(k / 1e6 + 5e-7)
+        self.assert_bitwise_equal(k / 1e6 - 5e-7)
+        self.assert_bitwise_equal(k / 128)  # x * 1e6 exactly half-way: 1 / 128 = 0.0078125
+
+    def test_signs_zeros_and_tiny_values(self):
+        self.assert_bitwise_equal([0.0, -0.0, 1e-7, -1e-7, 4e-7, -4e-7, 5e-7, -5e-7, 1e-300, -1e-300])
+
+    def test_large_magnitudes(self):
+        self.assert_bitwise_equal([2.0**52 / 1e6, -(2.0**52) / 1e6, 4503599627.3705, 1e9 + 0.5e-6, 1e9, -1e9, 1e15, 1e300])
+
+    def test_non_finite_values(self):
+        self.assert_bitwise_equal([math.nan, math.inf, -math.inf, 1.5])
+
+
+def integer_deployment(seed):
+    """3-7 APs at whole-metre positions on a 14 m x 9 m floor."""
+    rng = np.random.default_rng(seed)
+    n_aps = 3 + seed % 5
+    spots = rng.choice(15 * 10, size=n_aps, replace=False)
+    return ApDeployment(
+        width=14.0, height=9.0,
+        aps=tuple((i + 1, float(p % 15), float(p // 15)) for i, p in enumerate(spots)),
+    )
+
+
+def _hypot_stats(part, lut):
+    """Reference accuracy and radius of each region, by np.hypot, quantized by _quantize."""
+    count = np.bincount(lut, weights=part.count)
+    cx = np.bincount(lut, weights=part.sum_x) / count
+    cy = np.bincount(lut, weights=part.sum_y) / count
+    dist = np.hypot(part.xs - np.repeat(cx[lut], part.count), part.ys - np.repeat(cy[lut], part.count))
+    accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
+    radius = np.zeros(len(count))
+    np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
+    return [_quantize(v) for v in accuracy], [_quantize(v) for v in radius]
+
+
+class TestDistanceKernel:
+    """The sqrt distance kernel quantizes to the same statistics as np.hypot."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_quantized_stats_match_hypot(self, seed):
+        dep = integer_deployment(seed) if seed % 2 else uniform_deployment(seed, 3 + seed % 5)
+        for cell_size in (0.2, 0.25, 0.5, 1.0):
+            grid = GridSpec.for_deployment(dep, cell_size)
+            part = _partition(dep, grid)
+            for fmap in build_stores(dep, range(2, dep.n_aps + 1), cell_size).values():
+                for m in fmap.maps.values():
+                    accuracy, radius = _hypot_stats(part, m.lut)
+                    stats = _map_stats(part, m.lut)
+                    assert _quantize_array(stats[3]).tolist() == m.accuracy.tolist() == accuracy
+                    assert _quantize_array(stats[4]).tolist() == m.radius.tolist() == radius
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+class TestReferenceStores:
+    """Every store text the benchmark checks, against its committed sha256."""
+
+    @pytest.mark.parametrize("name, config, cell_size", [
+        ("dover", "dover", 0.2), ("dover-0.4", "dover", 0.4), ("ecc", "ecc", None),
+    ])
+    def test_store_texts_match_the_references(self, name, config, cell_size):
+        with open(REFERENCES) as fh:
+            want = json.load(fh)["store_sha256"][name]
+        config = load_config(str(DATA / f"{config}.cfg"))
+        ks = config.k_values if name == "ecc" else (3, 4, 5, 6, 7)
+        stores = build_stores(load_deployment(config.deployment), ks, cell_size or config.cell_size)
+        got = {str(k): hashlib.sha256(map_store_to_text(s).encode()).hexdigest() for k, s in stores.items()}
+        assert got == want

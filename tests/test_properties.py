@@ -1,5 +1,7 @@
 """Property tests of the text formats, the window simulation and localize."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -7,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apseq.cli import main
 from apseq.localize import (
     ScanWindow,
     aggregate_scan,
     localize,
+    save_scan,
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import build_map_store, build_stores, map_store_from_text, map_store_to_text
+from apseq.mapgen import build_map_store, build_stores, map_store_from_text, map_store_to_text, save_map_store
 from apseq.model import (
     UNDETECTED_DBM,
     ApDeployment,
@@ -22,6 +26,7 @@ from apseq.model import (
     deployment_from_text,
     deployment_to_text,
     make_signature,
+    save_deployment,
 )
 from apseq.propagation import PropagationParams, mean_rss, synth_window
 from apseq.selection import generate_candidate_sets, kmeans_1d
@@ -226,3 +231,76 @@ def test_localize_raises_only_value_error(store_family, values, k, single):
         localize(RssScan(values=values), store, k)
     except ValueError:
         pass
+
+
+# Replacement tokens: the edges of every field's domain, and the keywords of
+# every format.  None asks for more than a few thousand cells or samples.
+TOKENS = ["", "0", "-1", "2", "7", "0.5", "-0.0", "1e308", "1e-300", "nan", "inf", "-inf", "x",
+          "1-2", "2-1", "map", "region", "sample", "window", "ap", "area", "grid", "="]
+
+CLI_CONFIG = """\
+deployment = quad.deploy
+k_values = 2, 3
+cell_size = 1.0
+sigma_db = 1.5
+test_points = 2
+duration_s = 2.0
+cadence_s = 0.5
+seed = 11
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A deployment, a k = 3 store, a scan and a config for the four file inputs of main."""
+    d = tmp_path_factory.mktemp("mutated")
+    dep = ApDeployment(width=12.0, height=9.0, aps=((1, 1.0, 1.0), (2, 11.0, 1.5), (3, 6.0, 8.0), (4, 10.0, 7.5)))
+    save_deployment(dep, d / "quad.deploy")
+    save_map_store(build_map_store(dep, 3, 1.0), d / "quad.map")
+    params = PropagationParams(sigma_db=2.0)
+    save_scan(synth_window((4.0, 3.0), dep, params, 2.0, 0.5, rng=np.random.default_rng(3)), d / "quad.scan")
+    (d / "quad.cfg").write_text(CLI_CONFIG)
+    return d
+
+
+@st.composite
+def mutations(draw, lines):
+    """One to three edits of a text's lines: a token replaced, a line dropped or repeated."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        n = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if edit == "replace":
+            parts = lines[n].split(" ")
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(TOKENS))
+            lines[n] = " ".join(parts)
+        elif edit == "drop":
+            del lines[n]
+        else:
+            lines.insert(n, lines[n])
+    return "\n".join(lines) + "\n"
+
+
+# Each file input, the file it replaces and the command that reads it.
+COMMANDS = {
+    "deploy": ["mapgen", "--deploy", "{path}", "--grid", "1.0", "--k", "3", "--out", "{dir}/out.map"],
+    "map": ["localize", "--store", "{path}", "--scan", "{dir}/quad.scan", "--k", "3"],
+    "scan": ["localize", "--store", "{dir}/quad.map", "--scan", "{path}", "--k", "3"],
+    "cfg": ["evaluate", "--config", "{path}", "--out", "{dir}/out"],
+}
+
+
+@settings(database=None, deadline=None, max_examples=25)
+@pytest.mark.parametrize("kind", sorted(COMMANDS))
+@given(data=st.data())
+def test_mutated_file_inputs_never_crash_main(cli_files, kind, data):
+    original = (cli_files / f"quad.{kind}").read_text().splitlines()
+    path = cli_files / f"mutated.{kind}"
+    path.write_text(data.draw(mutations(original)))
+    argv = [arg.format(path=path, dir=cli_files) for arg in COMMANDS[kind]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 0 or (rc == 2 and err.getvalue().startswith("error: ")), (rc, err.getvalue())
