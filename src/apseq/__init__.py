@@ -49,7 +49,6 @@ from .model import (
     Signature,
     SubsetKey,
     load_deployment,
-    make_signature,
     parse_signature,
     save_deployment,
     signature_to_text,
@@ -108,7 +107,6 @@ __all__ = [
     "load_map_store",
     "load_scan",
     "localize",
-    "make_signature",
     "map_store_from_text",
     "map_store_to_text",
     "mean_rss",

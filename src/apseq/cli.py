@@ -42,7 +42,7 @@ def _cmd_localize(args) -> int:
     store = load_map_store(args.store)
     window = load_scan(args.scan)
     scan = aggregate_scan(window)
-    outcome = localize(scan, store, args.k)
+    outcome = localize(scan, {store.k: store}, args.k)
     if isinstance(outcome, Estimate):
         x, y = outcome.position
         print(

@@ -176,7 +176,6 @@ class KReport:
     missed: int
     build_ms: float
     n_maps: int
-    total_regions: int
 
     @property
     def missed_rate(self) -> float:
@@ -313,7 +312,6 @@ def window_sweep(
         d: {k: tuple(e for e in errs if e is not None) for k, errs in per_k.items()}
         for d, per_k in errors.items()
     }
-    regions = {k: sum(m.n_regions for m in stores[k].maps.values()) for k in ks}
     return {
         d: ExperimentReport(
             config=cfg,
@@ -326,7 +324,6 @@ def window_sweep(
                     missed=len(points) - len(hits[d][k]),
                     build_ms=stores[k].build_ms,
                     n_maps=stores[k].n_maps,
-                    total_regions=regions[k],
                 )
                 for k in ks
             },

@@ -198,42 +198,27 @@ class MissedDetection:
 LocalizationOutcome = Union[Estimate, MissedDetection]
 
 
-def _store_for(
-    store: Union[MapStore, Mapping[int, MapStore]], k: int
-) -> MapStore:
-    if isinstance(store, MapStore):
-        if store.k != k:
-            raise ValueError(f"store/k mismatch (store holds k={store.k}, need k={k})")
-        return store
-    try:
-        return store[k]
-    except KeyError:
-        raise ValueError(f"store/k mismatch (no store for k={k})") from None
-
-
-def localize(
-    scan: RssScan,
-    store: Union[MapStore, Mapping[int, MapStore]],
-    k: int,
-) -> LocalizationOutcome:
+def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
     """Estimate a position from an aggregated scan, with candidate fallback.
 
-    When fewer than k distinct RSS values were detected, k degrades to
-    that count (stores for the smaller k must be available, e.g. by passing
-    a dict of stores keyed by k).  Candidates are tried in the deterministic
-    strongest-first order; the first signature present in its map wins.
-    Detected APs missing from the store's deployment (real scanners hear
-    foreign APs) are ignored; the stores of a mapping share one deployment.
+    `stores` holds map stores keyed by k, all over one deployment.  When
+    fewer than k distinct RSS values were detected, k degrades to that
+    count, whose store must be present too.  Candidates are tried in the
+    deterministic strongest-first order; the first signature present in its
+    map wins.  Detected APs foreign to the deployment are ignored.
     """
     detected = scan.detected()
-    any_store = store if isinstance(store, MapStore) else next(iter(store.values()), None)
+    any_store = next(iter(stores.values()), None)
     if any_store is not None and not detected.keys() <= any_store.deployment.ap_id_set:
         known = any_store.deployment.ap_id_set
         detected = {i: v for i, v in detected.items() if i in known}
     k_eff = min(k, len(set(detected.values())))
     if k_eff < 2:
         raise ValueError("insufficient APs")
-    the_store = _store_for(store, k_eff)
+    try:
+        store = stores[k_eff]
+    except KeyError:
+        raise ValueError(f"store/k mismatch (no store for k={k_eff})") from None
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
     clustering = kmeans_1d(detected, k_eff, seed_ranks=range(1, k_eff + 1))
@@ -242,7 +227,7 @@ def localize(
     tried = 0
     for cand in generate_candidate_sets(clustering):
         tried += 1
-        region = the_store.maps[cand.subset].regions.get(cand.picks)
+        region = store.maps[cand.subset].regions.get(cand.picks)
         if region is not None:
             return Estimate(
                 position=region.centroid,

@@ -58,9 +58,11 @@ class GridSpec:
     (j + 0.5) * cell_size); i counts columns along x, j rows along y.
     """
 
-    cell_size: float = DEFAULT_CELL_SIZE
-    width: float = 0.0
-    height: float = 0.0
+    cell_size: float
+    width: float
+    height: float
+    cols: int = field(init=False, repr=False, compare=False)
+    rows: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cell_size", _quantize(self.cell_size))
@@ -71,23 +73,17 @@ class GridSpec:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("grid area must have positive width and height")
         # Counted in floats, so that even an unbounded grid is refused unallocated.
-        cols, rows = (np.ceil(v / self.cell_size - _DIV_EPS) for v in (self.width, self.height))
-        if cols * rows < 1:
+        cols, rows = (float(np.ceil(v / self.cell_size - _DIV_EPS)) for v in (self.width, self.height))
+        if not cols * rows >= 1:  # NaN too: an unbounded side times no cells
             raise ValueError(f"cell_size {self.cell_size} leaves the {self.width} x {self.height} area no cell")
         if cols * rows > MAX_CELLS:
             raise ValueError(f"grid of {cols:.0f} x {rows:.0f} cells exceeds the limit of {MAX_CELLS}")
+        object.__setattr__(self, "cols", int(cols))
+        object.__setattr__(self, "rows", int(rows))
 
     @classmethod
-    def for_deployment(cls, deployment: ApDeployment, cell_size: float = DEFAULT_CELL_SIZE) -> "GridSpec":
+    def for_deployment(cls, deployment: ApDeployment, cell_size: float) -> "GridSpec":
         return cls(cell_size=cell_size, width=deployment.width, height=deployment.height)
-
-    @property
-    def cols(self) -> int:
-        return int(math.ceil(self.width / self.cell_size - _DIV_EPS))
-
-    @property
-    def rows(self) -> int:
-        return int(math.ceil(self.height / self.cell_size - _DIV_EPS))
 
     @property
     def n_cells(self) -> int:
@@ -212,12 +208,9 @@ class MapStore:
         return len(self.maps)
 
 
-def enumerate_ap_subsets(ids: int | Iterable[int], k: int) -> list[SubsetKey]:
-    """All k-subsets of the given AP ids in lexicographic order.
-
-    `ids` may be an integer n (shorthand for ids 1..n) or an id collection.
-    """
-    pool = list(range(1, ids + 1)) if isinstance(ids, int) else sorted(int(i) for i in ids)
+def enumerate_ap_subsets(ids: Iterable[int], k: int) -> list[SubsetKey]:
+    """All k-subsets of the given AP ids in lexicographic order."""
+    pool = sorted(int(i) for i in ids)
     if not 2 <= k <= len(pool):
         raise ValueError(f"subset size {k} out of range [2, {len(pool)}]")
     return [tuple(c) for c in itertools.combinations(pool, k)]
@@ -429,33 +422,31 @@ def map_store_to_text(store: MapStore) -> str:
     return "\n".join(out) + "\n"
 
 
-def _check_stats(fmap: FingerprintMap, sigs: list[Signature], rows: list[tuple], source: str) -> None:
-    """Check a block's declared rows against the rebuilt map, every row at once.
+def _check_stats(fmap: FingerprintMap, sigs: list[Signature], rows: list, rebuilt_rows: list, source: str) -> None:
+    """Check a block's declared rows against the rebuilt map's, in row order.
 
     The first row to fail any check raises its first failing check.  A stat
     off but within tolerance keeps the file's value, quantized, in the map.
     """
-    rows = np.array(rows, dtype=object)
-    stats, rebuilt_stats = rows[:, 1:].astype(np.float64), np.stack(fmap.columns[2:], axis=1)
-    far = ~np.all(np.abs(stats - rebuilt_stats) <= 2e-6, axis=1)  # "not <=": a NaN fails too
-    near = np.any(stats != rebuilt_stats, axis=1) & ~far
-    stats[near] = _quantize_array(stats[near])
-    wrong = (rows[:, 0] != fmap.count) | far | near & (stats[:, 3] + 1e-9 < stats[:, 2])
-    for row in np.flatnonzero(wrong)[:1]:
-        text, cell_count, (acc, rad) = signature_to_text(sigs[row]), rows[row, 0], stats[row, 2:]
-        if cell_count != fmap.count[row]:
+    for row, (sig, (cell_count, *stats), (count, *rebuilt)) in enumerate(zip(sigs, rows, rebuilt_rows)):
+        if cell_count != count:
             raise ValueError(
-                f"{source}: cell_count mismatch for region {text} "
-                f"(file {cell_count}, rebuilt {fmap.count[row]})"
+                f"{source}: cell_count mismatch for region {signature_to_text(sig)} "
+                f"(file {cell_count}, rebuilt {count})"
             )
-        if far[row]:
-            raise ValueError(f"{source}: region stats mismatch for {text}")
-        raise ValueError(
-            f"{source}: region radius cannot be below its accuracy for "
-            f"{text} (radius {rad:.6f}, accuracy {acc:.6f})"
-        )
-    for column, values in zip(fmap.columns[2:], stats.T):
-        column[near] = values[near]
+        if stats == rebuilt:
+            continue
+        if not all(abs(a - b) <= 2e-6 for a, b in zip(stats, rebuilt)):  # "not <=": a NaN fails too
+            raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
+        stats = [_quantize(v) for v in stats]
+        _, _, acc, rad = stats
+        if rad + 1e-9 < acc:
+            raise ValueError(
+                f"{source}: region radius cannot be below its accuracy for "
+                f"{signature_to_text(sig)} (radius {rad:.6f}, accuracy {acc:.6f})"
+            )
+        for column, value in zip(fmap.columns[2:], stats):
+            column[row] = value
 
 
 def load_map_store(path) -> MapStore:
@@ -517,7 +508,7 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
                 values = (int(parts[6]), *(float(v) for v in parts[2:6]))
             except ValueError:
                 raise ValueError(f"{source}: malformed region line {ln!r}") from None
-            if subset_key(sig) != subset:
+            if tuple(sorted(sig)) != subset:
                 raise ValueError(f"{source}: region signature {parts[1]} not over map subset")
             if sig in declared:
                 raise ValueError(f"{source}: duplicate region signature {parts[1]}")
@@ -532,8 +523,9 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
         if sigs != list(map(tuple, fmap.signatures.tolist())):
             raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
         rows = [declared[sig] for sig in sigs]  # count, cx, cy, accuracy, radius
-        if rows != list(zip(*(column.tolist() for column in fmap.columns[1:]))):
-            _check_stats(fmap, sigs, rows, source)
+        rebuilt_rows = list(zip(*(column.tolist() for column in fmap.columns[1:])))
+        if rows != rebuilt_rows:
+            _check_stats(fmap, sigs, rows, rebuilt_rows, source)
         maps[subset] = fmap
     expected = math.comb(deployment.n_aps, rebuilt.k)
     if len(maps) != expected:

@@ -115,24 +115,6 @@ def subset_key(ids: Iterable[int]) -> SubsetKey:
     return key
 
 
-def make_signature(scan: RssScan | Mapping[int, float], subset: Iterable[int]) -> Signature:
-    """Order the APs of `subset` by descending RSS in `scan`.
-
-    Ties break toward the smaller ap_id.  Raises if a subset member is
-    missing from the scan or carries the undetected sentinel.
-    """
-    values = scan.values if isinstance(scan, RssScan) else scan
-    sub = subset_key(subset)
-    for i in sub:
-        if i not in values:
-            raise ValueError(f"no RSS entry for AP {i}")
-        if values[i] == UNDETECTED_DBM:
-            raise ValueError("undetected AP in subset")
-        if not math.isfinite(values[i]):
-            raise ValueError(f"non-finite RSS for AP {i}")
-    return tuple(sorted(sub, key=lambda i: (-values[i], i)))
-
-
 def signature_to_text(sig: Signature) -> str:
     """Render a signature as dash-joined ids, e.g. ``3-6-7-2``."""
     return "-".join(map(str, sig))
@@ -190,19 +172,23 @@ def deployment_from_text(text: str, source: str = "<string>") -> ApDeployment:
     area = None
     aps = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "area":
-            if area is not None:
-                raise ValueError(f"{source}: duplicate area line")
-            if len(parts) != 3:
-                raise ValueError(f"{source}: malformed area line {ln!r}")
-            area = (float(parts[1]), float(parts[2]))
-        elif parts[0] == "ap":
-            if len(parts) != 4:
-                raise ValueError(f"{source}: malformed ap line {ln!r}")
-            aps.append((int(parts[1]), float(parts[2]), float(parts[3])))
-        else:
+        kind, *fields = ln.split()
+        if kind not in ("area", "ap"):
             raise ValueError(f"{source}: unknown line {ln!r}")
+        if kind == "area" and area is not None:
+            raise ValueError(f"{source}: duplicate area line")
+        try:
+            if kind == "area" and len(fields) == 2:
+                area = (float(fields[0]), float(fields[1]))
+            elif kind == "ap" and len(fields) == 3:
+                aps.append((int(fields[0]), float(fields[1]), float(fields[2])))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{source}: malformed {kind} line {ln!r}") from None
     if area is None:
         raise ValueError(f"{source}: missing area line")
-    return ApDeployment(width=area[0], height=area[1], aps=tuple(aps))
+    try:
+        return ApDeployment(width=area[0], height=area[1], aps=tuple(aps))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None

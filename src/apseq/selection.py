@@ -58,10 +58,6 @@ class Clustering:
     objective_history: tuple[float, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.clusters)
-
-    @property
     def objective(self) -> float:
         return self.objective_history[-1]
 

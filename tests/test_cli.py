@@ -66,6 +66,13 @@ class TestMapgen:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_deployment_fault_names_the_file(self, workspace, capsys):
+        path = workspace / "fractional_id.deploy"
+        path.write_text("APSEQ-DEPLOY v1\narea 12 9\nap 1.5 1.0 1.0\nap 2 2.0 2.0\n")
+        rc = main(["mapgen", "--deploy", str(path), "--k", "2", "--out", str(workspace / "x.map")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: malformed ap line 'ap 1.5 1.0 1.0'\n"
+
     def test_huge_grid_is_reported_before_any_cell_exists(self, workspace, capsys, monkeypatch):
         def no_centers(grid):
             raise AssertionError("grid allocated")
@@ -177,7 +184,7 @@ class TestLocalize:
                    "--scan", str(prepared / "loc_scans" / "scan_000.txt"),
                    "--k", "3"])
         assert rc == 2
-        assert "store/k mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: store/k mismatch (no store for k=3)\n"
 
     def test_corrupt_scan_is_reported(self, prepared, capsys):
         bad = prepared / "bad_scan.txt"

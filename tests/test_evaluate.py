@@ -210,14 +210,14 @@ class TestErrorCdf:
 class TestKReport:
     def test_summary_statistics(self):
         rep = KReport(k=3, n_points=4, errors=(1.0, 3.0, 2.0), missed=1,
-                      build_ms=12.5, n_maps=35, total_regions=100)
+                      build_ms=12.5, n_maps=35)
         assert rep.missed_rate == pytest.approx(0.25)
         assert rep.median_error == pytest.approx(2.0)
         assert rep.mean_error == pytest.approx(2.0)
 
     def test_no_matches_gives_nan_errors(self):
         rep = KReport(k=3, n_points=2, errors=(), missed=2,
-                      build_ms=1.0, n_maps=35, total_regions=10)
+                      build_ms=1.0, n_maps=35)
         assert rep.missed_rate == 1.0
         assert rep.median_error != rep.median_error  # NaN
         assert rep.mean_error != rep.mean_error
@@ -284,7 +284,6 @@ def sweep_oracle(config, durations, seed, stores):
                 missed=missed[k],
                 build_ms=stores[k].build_ms,
                 n_maps=stores[k].n_maps,
-                total_regions=sum(m.n_regions for m in stores[k].maps.values()),
             )
             for k in cfg.k_values
         }

@@ -83,6 +83,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="area no cell"):
             GridSpec(cell_size=1e308, width=4.0, height=4.0)
 
+    def test_an_unbounded_side_with_no_cells_is_refused(self):
+        # inf columns times zero rows is NaN, which counts no cell either.
+        with pytest.raises(ValueError, match="area no cell"):
+            GridSpec(cell_size=1e4, width=math.inf, height=1e-6)
+
     @pytest.mark.parametrize("cell_size", [0.0, -0.5, math.inf, math.nan])
     def test_cell_size_must_be_finite_and_positive(self, cell_size):
         with pytest.raises(ValueError, match="cell_size"):
@@ -109,13 +114,13 @@ class TestGridSpec:
 class TestEnumerateSubsets:
     def test_counts_follow_binomials(self):
         for n, k, want in [(7, 2, 21), (7, 3, 35), (7, 4, 35), (7, 7, 1)]:
-            assert len(enumerate_ap_subsets(n, k)) == want
+            assert len(enumerate_ap_subsets(range(1, n + 1), k)) == want
 
     def test_explicit_ids(self):
         assert enumerate_ap_subsets([4, 2, 9], 2) == [(2, 4), (2, 9), (4, 9)]
 
     def test_lexicographic_order(self):
-        subsets = enumerate_ap_subsets(4, 3)
+        subsets = enumerate_ap_subsets(range(1, 5), 3)
         assert subsets == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
@@ -478,6 +483,8 @@ LOADER_FAULTS = [
      r"<string>: malformed region line 'region 1-x-3 4.773810 "),
     (lambda t: t.replace("region 1-2-3 ", "region 1-2-4 "),
      r"<string>: region signature 1-2-4 not over map subset"),
+    (lambda t: t.replace("region 1-2-3 ", "region 1 ", 1),
+     r"<string>: region signature 1 not over map subset$"),
     (lambda t: t.replace("region 1-3-2 ", "region 1-2-3 "),
      r"<string>: duplicate region signature 1-2-3"),
     (lambda t: _drop_block(t, "map 2 3 4"),
@@ -607,6 +614,21 @@ class TestMapStore:
         text = edit(map_store_to_text(small_store))
         with pytest.raises(ValueError, match=message):
             map_store_from_text(text)
+
+    def test_rows_are_checked_in_order(self, small_store):
+        # Map (1, 2, 3) with a wrong cell count in its last row, 3-2-1.
+        text = map_store_to_text(small_store).replace(
+            "region 3-2-1 8.126923 6.296154 1.728712 3.903890 65\n",
+            "region 3-2-1 8.126923 6.296154 1.728712 3.903890 66\n")
+        with pytest.raises(ValueError, match=r"cell_count mismatch for region 3-2-1 \(file 66, rebuilt 65\)$"):
+            map_store_from_text(text)
+        # A stat far out of tolerance in the earlier row 1-3-2 is named
+        # first, also behind a stat within tolerance in the first row, 1-2-3.
+        far = text.replace("region 1-3-2 2.113208 ", "region 1-3-2 2.613208 ")
+        near = far.replace("region 1-2-3 4.773810 ", "region 1-2-3 4.773811 ")
+        for edited in (far, near):
+            with pytest.raises(ValueError, match=r"region stats mismatch for 1-3-2$"):
+                map_store_from_text(edited)
 
     def test_grid_off_the_cell_size_round_trips(self):
         # 10.3 x 7.1 m is no whole number of 0.5 m cells: 21 x 15 cells.

@@ -1,7 +1,5 @@
 """Domain types: deployments, scans, signatures and their text forms."""
 
-import math
-
 import pytest
 
 from apseq.model import (
@@ -11,7 +9,6 @@ from apseq.model import (
     deployment_from_text,
     deployment_to_text,
     load_deployment,
-    make_signature,
     parse_signature,
     save_deployment,
     signature_to_text,
@@ -84,35 +81,6 @@ class TestSubsetKey:
             subset_key([4])
 
 
-class TestMakeSignature:
-    def test_orders_by_descending_rss(self):
-        scan = RssScan(values={1: -60.0, 3: -40.0, 5: -50.0})
-        assert make_signature(scan, (1, 3, 5)) == (3, 5, 1)
-
-    def test_restricts_to_subset(self):
-        scan = RssScan(values={1: -60.0, 2: -45.0, 3: -40.0})
-        assert make_signature(scan, (1, 2)) == (2, 1)
-
-    def test_ties_break_by_ascending_id(self):
-        scan = RssScan(values={4: -50.0, 2: -50.0, 9: -30.0})
-        assert make_signature(scan, (2, 4, 9)) == (9, 2, 4)
-
-    def test_undetected_ap_in_subset_rejected(self):
-        scan = RssScan(values={1: -60.0, 2: UNDETECTED_DBM})
-        with pytest.raises(ValueError, match="undetected AP in subset"):
-            make_signature(scan, (1, 2))
-
-    def test_missing_ap_rejected(self):
-        scan = RssScan(values={1: -60.0, 2: -50.0})
-        with pytest.raises(ValueError, match="no RSS entry"):
-            make_signature(scan, (1, 3))
-
-    def test_non_finite_rejected(self):
-        scan = RssScan(values={1: -60.0, 2: math.nan})
-        with pytest.raises(ValueError):
-            make_signature(scan, (1, 2))
-
-
 class TestSignatureText:
     @pytest.mark.parametrize("sig", [(1, 3, 2), (10, 2), (7, 6, 5, 4, 3, 2, 1)])
     def test_round_trip(self, sig):
@@ -164,3 +132,16 @@ class TestDeploymentFile:
     def test_missing_area_rejected(self):
         with pytest.raises(ValueError):
             deployment_from_text("APSEQ-DEPLOY v1\nap 1 1.000000 1.000000\n")
+
+    # One faulty line per kind of fault: a bad number names the line, a
+    # deployment that cannot exist keeps its own message; both name the file.
+    @pytest.mark.parametrize("line, message", [
+        ("area x 10", r"d\.deploy: malformed area line 'area x 10'$"),
+        ("ap 1.5 2 0", r"d\.deploy: malformed ap line 'ap 1\.5 2 0'$"),
+        ("ap 1 20 0", r"d\.deploy: AP 1 lies outside the area$"),
+    ], ids=["area-number", "ap-id", "ap-outside-area"])
+    def test_faults_name_the_file(self, line, message):
+        lines = ["APSEQ-DEPLOY v1", "area 10 10", "ap 2 1 1", "ap 3 2 2"]
+        lines[1 if line.startswith("area") else 2] = line
+        with pytest.raises(ValueError, match=message):
+            deployment_from_text("\n".join(lines) + "\n", source="d.deploy")

@@ -7,7 +7,7 @@ import pytest
 from numpy.random import default_rng
 
 from apseq.localize import aggregate_scan
-from apseq.model import ApDeployment, make_signature
+from apseq.model import ApDeployment
 from apseq.propagation import (
     PropagationParams,
     gen_test_points,
@@ -131,7 +131,7 @@ class TestSynthWindow:
         w = synth_window(point, square_deployment, params,
                          duration_s=6.0, cadence_s=0.3, rng=default_rng(0))
         scan = aggregate_scan(w)
-        sig = make_signature(scan, (1, 2, 3, 4))
+        sig = tuple(sorted((1, 2, 3, 4), key=lambda i: (-scan.values[i], i)))
         dists = sorted(
             square_deployment.ap_ids,
             key=lambda i: (
