@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
+    DEPLOY_HEADER,
     ApDeployment,
     Signature,
     SubsetKey,
@@ -98,13 +99,6 @@ class GridSpec:
         j = min(max(int(y / self.cell_size), 0), self.rows - 1)
         return (i, j)
 
-    def centers(self) -> np.ndarray:
-        """All cell centres as an (n_cells, 2) array, j-major then i."""
-        xs = (np.arange(self.cols) + 0.5) * self.cell_size
-        ys = (np.arange(self.rows) + 0.5) * self.cell_size
-        gx, gy = np.meshgrid(xs, ys)  # shape (rows, cols)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
 
 class Region(NamedTuple):
     """Cells sharing one signature, with summary geometry: a FingerprintMap row as a record.
@@ -130,8 +124,8 @@ class FingerprintMap:
     """Partition of the grid into signature regions for one AP subset.
 
     Its regions are columns with one row each, in signature order: signatures
-    (R, k), count (of cells), cx, cy, accuracy and radius.  Flat cell c (see
-    GridSpec.centers) lies in row lut[cell_labels[c]].
+    (R, k), count (of cells), cx, cy, accuracy and radius.  Flat cell
+    c = `j * cols + i` lies in row lut[cell_labels[c]].
     cell_labels numbers each cell's ordering of all the deployment's APs,
     so every map built together shares one such array.
     """
@@ -233,7 +227,7 @@ class _Partition(NamedTuple):
 
     ids          AP ids in ascending order, the columns `orders` indexes
     orders       (groups, n) each group's ordering, lexicographic by group
-    cell_labels  group of each flat cell (see GridSpec.centers)
+    cell_labels  group of each flat cell `j * cols + i`
     xs, ys       cell centres, sorted by group so that each group is a slice
     starts       where each group's slice of xs and ys begins
     count        cells per group
@@ -259,25 +253,26 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     of the arrangement of the AP pairs' perpendicular bisectors.
     """
     ids = np.asarray(deployment.ap_ids)
-    xs, ys = np.ascontiguousarray(grid.centers().T)
     pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
+    col_x = (np.arange(grid.cols) + 0.5) * grid.cell_size
+    row_y = (np.arange(grid.rows) + 0.5) * grid.cell_size
     # Squared distances, (APs, cells), same arithmetic as cell_signature:
-    # dx*dx + dy*dy, computed in place to spare two fresh arrays.
-    d2 = xs - pos[:, :1]
-    d2 *= d2
-    dy = ys - pos[:, 1:]
+    # dx*dx + dy*dy, squared once per column and row, then one broadcast add.
+    dx = col_x - pos[:, :1]
+    dx *= dx
+    dy = row_y - pos[:, 1:]
     dy *= dy
-    d2 += dy
+    d2 = (dx[:, None, :] + dy[:, :, None]).reshape(len(ids), grid.n_cells)
     # One bit per AP pair a < b (columns in ascending-id order): the side of
     # their bisector, with ties on the smaller id's side.  A stable argsort
     # puts a before b exactly when the bit is set, so the bits determine a
     # cell's ordering; 63 bits a word keep every word non-negative.
-    words = np.zeros((-(-math.comb(len(ids), 2) // 63), len(xs)), dtype=np.int64)
+    words = np.zeros((-(-math.comb(len(ids), 2) // 63), grid.n_cells), dtype=np.int64)
     for bit, (a, b) in enumerate(itertools.combinations(range(len(ids)), 2)):
         words[bit // 63] |= (d2[a] <= d2[b]).astype(np.int64) << (bit % 63)
     by_key = np.lexsort(words)
     sorted_words = words[:, by_key]
-    new_group = np.empty(len(xs), dtype=bool)
+    new_group = np.empty(grid.n_cells, dtype=bool)
     new_group[0] = True
     np.any(sorted_words[:, 1:] != sorted_words[:, :-1], axis=0, out=new_group[1:])
     # Only one cell per group is argsorted; the groups are then numbered
@@ -287,13 +282,13 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     rank = np.empty(len(orders), dtype=np.intp)
     rank[by_order] = np.arange(len(orders))
     orders = orders[by_order]
-    cell_labels = np.empty(len(xs), dtype=np.intp)
+    cell_labels = np.empty(grid.n_cells, dtype=np.intp)
     cell_labels[by_key] = rank[np.cumsum(new_group) - 1]
     # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
     perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
     count = np.bincount(cell_labels)
     starts = np.concatenate(([0], np.cumsum(count[:-1])))
-    xs, ys = xs[perm], ys[perm]
+    xs, ys = col_x[perm % grid.cols], row_y[perm // grid.cols]
     return _Partition(ids, orders, cell_labels, xs, ys, starts, count,
                       np.add.reduceat(xs, starts), np.add.reduceat(ys, starts))
 
@@ -308,8 +303,14 @@ def _map_stats(part: _Partition, lut: np.ndarray) -> np.ndarray:
     count = np.bincount(lut, weights=part.count)
     cx = np.bincount(lut, weights=part.sum_x) / count
     cy = np.bincount(lut, weights=part.sum_y) / count
-    dx, dy = part.xs - np.repeat(cx[lut], part.count), part.ys - np.repeat(cy[lut], part.count)
-    dist = np.sqrt(dx * dx + dy * dy)
+    # dx*dx + dy*dy in two buffers, in place.
+    dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
+    np.subtract(part.xs, dx, out=dx)
+    dx *= dx
+    np.subtract(part.ys, dy, out=dy)
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)
     accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
     radius = np.zeros(len(count))
     np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
@@ -393,9 +394,11 @@ def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT
 # Maps are written in subset order and regions in signature order.  Cell
 # memberships are not stored.  At the first map line the loader knows k,
 # rebuilds the store once from the deployment and cell size (build_map_store),
-# and checks each map block against that rebuild as it reads it: the region
-# count, then every signature and cell count exactly and every statistic to
-# within 2e-6, keeping the file's value.  After the last block it checks
+# and checks each map block against that rebuild as it reads it.  A block whose
+# region lines equal the rebuilt map's own text takes the rebuilt map as it is;
+# any other block is parsed and checked: the region count, then every
+# signature and cell count exactly and every statistic to within 2e-6,
+# keeping the file's value.  After the last block it checks
 # that the file declared exactly the C(n, k) k-subset maps.  All reals carry
 # exactly six fractional digits, which together with construction-time
 # quantization makes save -> load field-exact and re-saves byte-identical.
@@ -413,13 +416,17 @@ def map_store_to_text(store: MapStore) -> str:
     out.append(deployment_to_text(store.deployment).rstrip("\n"))
     out.append(f"grid {store.grid.cell_size:.6f}")
     for subset in sorted(store.maps):
-        fmap = store.maps[subset]
         out.append("map " + " ".join(str(i) for i in subset))
-        out.extend(
-            f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
-            for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in fmap.columns))
-        )
+        out.extend(_region_lines(store.maps[subset]))
     return "\n".join(out) + "\n"
+
+
+def _region_lines(fmap: FingerprintMap) -> list[str]:
+    """A map's region lines, as the store file holds them."""
+    return [
+        f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
+        for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in fmap.columns))
+    ]
 
 
 def _check_stats(fmap: FingerprintMap, sigs: list[Signature], rows: list, rebuilt_rows: list, source: str) -> None:
@@ -462,7 +469,7 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     grid_at = next((n for n, ln in enumerate(lines) if ln.startswith("grid ")), len(lines))
     if grid_at == len(lines):
         raise ValueError(f"{source}: truncated store file")
-    if lines[1] != "APSEQ-DEPLOY v1":
+    if lines[1] != DEPLOY_HEADER:
         raise ValueError(f"{source}: missing deployment block")
     deployment = deployment_from_text("\n".join(lines[1:grid_at]), source=source)
     grid_ln = lines[grid_at].split()
@@ -498,6 +505,10 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
         if rebuilt is None:
             rebuilt = build_map_store(deployment, len(subset), grid.cell_size)
+        fmap = rebuilt.maps[subset]
+        if body[head + 1:end] == _region_lines(fmap):  # the rebuild's own text
+            maps[subset] = fmap
+            continue
         declared: dict[Signature, tuple] = {}
         for ln in body[head + 1:end]:
             parts = ln.split()
@@ -513,7 +524,6 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             if sig in declared:
                 raise ValueError(f"{source}: duplicate region signature {parts[1]}")
             declared[sig] = values
-        fmap = rebuilt.maps[subset]
         if len(declared) != fmap.n_regions:
             raise ValueError(
                 f"{source}: map {subset} declares {len(declared)} regions, "
@@ -524,8 +534,7 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
         rows = [declared[sig] for sig in sigs]  # count, cx, cy, accuracy, radius
         rebuilt_rows = list(zip(*(column.tolist() for column in fmap.columns[1:])))
-        if rows != rebuilt_rows:
-            _check_stats(fmap, sigs, rows, rebuilt_rows, source)
+        _check_stats(fmap, sigs, rows, rebuilt_rows, source)
         maps[subset] = fmap
     expected = math.comb(deployment.n_aps, rebuilt.k)
     if len(maps) != expected:

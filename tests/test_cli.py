@@ -4,10 +4,11 @@ import math
 
 import pytest
 
+from apseq import mapgen
 from apseq.cli import main
 from apseq.evaluate import load_config, run_experiment, simulate
 from apseq.localize import scan_to_text
-from apseq.mapgen import GridSpec, load_map_store
+from apseq.mapgen import load_map_store
 from apseq.model import ApDeployment, load_deployment, save_deployment
 
 CONFIG = """\
@@ -74,10 +75,10 @@ class TestMapgen:
         assert capsys.readouterr().err == f"error: {path}: malformed ap line 'ap 1.5 1.0 1.0'\n"
 
     def test_huge_grid_is_reported_before_any_cell_exists(self, workspace, capsys, monkeypatch):
-        def no_centers(grid):
+        def no_partition(deployment, grid):
             raise AssertionError("grid allocated")
 
-        monkeypatch.setattr(GridSpec, "centers", no_centers)
+        monkeypatch.setattr(mapgen, "_partition", no_partition)
         path = workspace / "huge.deploy"
         path.write_text("APSEQ-DEPLOY v1\narea 1000000 1000000\nap 1 1.0 1.0\nap 2 2.0 2.0\n")
         rc = main(["mapgen", "--deploy", str(path), "--grid", "0.2", "--k", "2",

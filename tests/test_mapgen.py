@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apseq import mapgen
 from apseq.evaluate import load_config
 from apseq.mapgen import (
     GridSpec,
@@ -103,12 +104,16 @@ class TestGridSpec:
         grid = GridSpec(cell_size=1.0, width=4.0, height=4.0)
         assert grid.cell_of(-1.0, 99.0) == (0, 3)
 
-    def test_centers_matrix_matches_cell_center(self):
-        grid = GridSpec(cell_size=1.0, width=3.0, height=2.0)
-        centers = grid.centers()
-        assert centers.shape == (6, 2)
-        flat = 1 * grid.cols + 2  # cell (2, 1)
-        assert tuple(centers[flat]) == grid.cell_center(2, 1)
+    def test_flat_cells_are_row_major(self):
+        # Flat cell c = j * cols + i: its group's slice of the partition
+        # holds cell (i, j)'s centre, partial edge cells included.
+        dep = ApDeployment(width=2.5, height=1.5, aps=((1, 0.0, 0.0), (2, 2.5, 1.5), (3, 0.0, 1.5)))
+        grid = GridSpec.for_deployment(dep, 1.0)
+        part = _partition(dep, grid)
+        assert (grid.cols, grid.rows) == (3, 2)
+        for c, group in enumerate(part.cell_labels.tolist()):
+            cells = slice(part.starts[group], part.starts[group] + part.count[group])
+            assert grid.cell_center(c % grid.cols, c // grid.cols) in zip(part.xs[cells], part.ys[cells])
 
 
 class TestEnumerateSubsets:
@@ -378,7 +383,9 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _partition_oracle(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     """Reference partition: every cell's full argsort, grouped by unique rows."""
     ids = np.asarray(deployment.ap_ids)
-    xs, ys = np.ascontiguousarray(grid.centers().T)
+    gx, gy = np.meshgrid((np.arange(grid.cols) + 0.5) * grid.cell_size,
+                         (np.arange(grid.rows) + 0.5) * grid.cell_size)  # shape (rows, cols)
+    xs, ys = gx.ravel(), gy.ravel()
     pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
     # Squared distances, same arithmetic as cell_signature: dx*dx + dy*dy
     dx = xs[:, None] - pos[None, :, 0]
@@ -428,7 +435,8 @@ class TestPartitionOracle:
     @pytest.mark.parametrize("seed", range(30))
     def test_lattice_deployments(self, seed):
         dep = lattice_deployment(seed)
-        for cell_size in (0.25, 0.4, 0.5):
+        # 0.3 and 0.7 leave a partial last column and row on the 10 m x 8 m area.
+        for cell_size in (0.25, 0.3, 0.4, 0.5, 0.7):
             self.assert_same_partition(dep, cell_size)
 
     def test_lattice_deployments_reach_two_words(self):
@@ -614,6 +622,29 @@ class TestMapStore:
         text = edit(map_store_to_text(small_store))
         with pytest.raises(ValueError, match=message):
             map_store_from_text(text)
+
+    def test_canonical_text_loads_without_parsing_regions(self, small_store, monkeypatch):
+        def no_parse(text):
+            raise AssertionError("region line parsed")
+
+        text = map_store_to_text(small_store)
+        monkeypatch.setattr(mapgen, "parse_signature", no_parse)
+        assert map_store_from_text(text) == small_store
+
+    def test_reordered_region_lines_load_the_same_store(self, small_store):
+        lines = map_store_to_text(small_store).splitlines()
+        start = lines.index("map 1 2 3") + 1
+        end = lines.index("map 1 2 4")
+        lines[start:end] = lines[start:end][::-1]
+        loaded = map_store_from_text("\n".join(lines) + "\n")
+        assert loaded == small_store
+        assert map_store_to_text(loaded) == map_store_to_text(small_store)
+
+    def test_indented_and_blank_lines_load_the_same_store(self, small_store):
+        text = map_store_to_text(small_store)
+        edited = "\n" + text.replace("\nregion ", "\n\n   region ").replace("\nmap ", "\n\t map ")
+        assert edited != text
+        assert map_store_from_text(edited) == small_store
 
     def test_rows_are_checked_in_order(self, small_store):
         # Map (1, 2, 3) with a wrong cell count in its last row, 3-2-1.
