@@ -52,8 +52,8 @@ def main():
         print(f"  {exc}")
 
     print("\n== top-rank seeding, as the localizer runs it ==")
-    top = kmeans_1d(SCAN, 3, seed_ranks=(1, 2, 3))
-    print("seed_ranks=(1, 2, 3) starts Lloyd at the 3 strongest values:")
+    top = kmeans_1d(SCAN, 3, top_ranks=True)
+    print("top_ranks=True starts Lloyd at the 3 strongest values:")
     show_clusters(top)
     print(f"objectives: exact default {result.objective:.1f} vs top-rank {top.objective:.1f} -")
     print("Lloyd iteration can only reassign, never merge, so the two")

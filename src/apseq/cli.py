@@ -25,6 +25,7 @@ def _cmd_mapgen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
+    config.root_seed(args.seed)  # refuse a bad seed before any file is written
     deployment = load_deployment(config.deployment)
     os.makedirs(args.out, exist_ok=True)
     truth_path = os.path.join(args.out, "truth.csv")

@@ -13,7 +13,7 @@ coordinates use substream (seed, 0) and the window of test point i uses
 substream (seed, i+1), so adding test points never perturbs earlier ones
 and windows of different durations share their leading samples.  A
 window-duration sweep therefore simulates each point once, at the longest
-duration, and localizes that window's head for each shorter one.
+duration, and aggregates that window's first d seconds for each duration d.
 """
 
 from __future__ import annotations
@@ -86,16 +86,24 @@ class ExperimentConfig:
             raise ValueError("test_points must be at least 1")
         if self.test_point_mode not in ("grid", "random"):
             raise ValueError(f"unknown test-point mode {self.test_point_mode!r}")
-        for name in ("duration_s", "cadence_s"):
+        for name in ("duration_s", "cadence_s", "cell_size"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         instant_count(self.duration_s, self.cadence_s)
         self.params()  # validates the propagation fields
+        self.root_seed()
 
     @property
     def n_points(self) -> int:
         """Test points of one run: test_points, squared in grid mode."""
         return self.test_points ** (2 if self.test_point_mode == "grid" else 1)
+
+    def root_seed(self, seed: int | None = None) -> int:
+        """The seed of a run: `seed` when given, else the config's."""
+        seed = self.seed if seed is None else seed
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        return seed
 
     def params(self) -> PropagationParams:
         return PropagationParams(**{f.name: getattr(self, f.name) for f in fields(PropagationParams)})
@@ -211,9 +219,9 @@ def simulate(
     Windows are made one at a time, so a caller that consumes each before
     the next holds only one.  `seed` overrides the config seed.  A window's
     noise comes from its point's own substream, so the window of a shorter
-    duration is the head (ScanWindow.head) of a longer one.
+    duration holds the leading rows of a longer one.
     """
-    seed = config.seed if seed is None else seed
+    seed = config.root_seed(seed)
     params = config.params()
     points = gen_test_points(
         deployment.width,
@@ -281,28 +289,28 @@ def window_sweep(
     """Re-run the experiment at several window durations, keyed by duration.
 
     Each test point's window is simulated once, at the longest duration,
-    and a shorter duration localizes its head: the samples a window
-    simulated for that duration would hold, since every duration replays
-    the point's noise stream.  The comparison thus isolates the effect of
+    and each duration d localizes aggregate_scan(window, d): the samples a
+    window simulated for d would hold, since every duration replays the
+    point's noise stream.  The comparison thus isolates the effect of
     observation time.  `stores` is checked as in run_experiment.
     """
-    # Check every duration before any store is built.
+    # Check the seed and every duration before any store is built.
+    config.root_seed(seed)
     configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
     deployment = load_deployment(config.deployment)
     stores = _checked_stores(config, deployment, stores)
     if not configs:
         return {}
     ks = config.k_values
-    longest = max(configs)
     # Filled by index, not appended: small allocations made while windows
     # come and go pin allocator arenas and raise the process's peak RSS.
     points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
     # Per duration and k, each point's error; None where it was missed.
     errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
-    for idx, (point, window) in enumerate(simulate(configs[longest], deployment, seed)):
+    for idx, (point, window) in enumerate(simulate(configs[max(configs)], deployment, seed)):
         points[idx] = point
         for d in configs:
-            scan = aggregate_scan(window if d == longest else window.head(d))
+            scan = aggregate_scan(window, d)
             for k in ks:
                 outcome = localize(scan, stores, k)
                 if isinstance(outcome, Estimate):

@@ -116,32 +116,6 @@ class ScanWindow:
             cadence_s=cadence_s,
         )
 
-    @property
-    def n_instants(self) -> int:
-        return instant_count(self.duration_s, self.cadence_s)
-
-    def head(self, duration_s: float) -> "ScanWindow":
-        """The first instant_count(duration_s, cadence_s) rows, as a window
-        of that duration; APs unheard in them get no column.
-
-        A simulated window's head is the window simulated for duration_s
-        from the same noise stream.  Raises ValueError when duration_s
-        exceeds the window's own duration.
-        """
-        if duration_s > self.duration_s:
-            raise ValueError(
-                f"head of {duration_s} s exceeds the window's {self.duration_s} s"
-            )
-        rss = self.rss[: instant_count(duration_s, self.cadence_s)]
-        keep = ~np.isnan(rss).all(axis=0)
-        return ScanWindow(
-            times=self.times[: len(rss)],
-            ap_ids=tuple(ap_id for ap_id, k in zip(self.ap_ids, keep.tolist()) if k),
-            rss=rss[:, keep],
-            duration_s=duration_s,
-            cadence_s=self.cadence_s,
-        )
-
     @cached_property
     def aps(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
         """Read-only ap_id -> ((timestamp_s, rss_dbm), ...) view of the heard samples."""
@@ -154,20 +128,28 @@ class ScanWindow:
         return MappingProxyType(out)
 
 
-def aggregate_scan(window: ScanWindow) -> RssScan:
+def aggregate_scan(window: ScanWindow, duration_s: float | None = None) -> RssScan:
     """Collapse a window into one RSS value per AP (arithmetic mean in dBm).
 
-    APs heard in fewer than 10% of the sampling instants get the undetected
-    sentinel.  Raises ValueError("no signal") when nothing at all survives.
+    With duration_s, only the first instant_count(duration_s, cadence_s)
+    rows count: of a simulated window, the samples that a window simulated
+    for duration_s would hold.  A duration_s beyond the window's own is a
+    ValueError.  APs heard in fewer than 10% of the instants counted get the
+    undetected sentinel; ValueError("no signal") when nothing survives.
     """
-    heard = ~np.isnan(window.rss)
+    d = window.duration_s if duration_s is None else duration_s
+    if d > window.duration_s:
+        raise ValueError(f"{d} s exceeds the window's {window.duration_s} s")
+    n = instant_count(d, window.cadence_s)
+    rss = window.rss if duration_s is None else window.rss[:n]
+    heard = ~np.isnan(rss)
     counts = np.add.reduce(heard, axis=0, dtype=float).tolist()
-    floor = DETECTION_RATIO * window.n_instants
+    floor = DETECTION_RATIO * n
     if not any(c >= floor for c in counts):
         raise ValueError("no signal")
     # accumulate adds row after row, so each total is the left-to-right sum
     # of the AP's samples; + 0.0 turns an all -0.0 total into 0.0, as 0 + -0.0.
-    sums = np.add.accumulate(np.where(heard, window.rss, 0.0), axis=0)[-1].tolist()
+    sums = np.add.accumulate(np.where(heard, rss, 0.0), axis=0)[-1].tolist()
     return RssScan(
         values={
             ap_id: (s + 0.0) / c if c >= floor else UNDETECTED_DBM
@@ -221,7 +203,7 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
         raise ValueError(f"store/k mismatch (no store for k={k_eff})") from None
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
-    clustering = kmeans_1d(detected, k_eff, seed_ranks=range(1, k_eff + 1))
+    clustering = kmeans_1d(detected, k_eff, top_ranks=True)
     # Clusters are runs of the (-rss, id) order, so each candidate's picks
     # are already its subset's signature.
     tried = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .model import SubsetKey
 
@@ -48,7 +48,7 @@ class Clustering:
     sum((x - centroid)**2) after each assignment pass, evaluated at the
     cluster means of that pass.  The default (exact) clustering confirms its
     split in one pass, so its history is the single optimal objective; with
-    seed_ranks, Lloyd's mean updates descend this quantity, so the history
+    top_ranks, Lloyd's mean updates descend this quantity, so the history
     is non-increasing.  The absolute-difference rule used for assignment
     picks the same nearest centroid either way.
     """
@@ -62,9 +62,7 @@ class Clustering:
         return self.objective_history[-1]
 
 
-def kmeans_1d(
-    values: Mapping[int, float], k: int, seed_ranks: Sequence[int] | None = None
-) -> Clustering:
+def kmeans_1d(values: Mapping[int, float], k: int, top_ranks: bool = False) -> Clustering:
     """1-D K-means on scalar RSS values with |x - centroid| assignment.
 
     By default the result is the exact optimum: the split of the sorted
@@ -76,10 +74,9 @@ def kmeans_1d(
     Args:
         values: ap_id -> detected rss_dbm (no sentinels).
         k: number of clusters, >= 1.
-        seed_ranks: optional 1-based ranks into the distinct RSS values
-            sorted descending.  When given, Lloyd's algorithm runs from
-            those values as initial centroids and may stop in a local
-            optimum; (1, ..., k) seeds with the k strongest distinct values.
+        top_ranks: when True, Lloyd's algorithm runs from the k strongest
+            distinct values as initial centroids instead, and may stop in
+            a local optimum.
 
     Returns:
         Clustering with clusters ordered strongest-first.  Assignment ties
@@ -89,8 +86,8 @@ def kmeans_1d(
         DegenerateClusteringError: fewer than k distinct values.
         ValueError: a value is NaN or infinite, or so large that the
             squared deviations would overflow; or a pass left a cluster
-            empty (no value nearest to its centroid), which Lloyd seeds and
-            values within a few ulps of each other can both do.
+            empty (no value nearest to its centroid), which a Lloyd pass
+            and values within a few ulps of each other can both do.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -107,15 +104,7 @@ def kmeans_1d(
     distinct = sorted(set(xs), reverse=True)
     if len(distinct) < k:
         raise DegenerateClusteringError(k, len(distinct))
-    if seed_ranks is None:
-        centroids = _optimal_split_means(xs, k)
-    else:
-        seed_ranks = [int(r) for r in seed_ranks]
-        if len(seed_ranks) != k or len(set(seed_ranks)) != k:
-            raise ValueError(f"seed_ranks must be {k} distinct ranks")
-        if any(not 1 <= r <= len(distinct) for r in seed_ranks):
-            raise ValueError(f"seed_ranks out of range [1, {len(distinct)}]")
-        centroids = sorted((distinct[r - 1] for r in seed_ranks), reverse=True)
+    centroids = distinct[:k] if top_ranks else _optimal_split_means(xs, k)
 
     # Values and centroids both run strongest-first, so every pass splits xs
     # into k contiguous runs, one per centroid.

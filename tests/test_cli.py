@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from apseq import mapgen
+from apseq import evaluate, mapgen
 from apseq.cli import main
 from apseq.evaluate import load_config, run_experiment, simulate
 from apseq.localize import scan_to_text
@@ -128,6 +128,15 @@ class TestSimulate:
         for row, (_, window) in zip(rows, pairs):
             assert (out_dir / row[3]).read_text() == scan_to_text(window)
 
+    def test_bad_cell_size_is_refused_before_any_scan(self, workspace, capsys):
+        bad = workspace / "nan_cell.cfg"
+        bad.write_text(CONFIG.replace("cell_size = 0.5", "cell_size = nan"))
+        out_dir = workspace / "nan_cell_scans"
+        rc = main(["simulate", "--config", str(bad), "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: cell_size must be finite and positive\n"
+        assert not out_dir.exists()
+
     def test_repeat_runs_are_identical(self, workspace):
         a_dir, b_dir = workspace / "rep_a", workspace / "rep_b"
         argv = ["simulate", "--config", str(workspace / "quad.cfg")]
@@ -234,6 +243,31 @@ class TestEvaluate:
         rc = main(["evaluate", "--config", str(bad)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    @pytest.fixture(autouse=True)
+    def no_stores(self, monkeypatch):
+        def build_stores(*args, **kwargs):
+            raise AssertionError("a store was built")
+
+        monkeypatch.setattr(evaluate, "build_stores", build_stores)
+
+    def test_config_seed_is_refused(self, workspace, capsys):
+        bad = workspace / "negative_seed.cfg"
+        bad.write_text(CONFIG.replace("seed = 11", "seed = -4"))
+        rc = main(["evaluate", "--config", str(bad), "--out", str(workspace / "neg_a")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -4\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_seed_override_is_refused(self, workspace, capsys, command):
+        out_dir = workspace / f"neg_{command}"
+        rc = main(["--seed", "-1", command, "--config", str(workspace / "quad.cfg"),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out_dir.exists()
 
 
 class TestArgumentErrors:

@@ -157,6 +157,8 @@ class TestConfigParsing:
             ("deployment = d\nk_values = 2\nsigma_db = nan\n", "sigma_db"),
             ("deployment = d\nk_values = 2\nround_to_int = maybe\n", "bad value"),
             ("deployment = d\nk_values 2\n", "malformed config line"),
+            ("deployment = d\nk_values = 2\ncell_size = nan\n", "cell_size must be finite"),
+            ("deployment = d\nk_values = 2\nseed = -4\n", "seed must be non-negative, got -4"),
         ],
     )
     def test_parse_errors(self, text, match):
@@ -320,9 +322,25 @@ class TestWindowSweep:
         assert set(sweep) == {0.5, 1.0}
         assert sweep[0.5].config.duration_s == 0.5
 
-    def test_nonpositive_duration_rejected(self, tiny_config):
-        with pytest.raises(ValueError, match="positive"):
-            window_sweep(tiny_config, (1.0, 0.0))
+    @pytest.mark.parametrize(
+        "durations, change",
+        [((1.0, 0.0), {}), ((1.0, math.nan), {}), ((1.0,), {"cell_size": 0.0}),
+         ((1.0,), {"cell_size": math.nan})],
+        ids=["duration_s-0", "duration_s-nan", "cell_size-0", "cell_size-nan"],
+    )
+    def test_nonpositive_duration_rejected(self, tiny_config, durations, change):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            window_sweep(replace(tiny_config, **change), durations)
+
+    def test_negative_seed_rejected_before_any_store(self, tiny_config, monkeypatch):
+        def no_stores(*args, **kwargs):
+            raise AssertionError("a store was built")
+
+        monkeypatch.setattr(evaluate, "build_stores", no_stores)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            window_sweep(tiny_config, (1.0,), seed=-2)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            next(simulate(tiny_config, TINY_DEPLOY, seed=-2))
 
     def test_no_durations_give_no_reports(self, tiny_config):
         assert window_sweep(tiny_config, ()) == {}

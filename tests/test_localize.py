@@ -11,6 +11,7 @@ from apseq.localize import (
     MissedDetection,
     ScanWindow,
     aggregate_scan,
+    instant_count,
     load_scan,
     localize,
     save_scan,
@@ -33,7 +34,7 @@ def window_of(samples, duration_s=10.0, cadence_s=1.0):
 class TestScanWindow:
     def test_instant_count(self):
         w = window_of({1: [-40.0]}, duration_s=60.0, cadence_s=0.3)
-        assert w.n_instants == 200
+        assert instant_count(w.duration_s, w.cadence_s) == 200
 
     def test_schedule_with_an_unbounded_instant_count_is_refused(self):
         # 1e308 / 0.5 overflows to inf: a ValueError, not an OverflowError from int().
@@ -44,7 +45,7 @@ class TestScanWindow:
 
     def test_single_instant_floor(self):
         w = window_of({1: [-40.0]}, duration_s=0.5, cadence_s=0.5)
-        assert w.n_instants == 1
+        assert instant_count(w.duration_s, w.cadence_s) == 1
 
     def test_timestamps_must_not_decrease(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -312,7 +313,7 @@ class TestScanFiles:
         save_scan(w, path)
         loaded = load_scan(path)
         assert loaded.cadence_s == pytest.approx(1.0)
-        assert loaded.n_instants == 5
+        assert instant_count(loaded.duration_s, loaded.cadence_s) == 5
 
     def test_aggregation_unchanged_by_round_trip(self, tmp_path):
         w = window_of(
@@ -352,7 +353,8 @@ class TestScanFiles:
     def test_v1_schedule_inferred_from_timestamps(self):
         text = "APSEQ-SCAN v1\nsample 0.000 1 -40.0\nsample 1.000 1 -41.0\nsample 1.000 2 -60.0\n"
         loaded = scan_from_text(text)
-        assert (loaded.duration_s, loaded.cadence_s, loaded.n_instants) == (2.0, 1.0, 2)
+        assert (loaded.duration_s, loaded.cadence_s) == (2.0, 1.0)
+        assert instant_count(loaded.duration_s, loaded.cadence_s) == 2
         assert aggregate_scan(loaded).values == {1: -40.5, 2: -60.0}
 
     @pytest.mark.parametrize(

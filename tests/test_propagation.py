@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from apseq.localize import aggregate_scan
-from apseq.model import ApDeployment
+from apseq.localize import ScanWindow, aggregate_scan, instant_count
+from apseq.model import UNDETECTED_DBM, ApDeployment
 from apseq.propagation import (
     PropagationParams,
     gen_test_points,
@@ -108,7 +108,7 @@ class TestSynthWindow:
         params = PropagationParams()
         w = synth_window((10.0, 10.0), square_deployment, params,
                          duration_s=60.0, cadence_s=0.3, rng=default_rng(0))
-        assert w.n_instants == 200
+        assert len(w.times) == instant_count(w.duration_s, w.cadence_s) == 200
         series = w.aps[1]
         assert len(series) == 200
         assert series[0][0] == 0.0
@@ -186,19 +186,9 @@ class TestSynthWindow:
                          duration_s=1.0, cadence_s=2.0, rng=default_rng(0))
 
 
-def same_window(a, b) -> bool:
-    """Equal schedules, times and AP columns, and RSS equal bit for bit."""
-    return (
-        a.duration_s == b.duration_s
-        and a.cadence_s == b.cadence_s
-        and a.ap_ids == b.ap_ids
-        and a.times.tobytes() == b.times.tobytes()
-        and a.rss.shape == b.rss.shape
-        and a.rss.tobytes() == b.rss.tobytes()
-    )
-
-
 class TestWindowHead:
+    """aggregate_scan(window, d) aggregates the window's head: its first d seconds."""
+
     # At the centre every AP is ~2 sigma below the floor: seed 1 first
     # hears AP 3 at its eighth instant (2.1 s) and no other AP in 6 s.
     FAINT = PropagationParams(sigma_db=3.0, detect_floor_dbm=-50.0)
@@ -211,26 +201,36 @@ class TestWindowHead:
     def test_head_of_own_duration_is_the_window(self, square_deployment):
         w = synth_window((4.0, 9.0), square_deployment, PropagationParams(sigma_db=3.0),
                          duration_s=6.0, cadence_s=0.3, rng=default_rng(0))
-        assert same_window(w.head(6.0), w)
+        assert aggregate_scan(w, 6.0).values == aggregate_scan(w).values
 
     def test_longer_head_rejected(self, square_deployment):
         w = self.faint(square_deployment, 6.0)
         with pytest.raises(ValueError, match="exceeds"):
-            w.head(6.5)
+            aggregate_scan(w, 6.5)
 
-    def test_ap_first_heard_after_the_head_gets_no_column(self, square_deployment):
+    def test_head_matches_the_shorter_simulated_window(self, square_deployment):
         long = self.faint(square_deployment, 6.0)
         assert long.ap_ids == (3,) and np.isnan(long.rss[:7]).all()
-        assert same_window(long.head(2.4), self.faint(square_deployment, 2.4))
-        assert long.head(2.4).ap_ids == (3,)
-        assert same_window(long.head(2.1), self.faint(square_deployment, 2.1))
-        assert long.head(2.1).ap_ids == ()
+        head = aggregate_scan(long, 2.4).detected()
+        assert head == aggregate_scan(self.faint(square_deployment, 2.4)).detected()
+        assert set(head) == {3}
+
+    def test_ap_first_heard_after_the_head_is_undetected(self):
+        w = ScanWindow.from_series(
+            {1: [(float(t), -50.0) for t in range(20)], 2: [(1.0, -60.0)], 3: [(15.0, -70.0)]},
+            duration_s=20.0,
+            cadence_s=1.0,
+        )
+        # The floor is 10 % of the instants counted: 1 of 10, then 2 of 20.
+        assert aggregate_scan(w, 10.0).values == {1: -50.0, 2: -60.0, 3: UNDETECTED_DBM}
+        assert aggregate_scan(w).values == {1: -50.0, 2: UNDETECTED_DBM, 3: UNDETECTED_DBM}
 
     def test_silent_head_has_no_signal(self, square_deployment):
-        head = self.faint(square_deployment, 6.0).head(1.5)
-        for window in (head, self.faint(square_deployment, 1.5)):
-            with pytest.raises(ValueError, match="no signal"):
-                aggregate_scan(window)
+        long = self.faint(square_deployment, 6.0)
+        with pytest.raises(ValueError, match="no signal"):
+            aggregate_scan(long, 1.5)
+        with pytest.raises(ValueError, match="no signal"):
+            aggregate_scan(self.faint(square_deployment, 1.5))
 
 
 class TestTestPoints:

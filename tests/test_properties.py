@@ -132,7 +132,7 @@ def test_saving_and_loading_keeps_the_aggregate(window):
 )
 def test_candidate_picks_are_the_subset_signature(values, k, exact):
     k = min(k, len(set(values.values())))
-    clustering = kmeans_1d(values, k, seed_ranks=None if exact else range(1, k + 1))
+    clustering = kmeans_1d(values, k, top_ranks=not exact)
     for cand in generate_candidate_sets(clustering):
         if len(cand.subset) >= 2:
             assert cand.picks == tuple(sorted(cand.subset, key=lambda i: (-values[i], i)))
@@ -191,12 +191,13 @@ def test_head_is_the_shorter_simulated_window(
         return synth_window(point, dep, params, duration_s=duration_s, cadence_s=cadence,
                             rng=np.random.default_rng(seed))
 
-    head, direct = window(long_s).head(short_s), window(short_s)
-    assert head.times.tobytes() == direct.times.tobytes()
-    assert head.ap_ids == direct.ap_ids
-    assert (head.duration_s, head.cadence_s) == (direct.duration_s, direct.cadence_s)
-    assert head.rss.shape == direct.rss.shape
-    assert head.rss.tobytes() == direct.rss.tobytes()  # NaN in the same places
+    def detected(*args):  # repr compares the means bit for bit
+        try:
+            return repr(aggregate_scan(*args).detected())
+        except ValueError as exc:
+            return str(exc)
+
+    assert detected(window(long_s), short_s) == detected(window(short_s))
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -61,6 +61,25 @@ class TestKmeansWorkedExamples:
         assert all(len(c.ap_ids) == 1 for c in result.clusters)
         assert result.objective == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "values, k, want",
+        [
+            ({1: -40.0, 2: -50.0, 3: -60.0}, 2, [(1,), (2, 3)]),
+            ({1: -40.0, 2: -50.0, 3: -60.0, 4: -70.0}, 3, [(1,), (2,), (3, 4)]),
+        ],
+    )
+    def test_exact_ties_go_to_the_smallest_run_starts(self, values, k, want):
+        # Every split of these evenly spaced values into k runs has objective
+        # exactly 50; the exact solver keeps the one whose run starts are
+        # lexicographically smallest, so the strongest runs stay short.
+        xs = sorted(values.values(), reverse=True)
+        assert _optimal_split_means(xs, k) == [
+            sum(values[i] for i in run) / len(run) for run in want
+        ]
+        result = kmeans_1d(values, k)
+        assert [c.ap_ids for c in result.clusters] == want
+        assert result.objective_history == (50.0,)
+
     def test_duplicate_values_share_a_cluster(self):
         values = {1: -42.0, 2: -42.0, 3: -70.0}
         result = kmeans_1d(values, 2)
@@ -69,8 +88,7 @@ class TestKmeansWorkedExamples:
 
 
 # Inputs on which a K-means pass leaves a cluster empty: top-rank seeds on
-# near-ties, the exact default on near-ties, and whole-dBm values with
-# scattered seed ranks.
+# near-ties, and the exact default on near-ties.
 EMPTY_CLUSTER_INPUTS = [
     (
         {30: -44.00000000000001, 6: -74.00000000000001, 26: -44.000000000000014,
@@ -78,7 +96,7 @@ EMPTY_CLUSTER_INPUTS = [
          50: -44.000000000000014, 49: -44.00000000000001, 16: -73.99999999999999,
          19: -41.00000000000001},
         6,
-        range(1, 7),
+        True,
     ),
     (
         {32: -59.9999999999998, 18: -59.9999999999998, 4: -78.0, 33: -59.9999999999997,
@@ -86,24 +104,18 @@ EMPTY_CLUSTER_INPUTS = [
          10: -30.9999999999997, 31: -78.0000000000001, 13: -78.0000000000001,
          52: -60.0000000000002},
         7,
-        None,
-    ),
-    (
-        {55: -90, 26: -60, 57: -36, 30: -87, 21: -83, 53: -92, 2: -44, 23: -62,
-         54: -48, 42: -50, 9: -62, 18: -70, 7: -49},
-        6,
-        [1, 8, 5, 3, 2, 10],
+        False,
     ),
 ]
 
 
 class TestKmeansErrors:
     @pytest.mark.parametrize(
-        "values, k, seed_ranks", EMPTY_CLUSTER_INPUTS, ids=["top-rank", "exact", "whole-dbm"]
+        "values, k, top_ranks", EMPTY_CLUSTER_INPUTS, ids=["top-rank", "exact"]
     )
-    def test_empty_cluster_is_a_value_error(self, values, k, seed_ranks):
+    def test_empty_cluster_is_a_value_error(self, values, k, top_ranks):
         with pytest.raises(ValueError, match=rf"K-means left clusters \[4\] of {k} empty"):
-            kmeans_1d(values, k, seed_ranks)
+            kmeans_1d(values, k, top_ranks)
 
     def test_too_few_distinct_values_is_degenerate(self):
         with pytest.raises(DegenerateClusteringError, match="only 1 distinct"):
@@ -122,18 +134,18 @@ class TestKmeansErrors:
             kmeans_1d({}, 1)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-    @pytest.mark.parametrize("seed_ranks", [None, (1, 2)])
-    def test_non_finite_values_rejected(self, bad, seed_ranks):
+    @pytest.mark.parametrize("top_ranks", [False, True], ids=["exact", "top-rank"])
+    def test_non_finite_values_rejected(self, bad, top_ranks):
         with pytest.raises(ValueError, match="finite"):
-            kmeans_1d({1: -40.0, 2: bad, 3: -60.0}, 2, seed_ranks=seed_ranks)
+            kmeans_1d({1: -40.0, 2: bad, 3: -60.0}, 2, top_ranks=top_ranks)
 
-    @pytest.mark.parametrize("seed_ranks", [None, (1, 2)])
-    def test_values_whose_squares_overflow_rejected(self, seed_ranks):
+    @pytest.mark.parametrize("top_ranks", [False, True], ids=["exact", "top-rank"])
+    def test_values_whose_squares_overflow_rejected(self, top_ranks):
         # finite, but sums and squares of such values overflow to inf
         with pytest.raises(ValueError, match="too large"):
-            kmeans_1d({1: 1e200, 2: -40.0, 3: -60.0}, 2, seed_ranks=seed_ranks)
+            kmeans_1d({1: 1e200, 2: -40.0, 3: -60.0}, 2, top_ranks=top_ranks)
         with pytest.raises(ValueError, match="too large"):
-            kmeans_1d({1: 1e308, 2: 1e308, 3: -78.5}, 2, seed_ranks=seed_ranks)
+            kmeans_1d({1: 1e308, 2: 1e308, 3: -78.5}, 2, top_ranks=top_ranks)
 
 
 class TestKmeansProperties:
@@ -194,22 +206,12 @@ class TestKmeansProperties:
         got = [tuple(mapping[i] for i in c.ap_ids) for c in a.clusters]
         assert got == [c.ap_ids for c in b.clusters]
 
-    def test_seed_ranks_override_changes_initialization(self):
-        # Seeding from ranks (1st, 4th) instead of (1st, 2nd) starts the weak
-        # centroid at the outlier, which regroups the middle values.
-        values = {1: -30.0, 2: -33.0, 3: -36.0, 4: -80.0}
-        spread = kmeans_1d(values, 2, seed_ranks=(1, 4))
-        assert {frozenset(c.ap_ids) for c in spread.clusters} == {
-            frozenset({1, 2, 3}),
-            frozenset({4}),
-        }
-
     def test_default_seeding_uses_top_ranks(self):
         """Holds because on this input top-rank seeding reaches the same
         (optimal) partition as the exact default."""
         values = {1: -30.0, 2: -33.0, 3: -36.0, 4: -80.0}
         default = kmeans_1d(values, 2)
-        explicit = kmeans_1d(values, 2, seed_ranks=(1, 2))
+        explicit = kmeans_1d(values, 2, top_ranks=True)
         assert [c.members for c in default.clusters] == [
             c.members for c in explicit.clusters
         ]
@@ -220,20 +222,11 @@ class TestKmeansProperties:
         # The localizer keeps the top-rank clustering.
         values = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
         exact = kmeans_1d(values, 3)
-        top = kmeans_1d(values, 3, seed_ranks=(1, 2, 3))
+        top = kmeans_1d(values, 3, top_ranks=True)
         assert [c.ap_ids for c in exact.clusters] == [(1, 2), (3, 4, 5), (6, 7)]
         assert exact.iterations == 1
         assert [c.ap_ids for c in top.clusters] == [(1,), (2,), (3, 4, 5, 6, 7)]
         assert exact.objective < top.objective
-
-    def test_seed_ranks_must_be_valid(self):
-        values = {1: -30.0, 2: -40.0, 3: -50.0}
-        with pytest.raises(ValueError, match="seed_ranks"):
-            kmeans_1d(values, 2, seed_ranks=(1,))
-        with pytest.raises(ValueError, match="seed_ranks"):
-            kmeans_1d(values, 2, seed_ranks=(1, 5))
-        with pytest.raises(ValueError, match="seed_ranks"):
-            kmeans_1d(values, 2, seed_ranks=(2, 2))
 
 
 class TestCandidateSets:
@@ -309,12 +302,10 @@ def _clustering_of(values, groups):
 
 # ---------------------------------------------------------------------------
 # The Lloyd loop that assigned each value to its nearest centroid one by one,
-# kept verbatim (less its docstring) as the reference for the run-based loop
-# in kmeans_1d.
+# kept (less its docstring, with its seeding narrowed to kmeans_1d's two) as
+# the reference for the run-based loop in kmeans_1d.
 
-def _lloyd_oracle(
-    values: Mapping[int, float], k: int, seed_ranks: Sequence[int] | None = None
-) -> Clustering:
+def _lloyd_oracle(values: Mapping[int, float], k: int, top_ranks: bool = False) -> Clustering:
     if k < 1:
         raise ValueError("k must be at least 1")
     if not values:
@@ -330,15 +321,10 @@ def _lloyd_oracle(
     distinct = sorted(set(xs), reverse=True)
     if len(distinct) < k:
         raise DegenerateClusteringError(k, len(distinct))
-    if seed_ranks is None:
-        centroids = _optimal_split_means(xs, k)
+    if top_ranks:
+        centroids = distinct[:k]
     else:
-        seed_ranks = [int(r) for r in seed_ranks]
-        if len(seed_ranks) != k or len(set(seed_ranks)) != k:
-            raise ValueError(f"seed_ranks must be {k} distinct ranks")
-        if any(not 1 <= r <= len(distinct) for r in seed_ranks):
-            raise ValueError(f"seed_ranks out of range [1, {len(distinct)}]")
-        centroids = sorted((distinct[r - 1] for r in seed_ranks), reverse=True)
+        centroids = _optimal_split_means(xs, k)
 
     def assign(cents: list[float]) -> list[int]:
         # Nearest centroid; ties go to the stronger (higher-RSS) centroid,
@@ -406,19 +392,13 @@ def _draw_clustering_input(rng):
     values = dict(zip(rng.sample(range(1, 60), n), xs))
     distinct = len(set(xs))
     k = rng.randint(1, distinct)
-    pick = rng.random()
-    if pick < 0.4:
-        seed_ranks = None
-    elif pick < 0.7:
-        seed_ranks = range(1, k + 1)
-    else:
-        seed_ranks = rng.sample(range(1, distinct + 1), k)
-    return values, k, seed_ranks
+    top_ranks = rng.random() >= 0.4
+    return values, k, top_ranks
 
 
-def _outcome(fn, values, k, seed_ranks):
+def _outcome(fn, values, k, top_ranks):
     try:
-        return repr(fn(values, k, seed_ranks))  # repr tells -0.0 from 0.0
+        return repr(fn(values, k, top_ranks))  # repr tells -0.0 from 0.0
     except (ValueError, AssertionError) as exc:
         # First line only: pytest appends its own lines to a failed assert.
         message = str(exc).splitlines()[0]
@@ -445,15 +425,15 @@ def test_run_based_kmeans_matches_the_lloyd_oracle():
     differ = []
     cases = 20_000
     for _ in range(cases):
-        values, k, seed_ranks = _draw_clustering_input(rng)
-        want = _outcome(_lloyd_oracle, values, k, seed_ranks)
-        got = _outcome(kmeans_1d, values, k, seed_ranks)
+        values, k, top_ranks = _draw_clustering_input(rng)
+        want = _outcome(_lloyd_oracle, values, k, top_ranks)
+        got = _outcome(kmeans_1d, values, k, top_ranks)
         if got != want:
-            differ.append((values, k, seed_ranks))
-    for values, k, seed_ranks in differ:
+            differ.append((values, k, top_ranks))
+    for values, k, top_ranks in differ:
         xs = sorted(set(values.values()))
-        assert min(b - a for a, b in zip(xs, xs[1:])) < 1e-12, (values, k, seed_ranks)
-        result = kmeans_1d(values, k, seed_ranks)
+        assert min(b - a for a, b in zip(xs, xs[1:])) < 1e-12, (values, k, top_ranks)
+        result = kmeans_1d(values, k, top_ranks)
         order = sorted(values, key=lambda i: (-values[i], i))
         assert [i for c in result.clusters for i in c.ap_ids] == order
     assert len(differ) <= cases // 2000, differ
