@@ -307,12 +307,20 @@ def window_sweep(
     points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
     # Per duration and k, each point's error; None where it was missed.
     errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
+    # The stores fit the config, so a ValueError here comes from the scan
+    # (no signal, too few APs, a degraded k without a store): a miss.
     for idx, (point, window) in enumerate(simulate(configs[max(configs)], deployment, seed)):
         points[idx] = point
         for d in configs:
-            scan = aggregate_scan(window, d)
+            try:
+                scan = aggregate_scan(window, d)
+            except ValueError:
+                continue
             for k in ks:
-                outcome = localize(scan, stores, k)
+                try:
+                    outcome = localize(scan, stores, k)
+                except ValueError:
+                    continue
                 if isinstance(outcome, Estimate):
                     ex, ey = outcome.position
                     errors[d][k][idx] = float(np.hypot(ex - point[0], ey - point[1]))

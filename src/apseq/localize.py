@@ -10,11 +10,10 @@ every candidate misses, the attempt is a missed detection.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -75,46 +74,6 @@ class ScanWindow:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ap_ids", ap_ids)
         object.__setattr__(self, "rss", rss)
-
-    @classmethod
-    def from_series(
-        cls,
-        series: Mapping[int, Sequence[tuple[float, float]]],
-        duration_s: float,
-        cadence_s: float,
-    ) -> "ScanWindow":
-        """Build a window from ap_id -> (timestamp_s, rss_dbm) samples.
-
-        Each AP's timestamps must be non-decreasing.  Samples taken at one
-        timestamp share a row; an AP sampled m times at one timestamp fills
-        the first m rows with that time, in its series order.
-        """
-        rows: Counter[float] = Counter()
-        for ap_id, samples in series.items():
-            ts = [t for t, _ in samples]
-            if any(b < a for a, b in zip(ts, ts[1:])):
-                raise ValueError(f"timestamps for AP {ap_id} are not non-decreasing")
-            rows |= Counter(ts)
-        times = sorted(rows.elements())
-        first_row: dict[float, int] = {}
-        for r, t in enumerate(times):
-            first_row.setdefault(t, r)
-        rss = np.full((len(times), len(series)), np.nan)
-        for j, samples in enumerate(series.values()):
-            prev, m = None, 0
-            for t, r in samples:
-                m = m + 1 if t == prev else 0  # earlier samples of this AP at t
-                rss[first_row[t] + m, j] = r
-                prev = t
-        if np.count_nonzero(~np.isnan(rss)) != sum(map(len, series.values())):
-            raise ValueError("an RSS sample is NaN, which marks an unheard instant")
-        return cls(
-            times=times,
-            ap_ids=tuple(series),
-            rss=rss,
-            duration_s=duration_s,
-            cadence_s=cadence_s,
-        )
 
     @cached_property
     def aps(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
@@ -281,8 +240,7 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         except ValueError:
             raise ValueError(f"{source}: malformed window line {' '.join(parts)!r}") from None
         body = body[1:]
-    series: dict[int, list[tuple[float, float]]] = {}
-    instants: set[float] = set()
+    samples = []
     for ln in body:
         parts = ln.split()
         if len(parts) != 4 or parts[0] != "sample":
@@ -293,14 +251,33 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{source}: malformed sample line {ln!r}") from None
-        series.setdefault(ap_id, []).append((t, rss))
-        instants.add(t)
-    if not series:
+        samples.append((t, ap_id, rss))
+    if not samples:
         raise ValueError(f"{source}: scan file contains no samples")
+    # An AP's m-th sample at time t goes to the m-th row of t, and t gets as
+    # many rows as its most-sampled AP needs.  `last` keeps each AP's latest
+    # (t, m), its keys in the order the APs first appear.
+    last: dict[int, tuple[float, int]] = {}
+    rows: dict[float, int] = {}
+    ms = []
+    for t, ap_id, _ in samples:
+        prev, m = last.get(ap_id, (t, -1))
+        if t < prev:
+            raise ValueError(f"{source}: timestamps for AP {ap_id} are not non-decreasing")
+        m = m + 1 if t == prev else 0
+        last[ap_id] = t, m
+        rows[t] = max(rows.get(t, 0), m + 1)
+        ms.append(m)
+    ts = sorted(rows)
+    counts = [rows[t] for t in ts]
+    first_row = dict(zip(ts, np.cumsum(counts) - counts))
+    col = {ap_id: j for j, ap_id in enumerate(last)}
+    rss = np.full((sum(counts), len(col)), np.nan)
+    for (t, ap_id, v), m in zip(samples, ms):
+        rss[first_row[t] + m, col[ap_id]] = v
     if schedule is None:
-        ts = sorted(instants)
         # Infer the schedule: cadence from the smallest gap between distinct
         # instants, duration covering all of them.
         cadence = min((b - a for a, b in zip(ts, ts[1:])), default=1.0)
         schedule = cadence * len(ts), cadence
-    return ScanWindow.from_series(series, *schedule)
+    return ScanWindow(np.repeat(ts, counts), tuple(col), rss, *schedule)

@@ -342,6 +342,28 @@ class TestWindowSweep:
         with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
             next(simulate(tiny_config, TINY_DEPLOY, seed=-2))
 
+    def test_points_that_cannot_be_localized_are_misses(self):
+        # With seed 7 on a 0.5 m grid, some -55 dBm scans degrade to k = 2,
+        # which has no store, and every -45 dBm point has no signal or too
+        # few APs; both used to abort the run.
+        cfg = replace(load_config(str(DATA / "dover.cfg")), cell_size=0.5)
+        deployment = load_deployment(cfg.deployment)
+        stores = build_stores(deployment, cfg.k_values, cfg.cell_size)
+        faint = replace(cfg, detect_floor_dbm=-55.0)
+        reasons = set()
+        for _, window in simulate(faint, deployment, seed=7):
+            try:
+                localize(aggregate_scan(window), stores, 3)
+            except ValueError as exc:
+                reasons.add(str(exc))
+        assert reasons == {"no signal", "insufficient APs", "store/k mismatch (no store for k=2)"}
+        report = run_experiment(faint, seed=7, stores=stores)
+        for rep in report.per_k.values():
+            assert rep.missed + len(rep.errors) == rep.n_points == 27
+            assert 0 < rep.missed < 27
+        silent = run_experiment(replace(cfg, detect_floor_dbm=-45.0), seed=7, stores=stores)
+        assert all(rep.missed == 27 for rep in silent.per_k.values())
+
     def test_no_durations_give_no_reports(self, tiny_config):
         assert window_sweep(tiny_config, ()) == {}
 

@@ -23,12 +23,12 @@ from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
 
 
 def window_of(samples, duration_s=10.0, cadence_s=1.0):
-    """Shorthand: samples is ap_id -> list of rss values, timestamps implied."""
-    aps = {
-        ap_id: tuple((float(i), float(r)) for i, r in enumerate(series))
-        for ap_id, series in samples.items()
-    }
-    return ScanWindow.from_series(aps, duration_s=duration_s, cadence_s=cadence_s)
+    """Shorthand: samples is ap_id -> list of rss values at times 0, 1, 2, ..."""
+    n = max(map(len, samples.values()))
+    rss = np.full((n, len(samples)), np.nan)
+    for j, series in enumerate(samples.values()):
+        rss[: len(series), j] = series
+    return ScanWindow(np.arange(float(n)), tuple(samples), rss, duration_s, cadence_s)
 
 
 class TestScanWindow:
@@ -48,12 +48,16 @@ class TestScanWindow:
         assert instant_count(w.duration_s, w.cadence_s) == 1
 
     def test_timestamps_must_not_decrease(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            ScanWindow.from_series(
-                {1: ((1.0, -40.0), (0.5, -41.0))},
-                duration_s=2.0,
-                cadence_s=1.0,
-            )
+        # Per AP: AP 2 at 0.5 after AP 1 at 1.0 is in order.
+        text = "APSEQ-SCAN v2\nwindow 2.0 1.0\nsample 1.0 1 -40.0\nsample 0.5 2 -50.0\n"
+        assert scan_from_text(text).times.tolist() == [0.5, 1.0]
+        # The first out-of-order line names its AP; a malformed line, even a
+        # later one, wins over the order error.
+        text += "sample 1.5 2 -51.0\nsample 0.2 2 -52.0\nsample 0.5 1 -41.0\n"
+        with pytest.raises(ValueError, match=r"^<string>: timestamps for AP 2 are not non-decreasing$"):
+            scan_from_text(text)
+        with pytest.raises(ValueError, match="malformed sample line 'sample 0.0 1'"):
+            scan_from_text(text + "sample 0.0 1\n")
 
     @pytest.mark.parametrize(
         "duration, cadence",
@@ -68,14 +72,17 @@ class TestScanWindow:
         ],
     )
     def test_schedule_validation(self, duration, cadence):
-        with pytest.raises(ValueError):
-            ScanWindow.from_series({}, duration_s=duration, cadence_s=cadence)
+        with pytest.raises(ValueError, match="finite ratio"):
+            ScanWindow((0.0,), (1,), [[-40.0]], duration_s=duration, cadence_s=cadence)
+        with pytest.raises(ValueError, match="malformed window line"):
+            scan_from_text(f"APSEQ-SCAN v2\nwindow {duration} {cadence}\nsample 0.0 1 -40.0\n")
 
     def test_series_share_instant_rows(self):
-        w = ScanWindow.from_series(
-            {3: ((0.0, -40.0), (2.0, -41.0)), 1: ((2.0, -60.0), (2.0, -61.0))},
-            duration_s=3.0,
-            cadence_s=1.0,
+        # AP 1 is sampled twice at 2.0, so 2.0 gets two rows; the columns
+        # follow the order in which the APs first appear.
+        w = scan_from_text(
+            "APSEQ-SCAN v2\nwindow 3.0 1.0\nsample 0.0 3 -40.0\n"
+            "sample 2.0 1 -60.0\nsample 2.0 1 -61.0\nsample 2.0 3 -41.0\n"
         )
         assert w.times.tolist() == [0.0, 2.0, 2.0]
         assert w.ap_ids == (3, 1)
@@ -100,8 +107,9 @@ class TestScanWindow:
             ScanWindow(**kwargs, duration_s=2.0, cadence_s=1.0)
 
     def test_nan_sample_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            ScanWindow.from_series({1: ((0.0, math.nan),)}, duration_s=1.0, cadence_s=1.0)
+        # In the matrix NaN marks an unheard instant; a file may not write one.
+        with pytest.raises(ValueError, match="malformed sample line 'sample 1.0 1 nan'"):
+            scan_from_text("APSEQ-SCAN v2\nwindow 2.0 1.0\nsample 0.0 1 -40.0\nsample 1.0 1 nan\n")
 
 
 class TestAggregation:
@@ -341,11 +349,7 @@ class TestScanFiles:
 
     def test_round_trip_keeps_the_schedule(self):
         # 20 instants: AP 2, heard once, is under the 10% detection bar.
-        w = ScanWindow.from_series(
-            {1: ((0.0, -40.0), (1.0, -41.0)), 2: ((1.0, -60.0),)},
-            duration_s=20.0,
-            cadence_s=1.0,
-        )
+        w = ScanWindow((0.0, 1.0), (1, 2), [[-40.0, math.nan], [-41.0, -60.0]], 20.0, 1.0)
         loaded = scan_from_text(scan_to_text(w))
         assert (loaded.duration_s, loaded.cadence_s) == (20.0, 1.0)
         assert aggregate_scan(loaded).values == {1: -40.5, 2: UNDETECTED_DBM}

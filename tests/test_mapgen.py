@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 from importlib import resources
@@ -811,3 +812,22 @@ class TestReferenceStores:
         stores = build_stores(load_deployment(config.deployment), ks, cell_size or config.cell_size)
         got = {str(k): hashlib.sha256(map_store_to_text(s).encode()).hexdigest() for k, s in stores.items()}
         assert got == want
+
+
+class TestReferenceOutcomes:
+    """The benchmark's default-seed outcome summaries, against references.json."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        spec = importlib.util.spec_from_file_location("workloads", REFERENCES.parent / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name", ["ScanStreamDover", "EvalSweepEcc"])
+    def test_outcome_summaries_match_the_references(self, workloads, name, tmp_path):
+        w = getattr(workloads, name)(workloads.DEFAULT_SEED, str(tmp_path))
+        w.setup()
+        w.check_stores()
+        w.prepare()
+        assert w.outcomes.failed == 0, w.outcomes.messages

@@ -216,11 +216,9 @@ class TestWindowHead:
         assert set(head) == {3}
 
     def test_ap_first_heard_after_the_head_is_undetected(self):
-        w = ScanWindow.from_series(
-            {1: [(float(t), -50.0) for t in range(20)], 2: [(1.0, -60.0)], 3: [(15.0, -70.0)]},
-            duration_s=20.0,
-            cadence_s=1.0,
-        )
+        rss = np.full((20, 3), np.nan)
+        rss[:, 0], rss[1, 1], rss[15, 2] = -50.0, -60.0, -70.0
+        w = ScanWindow(np.arange(20.0), (1, 2, 3), rss, duration_s=20.0, cadence_s=1.0)
         # The floor is 10 % of the instants counted: 1 of 10, then 2 of 20.
         assert aggregate_scan(w, 10.0).values == {1: -50.0, 2: -60.0, 3: UNDETECTED_DBM}
         assert aggregate_scan(w).values == {1: -50.0, 2: UNDETECTED_DBM, 3: UNDETECTED_DBM}

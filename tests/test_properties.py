@@ -91,11 +91,12 @@ def test_map_store_text_round_trips(store, data):
 def windows(draw, rss=st.floats(-99.0, 0.0)):
     cadence = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
     n = draw(st.integers(1, 30))
-    aps = {}
-    for ap_id in draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True)):
-        instants = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        aps[ap_id] = tuple((i * cadence, draw(rss)) for i in sorted(instants))
-    return ScanWindow.from_series(aps, duration_s=n * cadence, cadence_s=cadence)
+    ap_ids = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8, unique=True))
+    matrix = np.full((n, len(ap_ids)), np.nan)
+    for j in range(len(ap_ids)):
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            matrix[i, j] = draw(rss)
+    return ScanWindow(np.arange(n) * cadence, tuple(ap_ids), matrix, n * cadence, cadence)
 
 
 @PROPERTY
