@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .localize import Estimate, ScanWindow, aggregate_scan, instant_count, localize
+from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate, rank_scan
 from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_stores
 from .model import ApDeployment, load_deployment
 from .propagation import (
@@ -288,11 +288,13 @@ def window_sweep(
 ) -> dict[float, ExperimentReport]:
     """Re-run the experiment at several window durations, keyed by duration.
 
-    Each test point's window is simulated once, at the longest duration,
-    and each duration d localizes aggregate_scan(window, d): the samples a
-    window simulated for d would hold, since every duration replays the
-    point's noise stream.  The comparison thus isolates the effect of
-    observation time.  `stores` is checked as in run_experiment.
+    Each test point's window is simulated once, at the longest duration.
+    One aggregate_heads pass gives every duration d aggregate_scan(window, d):
+    the samples a window simulated for d would hold, since every duration
+    replays the point's noise stream.  Each such scan is ranked once and
+    located at every k, which is localize at that k.  The comparison thus
+    isolates the effect of observation time.  `stores` is checked as in
+    run_experiment.
     """
     # Check the seed and every duration before any store is built.
     config.root_seed(seed)
@@ -309,41 +311,31 @@ def window_sweep(
     errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
     # The stores fit the config, so a ValueError here comes from the scan
     # (no signal, too few APs, a degraded k without a store): a miss.
-    for idx, (point, window) in enumerate(simulate(configs[max(configs)], deployment, seed)):
+    longest = max(configs)
+    for idx, (point, window) in enumerate(simulate(configs[longest], deployment, seed)):
         points[idx] = point
+        head = aggregate_heads(window, longest)
         for d in configs:
             try:
-                scan = aggregate_scan(window, d)
+                ranked = rank_scan(head(d), stores)
             except ValueError:
                 continue
             for k in ks:
                 try:
-                    outcome = localize(scan, stores, k)
+                    outcome = locate(ranked, stores, k)
                 except ValueError:
                     continue
                 if isinstance(outcome, Estimate):
                     ex, ey = outcome.position
                     errors[d][k][idx] = float(np.hypot(ex - point[0], ey - point[1]))
-    hits = {
-        d: {k: tuple(e for e in errs if e is not None) for k, errs in per_k.items()}
-        for d, per_k in errors.items()
-    }
+
+    def k_report(d: float, k: int) -> KReport:
+        hits = tuple(e for e in errors[d][k] if e is not None)
+        return KReport(k=k, n_points=len(points), errors=hits, missed=len(points) - len(hits),
+                       build_ms=stores[k].build_ms, n_maps=stores[k].n_maps)
+
     return {
-        d: ExperimentReport(
-            config=cfg,
-            points=tuple(points),
-            per_k={
-                k: KReport(
-                    k=k,
-                    n_points=len(points),
-                    errors=hits[d][k],
-                    missed=len(points) - len(hits[d][k]),
-                    build_ms=stores[k].build_ms,
-                    n_maps=stores[k].n_maps,
-                )
-                for k in ks
-            },
-        )
+        d: ExperimentReport(config=cfg, points=tuple(points), per_k={k: k_report(d, k) for k in ks})
         for d, cfg in configs.items()
     }
 

@@ -9,17 +9,18 @@ every candidate misses, the attempt is a missed detection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from .mapgen import MapStore
 from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
-from .selection import generate_candidate_sets, kmeans_1d
+from .selection import _lloyd, _rank, kmeans_1d  # noqa: F401 (perfbench traces it here)
 
 # An AP must appear in at least this fraction of the window's sampling
 # instants to count as detected after aggregation.
@@ -95,26 +96,38 @@ def aggregate_scan(window: ScanWindow, duration_s: float | None = None) -> RssSc
     for duration_s would hold.  A duration_s beyond the window's own is a
     ValueError.  APs heard in fewer than 10% of the instants counted get the
     undetected sentinel; ValueError("no signal") when nothing survives.
+    This is the one-duration case of aggregate_heads.
     """
-    d = window.duration_s if duration_s is None else duration_s
-    if d > window.duration_s:
-        raise ValueError(f"{d} s exceeds the window's {window.duration_s} s")
-    n = instant_count(d, window.cadence_s)
-    rss = window.rss if duration_s is None else window.rss[:n]
-    heard = ~np.isnan(rss)
-    counts = np.add.reduce(heard, axis=0, dtype=float).tolist()
-    floor = DETECTION_RATIO * n
-    if not any(c >= floor for c in counts):
-        raise ValueError("no signal")
-    # accumulate adds row after row, so each total is the left-to-right sum
-    # of the AP's samples; + 0.0 turns an all -0.0 total into 0.0, as 0 + -0.0.
-    sums = np.add.accumulate(np.where(heard, rss, 0.0), axis=0)[-1].tolist()
-    return RssScan(
-        values={
-            ap_id: (s + 0.0) / c if c >= floor else UNDETECTED_DBM
-            for ap_id, s, c in zip(window.ap_ids, sums, counts)
-        }
-    )
+    return aggregate_heads(window, duration_s)(duration_s)
+
+
+def aggregate_heads(window: ScanWindow, longest_s: float | None = None) -> Callable[[float | None], RssScan]:
+    """head, with head(d) == aggregate_scan(window, d) bit for bit for every d
+    up to longest_s, and head(None) == aggregate_scan(window) if longest_s is
+    None.  The running sums are accumulated once, row after row, so row
+    instant_count(d) - 1 holds the totals of head d."""
+    limit = window.duration_s if longest_s is None else min(longest_s, window.duration_s)
+    rss = window.rss if longest_s is None else window.rss[: instant_count(limit, window.cadence_s)]
+    heard = rss == rss  # False exactly where NaN
+    # Each total is the left-to-right sum of the AP's samples; + 0.0 below
+    # turns an all -0.0 total into 0.0, as 0 + -0.0.
+    sums = np.add.accumulate(np.where(heard, rss, 0.0), axis=0)
+
+    def head(duration_s: float | None) -> RssScan:
+        d = limit if duration_s is None else duration_s
+        if d > limit:
+            raise ValueError(f"{d} s exceeds the window's {limit} s")
+        n = instant_count(d, window.cadence_s)
+        r = len(rss) if duration_s is None else min(n, len(rss))
+        floor = DETECTION_RATIO * n
+        # Counted per head, not accumulated, so that aggregate_scan pays one reduce.
+        counts = np.add.reduce(heard[:r], axis=0, dtype=float).tolist()
+        if not counts or max(counts) < floor:
+            raise ValueError("no signal")
+        totals = zip(window.ap_ids, sums[r - 1].tolist(), counts)
+        return RssScan({i: (s + 0.0) / c if c >= floor else UNDETECTED_DBM for i, s, c in totals})
+
+    return head
 
 
 @dataclass(frozen=True)
@@ -139,46 +152,51 @@ class MissedDetection:
 LocalizationOutcome = Union[Estimate, MissedDetection]
 
 
-def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
-    """Estimate a position from an aggregated scan, with candidate fallback.
-
-    `stores` holds map stores keyed by k, all over one deployment.  When
-    fewer than k distinct RSS values were detected, k degrades to that
-    count, whose store must be present too.  Candidates are tried in the
-    deterministic strongest-first order; the first signature present in its
-    map wins.  Detected APs foreign to the deployment are ignored.
-    """
+def rank_scan(scan: RssScan, stores: Mapping[int, MapStore]) -> tuple:
+    """Rank a scan once for every k: kmeans_1d's ranking (ids, values,
+    distinct values, fault) of the detected APs known to the stores' deployment."""
     detected = scan.detected()
-    any_store = next(iter(stores.values()), None)
-    if any_store is not None and not detected.keys() <= any_store.deployment.ap_id_set:
-        known = any_store.deployment.ap_id_set
-        detected = {i: v for i, v in detected.items() if i in known}
-    k_eff = min(k, len(set(detected.values())))
+    known = next(iter(stores.values())).deployment.ap_id_set if stores else detected.keys()
+    return _rank(detected if detected.keys() <= known else {i: v for i, v in detected.items() if i in known})
+
+
+def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
+    """localize at one k from rank_scan's ranking: localize(scan, stores, k) is
+    locate(rank_scan(scan, stores), stores, k)."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2 (got {k})")
+    ids, xs, distinct, fault = ranked
+    k_eff = min(k, len(distinct))
     if k_eff < 2:
         raise ValueError("insufficient APs")
     try:
-        store = stores[k_eff]
+        maps = stores[k_eff].maps
     except KeyError:
         raise ValueError(f"store/k mismatch (no store for k={k_eff})") from None
+    if fault:
+        raise ValueError(fault)
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
-    clustering = kmeans_1d(detected, k_eff, top_ranks=True)
+    clusters = _lloyd(ids, xs, distinct[:k_eff]).clusters
     # Clusters are runs of the (-rss, id) order, so each candidate's picks
     # are already its subset's signature.
-    tried = 0
-    for cand in generate_candidate_sets(clustering):
-        tried += 1
-        region = store.maps[cand.subset].regions.get(cand.picks)
+    for tried, picks in enumerate(itertools.product(*(cl.ap_ids for cl in clusters)), 1):
+        region = maps[tuple(sorted(picks))].regions.get(picks)
         if region is not None:
-            return Estimate(
-                position=region.centroid,
-                matched_signature=cand.picks,
-                subset=cand.subset,
-                region_accuracy=region.accuracy,
-                region_radius=region.radius,
-                candidates_tried=tried,
-            )
+            return Estimate(region.centroid, picks, tuple(sorted(picks)), region.accuracy, region.radius, tried)
     return MissedDetection(candidates_tried=tried)
+
+
+def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
+    """Estimate a position from an aggregated scan, with candidate fallback.
+
+    `stores` holds map stores keyed by k, all over one deployment; k >= 2.
+    When fewer than k distinct RSS values were detected, k degrades to that
+    count, whose store must be present too.  Candidates are walked lazily in
+    generate_candidate_sets order until a signature is present in its map.
+    Detected APs foreign to the deployment are ignored.
+    """
+    return locate(rank_scan(scan, stores), stores, k)
 
 
 # ----------------------------------------------------------------------------

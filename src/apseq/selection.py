@@ -93,19 +93,32 @@ def kmeans_1d(values: Mapping[int, float], k: int, top_ranks: bool = False) -> C
         raise ValueError("k must be at least 1")
     if not values:
         raise ValueError("no RSS values to cluster")
-    if not all(map(math.isfinite, values.values())):
-        raise ValueError("RSS values to cluster must be finite")
-    # Every sum below, and its square, is at most (n * 2 * max|v|)**2.
-    bound = len(values) * 2.0 * max(map(abs, values.values()))
-    if not math.isfinite(bound * bound):
-        raise ValueError("RSS values to cluster are too large")
-    ids = sorted(values, key=lambda i: (-values[i], i))
-    xs = [values[i] for i in ids]
-    distinct = sorted(set(xs), reverse=True)
+    ids, xs, distinct, fault = _rank(values)
+    if fault:
+        raise ValueError(fault)
     if len(distinct) < k:
         raise DegenerateClusteringError(k, len(distinct))
-    centroids = distinct[:k] if top_ranks else _optimal_split_means(xs, k)
+    return _lloyd(ids, xs, distinct[:k] if top_ranks else _optimal_split_means(xs, k))
 
+
+def _rank(values: Mapping[int, float]) -> tuple:
+    """(ids, xs, distinct, fault): the ids strongest first, ties by id; their
+    values; the distinct values, strongest first; and why kmeans_1d refuses
+    the values (not finite, or so large that squares would overflow), or None."""
+    ids = sorted(values, key=lambda i: (-values[i], i))
+    xs = [values[i] for i in ids]
+    # Every sum in _lloyd, and its square, is at most (n * 2 * max|v|)**2.
+    bound = len(xs) * 2.0 * max(map(abs, xs), default=0.0)
+    if not all(map(math.isfinite, xs)):
+        fault = "RSS values to cluster must be finite"
+    else:
+        fault = None if math.isfinite(bound * bound) else "RSS values to cluster are too large"
+    return ids, xs, sorted(set(xs), reverse=True), fault
+
+
+def _lloyd(ids: list[int], xs: list[float], centroids: list[float]) -> Clustering:
+    """kmeans_1d's Lloyd loop over _rank's ids and xs, from strongest-first centroids."""
+    k = len(centroids)
     # Values and centroids both run strongest-first, so every pass splits xs
     # into k contiguous runs, one per centroid.
     bounds = _nearest_runs(xs, centroids)
@@ -209,7 +222,4 @@ def generate_candidate_sets(clustering: Clustering) -> list[CandidateSet]:
     candidate picks the strongest AP of every cluster.
     """
     member_lists = [cl.ap_ids for cl in clustering.clusters]
-    out = []
-    for picks in itertools.product(*member_lists):
-        out.append(CandidateSet(subset=tuple(sorted(picks)), picks=picks))
-    return out
+    return [CandidateSet(tuple(sorted(picks)), picks) for picks in itertools.product(*member_lists)]

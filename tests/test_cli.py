@@ -1,6 +1,8 @@
 """End-to-end command-line workflow: mapgen, simulate, localize, evaluate."""
 
+import hashlib
 import math
+from importlib import resources
 
 import pytest
 
@@ -196,6 +198,13 @@ class TestLocalize:
         assert rc == 2
         assert capsys.readouterr().err == "error: store/k mismatch (no store for k=3)\n"
 
+    @pytest.mark.parametrize("k", ["0", "1", "-3"])
+    def test_k_below_two_is_refused_before_the_scan_is_judged(self, prepared, capsys, k):
+        rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
+                   "--scan", str(prepared / "loc_scans" / "scan_000.txt"), "--k", k])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: k must be at least 2 (got {k})\n"
+
     def test_corrupt_scan_is_reported(self, prepared, capsys):
         bad = prepared / "bad_scan.txt"
         bad.write_text("APSEQ-SCAN v1\nsample zero 1 -40\n")
@@ -243,6 +252,45 @@ class TestEvaluate:
         rc = main(["evaluate", "--config", str(bad)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+# sha256 of each file that `apseq --seed 7 evaluate` writes for a bundled
+# config, summary.csv without its build_ms column (wall time).  Recorded
+# before the sweep ranked each scan once for every k and aggregated every
+# duration from one accumulate, so that the outcomes of the experiment stay
+# as they were.
+SEED7_DIGESTS = {
+    "dover": {
+        "cdf_k3.csv": "56aacaf5f66d6ec1c2a88526a87b95fabf90a3b1878f5238e8d93e44add79b64",
+        "cdf_k4.csv": "a17bc177aaa4b862c6199c6c4ffcf0a28c52329bc73632cd1d408a80ed427f36",
+        "cdf_k5.csv": "662ba88385b2f994ecba1df9ec625df629e0b2b8b2e6145931118099e8c2b6d0",
+        "cdf_k6.csv": "18ea6321ce4075e65e98049e214ad0c38fcbd3e4325eac75830e7e007372f07d",
+        "cdf_k7.csv": "40a3949eb21efaceea2602bd70b3941a253f924048993e949c567cf2092e1545",
+        "summary.csv": "dbbacfa6a66f2227b2c20bcc6d58d37efca587948d6717b8b6e8df211ad4bc3d",
+    },
+    "ecc": {
+        "cdf_k4.csv": "dbecaad6813b3bd400bdbedc95d4e2295bf13dcaa10e4eace4301bc408eac63b",
+        "cdf_k5.csv": "89a5b449d9360f1f2a871021991b90dd5be953eb41b626022d3ee1bc19f9011d",
+        "cdf_k6.csv": "9ae2ab6d6cbfa395664f8b8eafd95fd487f9eda17d474ce33966c71cd466bf29",
+        "cdf_k7.csv": "d328affac64d703f76372052cd030b343f339cef787c690368499fac57608f36",
+        "summary.csv": "95ca9fcf4325e17f13f65c335efcb623273cec18f8e037edb4a4cf0272bd3318",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED7_DIGESTS))
+def test_seed7_evaluate_of_a_bundled_config_is_pinned(name, tmp_path, capsys):
+    config = resources.files("apseq") / "data" / f"{name}.cfg"
+    assert main(["--seed", "7", "evaluate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    got = {}
+    for path in sorted(tmp_path.iterdir()):
+        text = path.read_text()
+        if path.name == "summary.csv":
+            build_ms = text.splitlines()[0].split(",").index("build_ms")
+            rows = (line.split(",") for line in text.splitlines())
+            text = "".join(",".join(row[:build_ms] + row[build_ms + 1:]) + "\n" for row in rows)
+        got[path.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SEED7_DIGESTS[name]
 
 
 class TestNegativeSeed:

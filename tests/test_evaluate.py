@@ -304,6 +304,38 @@ def bundled():
     return out
 
 
+def per_head_sweep(config, durations, seed, stores):
+    """The sweep as a plain loop over each point's one window: for every
+    duration aggregate_scan(window, d), then localize at every k."""
+    configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
+    deployment = load_deployment(config.deployment)
+    points, errors = [], {d: {k: [] for k in config.k_values} for d in configs}
+    for point, window in simulate(configs[max(configs)], deployment, seed):
+        points.append(point)
+        for d in configs:
+            try:
+                scan = aggregate_scan(window, d)
+            except ValueError:
+                continue
+            for k in config.k_values:
+                try:
+                    outcome = localize(scan, stores, k)
+                except ValueError:
+                    continue
+                if isinstance(outcome, Estimate):
+                    ex, ey = outcome.position
+                    errors[d][k].append(float(np.hypot(ex - point[0], ey - point[1])))
+    n = len(points)
+    return {
+        d: ExperimentReport(config=cfg, points=tuple(points), per_k={
+            k: KReport(k=k, n_points=n, errors=tuple(errs), missed=n - len(errs),
+                       build_ms=stores[k].build_ms, n_maps=stores[k].n_maps)
+            for k, errs in errors[d].items()
+        })
+        for d, cfg in configs.items()
+    }
+
+
 SWEEP = (12.0, 3.0, 60.0, 12.0)  # unsorted, with a duplicate
 
 
@@ -387,6 +419,22 @@ class TestWindowSweep:
         base, stores = bundled["ecc"]
         cfg = replace(base, **change)
         assert window_sweep(cfg, SWEEP, seed=1, stores=stores) == sweep_oracle(cfg, SWEEP, 1, stores)
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("dover", {}),
+            ("ecc", {}),
+            ("ecc", {"sigma_db": 0.0}),
+            ("ecc", {"round_to_int": True}),
+            ("ecc", {"test_point_mode": "grid", "test_points": 3}),
+        ],
+    )
+    def test_matches_the_per_head_per_k_loop(self, bundled, name, change):
+        base, stores = bundled[name]
+        cfg = replace(base, **change)
+        durations = (36.0, 3.0, 60.0, 6.0, 12.0, 3.0, 24.0)
+        assert window_sweep(cfg, durations, seed=4, stores=stores) == per_head_sweep(cfg, durations, 4, stores)
 
     def test_run_experiment_is_the_one_duration_sweep(self, bundled):
         cfg, stores = bundled["ecc"]

@@ -5,11 +5,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apseq.localize import (
     Estimate,
     MissedDetection,
     ScanWindow,
+    aggregate_heads,
     aggregate_scan,
     instant_count,
     load_scan,
@@ -20,6 +23,7 @@ from apseq.localize import (
 )
 from apseq.mapgen import build_map_store, build_stores
 from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
+from apseq.selection import generate_candidate_sets, kmeans_1d
 
 
 def window_of(samples, duration_s=10.0, cadence_s=1.0):
@@ -144,6 +148,82 @@ class TestAggregation:
         w = window_of({1: [-40.0], 2: [-50.0]}, duration_s=20.0, cadence_s=1.0)
         with pytest.raises(ValueError, match="no signal"):
             aggregate_scan(w)
+
+
+def head_oracle(window, duration_s=None):
+    """aggregate_scan(window, duration_s) in pure Python: per AP, the mean of
+    its samples in the first instant_count(duration_s) rows (every row when
+    duration_s is None), summed left to right, and the sentinel for an AP
+    heard in fewer than 10 % of those instants."""
+    d = window.duration_s if duration_s is None else duration_s
+    if d > window.duration_s:
+        raise ValueError(f"{d} s exceeds the window's {window.duration_s} s")
+    n = instant_count(d, window.cadence_s)
+    rows = window.rss.tolist() if duration_s is None else window.rss.tolist()[:n]
+    values, heard = {}, False
+    for j, ap_id in enumerate(window.ap_ids):
+        samples = [row[j] for row in rows if not math.isnan(row[j])]
+        total = 0.0
+        for v in samples:
+            total += v
+        if len(samples) >= 0.10 * n:
+            values[ap_id], heard = total / len(samples), True
+        else:
+            values[ap_id] = UNDETECTED_DBM
+    if not heard:
+        raise ValueError("no signal")
+    return RssScan(values=values)
+
+
+def bits_or_error(aggregate, *args):
+    """The scan's values as float.hex, sentinel included, or the ValueError message."""
+    try:
+        return {ap_id: float.hex(v) for ap_id, v in aggregate(*args).values.items()}
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def head_windows(draw):
+    """Windows with unheard, sparse and dense columns, -0.0 and whole-dBm
+    samples, and rows fewer or more (repeated timestamps) than instants."""
+    cadence = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+    instants = draw(st.integers(1, 30))
+    times = sorted(draw(st.lists(st.integers(0, instants - 1), max_size=2 * instants)))
+    ap_ids = draw(st.lists(st.integers(1, 50), max_size=5, unique=True))
+    samples = st.one_of(st.just(-0.0), st.integers(-100, 0).map(float), st.floats(-100.0, 0.0))
+    rss = np.full((len(times), len(ap_ids)), np.nan)
+    for j in range(len(ap_ids)):
+        kind = draw(st.sampled_from(["unheard", "sparse", "dense"]))
+        for r in range(len(times)):
+            if kind == "dense" or (kind == "sparse" and draw(st.integers(0, 9)) == 0):
+                rss[r, j] = draw(samples)
+    return ScanWindow(np.array(times) * cadence, tuple(ap_ids), rss, instants * cadence, cadence)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(head_windows(), st.data())
+def test_every_head_is_the_pure_python_mean_bit_for_bit(window, data):
+    cadence = window.cadence_s
+    durations = data.draw(st.lists(
+        st.integers(1, 70).map(lambda m: m * cadence) | st.floats(cadence, 2.0 * window.duration_s),
+        min_size=1, max_size=6,
+    ))
+    head = aggregate_heads(window, max(durations))
+    for d in durations:
+        want = bits_or_error(head_oracle, window, d)
+        assert bits_or_error(head, d) == want
+        assert bits_or_error(aggregate_scan, window, d) == want
+    assert bits_or_error(aggregate_scan, window) == bits_or_error(head_oracle, window)
+    assert bits_or_error(aggregate_heads(window), None) == bits_or_error(head_oracle, window)
+
+
+def test_a_head_beyond_the_aggregated_rows_is_refused():
+    w = window_of({1: [-40.0] * 10}, duration_s=10.0, cadence_s=1.0)
+    head = aggregate_heads(w, 4.0)
+    assert head(4.0) == aggregate_scan(w, 4.0)
+    with pytest.raises(ValueError, match="5.0 s exceeds the window's 4.0 s"):
+        head(5.0)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +374,75 @@ class TestKDegradation:
         scan = RssScan(values={1: -40.0, 2: -40.0, 3: -40.0})
         with pytest.raises(ValueError, match="insufficient APs"):
             localize(scan, store_family, 3)
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_k_below_two_is_refused_before_the_scan_is_judged(self, store_family, k):
+        # One detected AP: at any k >= 2 this scan has insufficient APs.
+        scan = RssScan(values={1: -35.0, 2: UNDETECTED_DBM})
+        with pytest.raises(ValueError, match=rf"^k must be at least 2 \(got {k}\)$"):
+            localize(scan, store_family, k)
+
+
+def localize_oracle(scan, stores, k):
+    """localize as one function: the known-AP filter, kmeans_1d with
+    top_ranks, and the first hit in generate_candidate_sets order."""
+    detected = scan.detected()
+    if stores:
+        known = next(iter(stores.values())).deployment.ap_id_set
+        detected = {i: v for i, v in detected.items() if i in known}
+    k_eff = min(k, len(set(detected.values())))
+    if k_eff < 2:
+        raise ValueError("insufficient APs")
+    if k_eff not in stores:
+        raise ValueError(f"store/k mismatch (no store for k={k_eff})")
+    clustering = kmeans_1d(detected, k_eff, top_ranks=True)
+    for tried, cand in enumerate(generate_candidate_sets(clustering), 1):
+        region = stores[k_eff].maps[cand.subset].regions.get(cand.picks)
+        if region is not None:
+            return Estimate(region.centroid, cand.picks, cand.subset, region.accuracy, region.radius, tried)
+    return MissedDetection(candidates_tried=tried)
+
+
+def outcome_or_error(locator, *args):
+    try:
+        return locator(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def six_ap_family():
+    dep = ApDeployment(
+        width=12.0,
+        height=10.0,
+        aps=((1, 0.5, 0.5), (2, 11.0, 1.0), (3, 6.0, 9.5), (4, 1.0, 8.0), (5, 10.5, 9.0), (6, 6.5, 4.0)),
+    )
+    return build_stores(dep, range(2, 7), 1.0)
+
+
+# The sentinel, values whose sums or squares overflow, near-ties a few ulps
+# apart (which can leave a Lloyd cluster empty), a small pool of values that
+# tie, and any float at all.
+scan_values = st.one_of(
+    st.sampled_from([UNDETECTED_DBM, 1e308, -1e308, 1e154, math.inf, -math.inf, math.nan]),
+    st.sampled_from([-44.00000000000001, -44.000000000000014, -43.99999999999999, -41.00000000000001]),
+    st.sampled_from([-40.0, -45.0, -50.0, -55.5, -60.0, -71.0]),
+    st.floats(-100.0, -20.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(database=None, deadline=None, max_examples=400)
+@given(
+    st.dictionaries(st.integers(1, 9), scan_values, max_size=9),
+    st.integers(2, 8),
+    st.sets(st.integers(2, 6)),
+)
+def test_localize_is_the_one_function_oracle(six_ap_family, values, k, family_ks):
+    # Ids 7-9 are foreign to the deployment; family_ks leaves some k without a store.
+    stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
+    scan = RssScan(values=values)
+    assert outcome_or_error(localize, scan, stores, k) == outcome_or_error(localize_oracle, scan, stores, k)
 
 
 class TestScanFiles:
