@@ -1,12 +1,12 @@
 """Show how RSS clustering picks which APs to use for localization.
 
 Groups a scan's RSS readings with 1-D K-means, then enumerates the
-candidate AP subsets (one pick per cluster) in the order the localizer
-tries them.  Ends with the degenerate case and the top-rank seeding that
-the localizer runs.
+candidate AP subsets (one pick per cluster) with candidate_picks, the
+walk the localizer tries them in.  Ends with the degenerate case and the
+top-rank seeding that the localizer runs.
 """
 
-from apseq import DegenerateClusteringError, generate_candidate_sets, kmeans_1d
+from apseq import DegenerateClusteringError, candidate_picks, kmeans_1d
 
 SCAN = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
 
@@ -32,15 +32,15 @@ def main():
 
     print("\n== candidate subsets, K = 3 ==")
     print("one AP per cluster, strongest picks first:")
-    for cand in generate_candidate_sets(result):
-        print(f"  subset {cand.subset} (picked {cand.picks})")
+    for picks in candidate_picks(result):
+        print(f"  subset {tuple(sorted(picks))} (picked {picks})")
     print("the localizer tries a clustering's candidates in this order and")
     print("keeps the first whose measured signature exists in its map.")
 
     print("\n== larger K splits the tiers further ==")
     for k in (4, 5):
         result_k = kmeans_1d(SCAN, k)
-        n_cands = len(generate_candidate_sets(result_k))
+        n_cands = sum(1 for _ in candidate_picks(result_k))
         print(f"  K={k}: {n_cands} candidate subset(s)")
         show_clusters(result_k)
 

@@ -61,65 +61,11 @@ from .propagation import (
     synth_window,
 )
 from .selection import (
-    CandidateSet,
     Cluster,
     Clustering,
     DegenerateClusteringError,
-    generate_candidate_sets,
+    candidate_picks,
     kmeans_1d,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApDeployment",
-    "CandidateSet",
-    "Cluster",
-    "Clustering",
-    "DegenerateClusteringError",
-    "Estimate",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FingerprintMap",
-    "GridSpec",
-    "KReport",
-    "LocalizationOutcome",
-    "MapStore",
-    "MissedDetection",
-    "PropagationParams",
-    "Region",
-    "RssScan",
-    "ScanWindow",
-    "Signature",
-    "SubsetKey",
-    "UNDETECTED_DBM",
-    "aggregate_scan",
-    "build_map_store",
-    "build_stores",
-    "cell_signature",
-    "enumerate_ap_subsets",
-    "error_cdf",
-    "gen_test_points",
-    "generate_candidate_sets",
-    "kmeans_1d",
-    "load_config",
-    "load_deployment",
-    "load_map_store",
-    "load_scan",
-    "localize",
-    "map_store_from_text",
-    "map_store_to_text",
-    "mean_rss",
-    "parse_config",
-    "parse_signature",
-    "run_experiment",
-    "save_deployment",
-    "save_map_store",
-    "save_scan",
-    "signature_to_text",
-    "simulate",
-    "subset_key",
-    "synth_window",
-    "window_sweep",
-    "write_report_csvs",
-]

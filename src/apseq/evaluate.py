@@ -37,6 +37,9 @@ from .propagation import (
     synth_window,
 )
 
+# Test points of one run; at the limit `apseq evaluate` on dover (k = 3..7) peaked at 80 MB.
+MAX_TEST_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,6 +89,9 @@ class ExperimentConfig:
             raise ValueError("test_points must be at least 1")
         if self.test_point_mode not in ("grid", "random"):
             raise ValueError(f"unknown test-point mode {self.test_point_mode!r}")
+        if self.n_points > MAX_TEST_POINTS:
+            raise ValueError(f"{self.n_points} test points ({self.test_point_mode} mode, test_points = "
+                             f"{self.test_points}) exceed the limit of {MAX_TEST_POINTS}")
         for name in ("duration_s", "cadence_s", "cell_size"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")

@@ -9,7 +9,6 @@ every candidate misses, the attempt is a missed detection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ import numpy as np
 
 from .mapgen import MapStore
 from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
-from .selection import _lloyd, _rank, kmeans_1d  # noqa: F401 (perfbench traces it here)
+from .selection import _lloyd, _rank, candidate_picks, kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
 
 # An AP must appear in at least this fraction of the window's sampling
 # instants to count as detected after aggregation.
@@ -177,10 +176,7 @@ def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> Localizatio
         raise ValueError(fault)
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
-    clusters = _lloyd(ids, xs, distinct[:k_eff]).clusters
-    # Clusters are runs of the (-rss, id) order, so each candidate's picks
-    # are already its subset's signature.
-    for tried, picks in enumerate(itertools.product(*(cl.ap_ids for cl in clusters)), 1):
+    for tried, picks in enumerate(candidate_picks(_lloyd(ids, xs, distinct[:k_eff])), 1):
         region = maps[tuple(sorted(picks))].regions.get(picks)
         if region is not None:
             return Estimate(region.centroid, picks, tuple(sorted(picks)), region.accuracy, region.radius, tried)
@@ -193,7 +189,7 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
     `stores` holds map stores keyed by k, all over one deployment; k >= 2.
     When fewer than k distinct RSS values were detected, k degrades to that
     count, whose store must be present too.  Candidates are walked lazily in
-    generate_candidate_sets order until a signature is present in its map.
+    selection.candidate_picks order until a signature is present in its map.
     Detected APs foreign to the deployment are ignored.
     """
     return locate(rank_scan(scan, stores), stores, k)

@@ -18,6 +18,8 @@ from .model import ApDeployment
 
 DEFAULT_DURATION_S = 60.0
 DEFAULT_CADENCE_S = 0.3
+# Instants x APs of one window; at the limit synth_window + aggregate_scan add 40 MB of peak.
+MAX_WINDOW_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,9 @@ def synth_window(
     n_instants = instant_count(duration_s, cadence_s)
     aps = deployment.aps
     shape = (n_instants, len(aps))
+    if n_instants * len(aps) > MAX_WINDOW_SAMPLES:
+        raise ValueError(f"window of {n_instants} instants x {len(aps)} APs exceeds the limit of "
+                         f"{MAX_WINDOW_SAMPLES} samples")
     noise = rng.normal(0.0, params.sigma_db, size=shape) if params.sigma_db > 0 else np.zeros(shape)
     mean = [mean_rss(math.hypot(point[0] - x, point[1] - y), params) for _, x, y in aps]
     rss = np.minimum(noise + mean, params.p0_dbm)

@@ -2,8 +2,8 @@
 
 Clustering the scan's RSS values groups APs with near-equal signal, which
 under path loss means near-equal distance.  Picking one AP per cluster
-yields subsets whose ordering is robust to noise; the Cartesian product of
-per-cluster picks enumerates fallback subsets for localization.
+yields subsets whose ordering is robust to noise; candidate_picks walks the
+Cartesian product of per-cluster picks, the subsets localization tries.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping
 
-from .model import SubsetKey
+from .model import Signature
 
 MAX_ITERATIONS = 100
 
@@ -207,19 +207,13 @@ def _optimal_split_means(xs: list[float], k: int) -> list[float]:
     return [sum(xs[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
 
 
-class CandidateSet(NamedTuple):
-    """An AP subset candidate plus the strongest-first pick order behind it."""
+def candidate_picks(clustering: Clustering) -> Iterator[Signature]:
+    """The candidate walk: one AP per cluster, strongest cluster first, lazily.
 
-    subset: SubsetKey
-    picks: tuple[int, ...]  # one ap_id per cluster, strongest cluster first
-
-
-def generate_candidate_sets(clustering: Clustering) -> list[CandidateSet]:
-    """Cartesian product of one AP per cluster.
-
-    Within each cluster APs are tried strongest-first; products are emitted
-    in lexicographic order of those per-cluster ranks, so the first
-    candidate picks the strongest AP of every cluster.
+    Within each cluster APs are tried strongest-first, and picks come in
+    lexicographic order of those per-cluster ranks, so the first pick takes
+    the strongest AP of every cluster.  Clusters are runs of the (-rss, id)
+    order, so each pick tuple is already the measured signature of its AP
+    subset, tuple(sorted(picks)).  This is the order localize tries.
     """
-    member_lists = [cl.ap_ids for cl in clustering.clusters]
-    return [CandidateSet(tuple(sorted(picks)), picks) for picks in itertools.product(*member_lists)]
+    return itertools.product(*(cl.ap_ids for cl in clustering.clusters))

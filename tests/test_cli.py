@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -89,6 +92,39 @@ class TestMapgen:
         err = capsys.readouterr().err
         assert err.startswith("error: grid of 5000000 x 5000000 cells exceeds the limit")
         assert not (workspace / "huge.map").exists()
+
+
+# Runs the CLI in a child process whose address space is capped at 1.5 GB, so
+# that a size check that no longer fires ends in a MemoryError, not in swap.
+CAPPED_MAIN = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from apseq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ("test_point_mode = grid\ntest_points = 100000\n",
+         "10000000000 test points (grid mode, test_points = 100000) exceed the limit of 100000"),
+        ("duration_s = 1000000\ncadence_s = 0.001\n",
+         "window of 1000000000 instants x 4 APs exceeds the limit of 1000000 samples"),
+    ],
+    ids=["grid-points", "long-window"],
+)
+def test_oversized_config_is_an_error_under_a_memory_cap(workspace, tmp_path, command, keys, message):
+    config = tmp_path / "oversized.cfg"
+    config.write_text(f"deployment = {workspace / 'quad.deploy'}\nk_values = 2, 3\ncell_size = 0.5\n{keys}")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, command, "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
 
 
 class TestSimulate:

@@ -10,6 +10,7 @@ import pytest
 
 from apseq import evaluate
 from apseq.evaluate import (
+    MAX_TEST_POINTS,
     ExperimentConfig,
     ExperimentReport,
     KReport,
@@ -181,6 +182,22 @@ class TestConfigParsing:
     def test_config_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(deployment="d", **kwargs)
+
+    @pytest.mark.parametrize(
+        "mode, side, points",
+        [("grid", 100000, 10**10), ("grid", 317, 100489), ("random", 100001, 100001)],
+    )
+    def test_test_points_above_the_limit_refused(self, mode, side, points):
+        # Only parsed: 10**10 grid points would be ~1 TB of point tuples.
+        text = f"deployment = d\nk_values = 2\ntest_point_mode = {mode}\ntest_points = {side}\n"
+        want = rf"^{points} test points \({mode} mode, test_points = {side}\) exceed the limit of 100000$"
+        with pytest.raises(ValueError, match=want):
+            parse_config(text)
+
+    @pytest.mark.parametrize("mode, side, points", [("grid", 316, 99856), ("random", 100000, 100000)])
+    def test_test_points_up_to_the_limit_accepted(self, mode, side, points):
+        config = ExperimentConfig(deployment="d", k_values=(2,), test_point_mode=mode, test_points=side)
+        assert config.n_points == points <= MAX_TEST_POINTS
 
 
 class TestErrorCdf:

@@ -1,5 +1,6 @@
 """Window aggregation, signature matching, and the localization pipeline."""
 
+import itertools
 import math
 from importlib import resources
 
@@ -23,7 +24,7 @@ from apseq.localize import (
 )
 from apseq.mapgen import build_map_store, build_stores
 from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
-from apseq.selection import generate_candidate_sets, kmeans_1d
+from apseq.selection import kmeans_1d
 
 
 def window_of(samples, duration_s=10.0, cadence_s=1.0):
@@ -385,7 +386,8 @@ class TestKDegradation:
 
 def localize_oracle(scan, stores, k):
     """localize as one function: the known-AP filter, kmeans_1d with
-    top_ranks, and the first hit in generate_candidate_sets order."""
+    top_ranks, and the first hit in the product of the clusters, each
+    strongest first: spelled out here, not taken from the code under test."""
     detected = scan.detected()
     if stores:
         known = next(iter(stores.values())).deployment.ap_id_set
@@ -396,10 +398,11 @@ def localize_oracle(scan, stores, k):
     if k_eff not in stores:
         raise ValueError(f"store/k mismatch (no store for k={k_eff})")
     clustering = kmeans_1d(detected, k_eff, top_ranks=True)
-    for tried, cand in enumerate(generate_candidate_sets(clustering), 1):
-        region = stores[k_eff].maps[cand.subset].regions.get(cand.picks)
+    for tried, picks in enumerate(itertools.product(*(cl.ap_ids for cl in clustering.clusters)), 1):
+        subset = tuple(sorted(picks))
+        region = stores[k_eff].maps[subset].regions.get(picks)
         if region is not None:
-            return Estimate(region.centroid, cand.picks, cand.subset, region.accuracy, region.radius, tried)
+            return Estimate(region.centroid, picks, subset, region.accuracy, region.radius, tried)
     return MissedDetection(candidates_tried=tried)
 
 

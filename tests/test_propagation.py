@@ -8,7 +8,9 @@ from numpy.random import default_rng
 
 from apseq.localize import ScanWindow, aggregate_scan, instant_count
 from apseq.model import UNDETECTED_DBM, ApDeployment
+from apseq import propagation
 from apseq.propagation import (
+    MAX_WINDOW_SAMPLES,
     PropagationParams,
     gen_test_points,
     mean_rss,
@@ -184,6 +186,28 @@ class TestSynthWindow:
         with pytest.raises(ValueError, match="duration"):
             synth_window((1.0, 1.0), square_deployment, PropagationParams(),
                          duration_s=1.0, cadence_s=2.0, rng=default_rng(0))
+
+    def test_oversized_window_refused_before_any_draw(self, square_deployment):
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("noise drawn")
+
+        # 10**9 instants x 4 APs: 32 GB of noise if it were drawn.
+        with pytest.raises(ValueError, match=(
+            f"^window of 1000000000 instants x 4 APs exceeds the limit of {MAX_WINDOW_SAMPLES} samples$"
+        )):
+            synth_window((1.0, 1.0), square_deployment, PropagationParams(sigma_db=3.0),
+                         duration_s=1e6, cadence_s=0.001, rng=NoDraws())
+
+    def test_window_at_the_sample_limit_is_drawn(self, square_deployment, monkeypatch):
+        monkeypatch.setattr(propagation, "MAX_WINDOW_SAMPLES", 12)  # 3 instants x 4 APs
+        params = PropagationParams(sigma_db=3.0)
+        w = synth_window((1.0, 1.0), square_deployment, params,
+                         duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
+        assert w.rss.shape == (3, 4)
+        with pytest.raises(ValueError, match="window of 4 instants x 4 APs exceeds the limit of 12"):
+            synth_window((1.0, 1.0), square_deployment, params,
+                         duration_s=4.0, cadence_s=1.0, rng=default_rng(0))
 
 
 class TestWindowHead:

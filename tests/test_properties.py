@@ -28,7 +28,7 @@ from apseq.model import (
     save_deployment,
 )
 from apseq.propagation import PropagationParams, mean_rss, synth_window
-from apseq.selection import generate_candidate_sets, kmeans_1d
+from apseq.selection import candidate_picks, kmeans_1d
 
 # No example database: a run records no failing examples in the checkout.
 PROPERTY = settings(database=None, deadline=None, max_examples=50)
@@ -134,9 +134,10 @@ def test_saving_and_loading_keeps_the_aggregate(window):
 def test_candidate_picks_are_the_subset_signature(values, k, exact):
     k = min(k, len(set(values.values())))
     clustering = kmeans_1d(values, k, top_ranks=not exact)
-    for cand in generate_candidate_sets(clustering):
-        if len(cand.subset) >= 2:
-            assert cand.picks == tuple(sorted(cand.subset, key=lambda i: (-values[i], i)))
+    for picks in candidate_picks(clustering):
+        subset = tuple(sorted(picks))
+        if len(subset) >= 2:
+            assert picks == tuple(sorted(subset, key=lambda i: (-values[i], i)))
 
 
 @PROPERTY

@@ -1,4 +1,4 @@
-"""RSS clustering and candidate-subset generation."""
+"""RSS clustering and the candidate walk."""
 
 import itertools
 import math
@@ -14,7 +14,7 @@ from apseq.selection import (
     Clustering,
     DegenerateClusteringError,
     _optimal_split_means,
-    generate_candidate_sets,
+    candidate_picks,
     kmeans_1d,
 )
 
@@ -206,9 +206,9 @@ class TestKmeansProperties:
         got = [tuple(mapping[i] for i in c.ap_ids) for c in a.clusters]
         assert got == [c.ap_ids for c in b.clusters]
 
-    def test_default_seeding_uses_top_ranks(self):
-        """Holds because on this input top-rank seeding reaches the same
-        (optimal) partition as the exact default."""
+    def test_top_rank_seeding_agrees_with_the_exact_default_on_clear_tiers(self):
+        """On well-separated tiers Lloyd from the top ranks reaches the
+        same (optimal) partition as the exact default."""
         values = {1: -30.0, 2: -33.0, 3: -36.0, 4: -80.0}
         default = kmeans_1d(values, 2)
         explicit = kmeans_1d(values, 2, top_ranks=True)
@@ -234,37 +234,30 @@ class TestCandidateSets:
         # Singleton clusters fix APs 3, 6, 2; the two-member cluster {1, 7}
         # yields two candidates, the stronger member (AP 1) tried first.
         values = {1: -50.0, 2: -58.0, 3: -30.0, 6: -40.0, 7: -52.0}
-        candidates = generate_candidate_sets(
-            _clustering_of(values, [[3], [6], [1, 7], [2]])
-        )
-        assert [c.subset for c in candidates] == [(1, 2, 3, 6), (2, 3, 6, 7)]
+        picks = candidate_picks(_clustering_of(values, [[3], [6], [1, 7], [2]]))
+        assert [tuple(sorted(p)) for p in picks] == [(1, 2, 3, 6), (2, 3, 6, 7)]
 
     def test_singleton_clusters_give_one_candidate(self):
         values = {4: -31.0, 9: -47.0, 2: -63.0}
-        candidates = generate_candidate_sets(_clustering_of(values, [[4], [9], [2]]))
-        assert len(candidates) == 1
-        assert candidates[0].subset == (2, 4, 9)
-        assert candidates[0].picks == (4, 9, 2)
+        picks = list(candidate_picks(_clustering_of(values, [[4], [9], [2]])))
+        assert picks == [(4, 9, 2)]
+        assert tuple(sorted(picks[0])) == (2, 4, 9)
 
     def test_candidate_count_is_product_of_cluster_sizes(self):
         values = {i: float(-30 - i) for i in range(1, 9)}
-        candidates = generate_candidate_sets(
-            _clustering_of(values, [[1, 2], [3, 4, 5], [6], [7, 8]])
-        )
-        assert len(candidates) == 2 * 3 * 1 * 2
+        picks = candidate_picks(_clustering_of(values, [[1, 2], [3, 4, 5], [6], [7, 8]]))
+        assert len(list(picks)) == 2 * 3 * 1 * 2
 
     def test_enumeration_order_prefers_stronger_members(self):
         values = {1: -30.0, 2: -35.0, 3: -60.0, 4: -65.0}
-        candidates = generate_candidate_sets(_clustering_of(values, [[1, 2], [3, 4]]))
-        assert [c.subset for c in candidates] == [(1, 3), (1, 4), (2, 3), (2, 4)]
-        assert [c.picks for c in candidates] == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        picks = list(candidate_picks(_clustering_of(values, [[1, 2], [3, 4]])))
+        assert [tuple(sorted(p)) for p in picks] == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        assert picks == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
     def test_candidates_cover_every_combination_exactly_once(self):
         values = {i: float(-28 - 3 * i) for i in range(1, 7)}
-        candidates = generate_candidate_sets(
-            _clustering_of(values, [[1, 2, 3], [4, 5], [6]])
-        )
-        seen = [c.subset for c in candidates]
+        picks = candidate_picks(_clustering_of(values, [[1, 2, 3], [4, 5], [6]]))
+        seen = [tuple(sorted(p)) for p in picks]
         expect = {
             tuple(sorted(combo))
             for combo in itertools.product([1, 2, 3], [4, 5], [6])
@@ -274,8 +267,17 @@ class TestCandidateSets:
 
     def test_end_to_end_from_kmeans(self):
         values = {1: -30.0, 2: -32.0, 3: -60.0, 4: -62.0}
-        candidates = generate_candidate_sets(kmeans_1d(values, 2))
-        assert [c.subset for c in candidates] == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        picks = candidate_picks(kmeans_1d(values, 2))
+        assert [tuple(sorted(p)) for p in picks] == [(1, 3), (1, 4), (2, 3), (2, 4)]
+
+    def test_walk_is_lazy(self):
+        # 10 clusters of 10 members make 10**10 candidates; the first two
+        # come at once, so none of the rest is built.
+        values = {i: -30.0 - i for i in range(100)}
+        groups = [list(range(c * 10, c * 10 + 10)) for c in range(10)]
+        picks = candidate_picks(_clustering_of(values, groups))
+        assert next(picks) == tuple(range(0, 100, 10))
+        assert next(picks) == tuple(range(0, 90, 10)) + (91,)
 
 
 def _clustering_of(values, groups):
