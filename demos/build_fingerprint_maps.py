@@ -7,7 +7,8 @@ geometry, and shows the text form the store serializes to.
 
 import argparse
 
-from apseq import ApDeployment, build_map_store, map_store_to_text
+from apseq.mapgen import build_map_store, map_store_to_text
+from apseq.model import ApDeployment
 
 
 def main():

@@ -6,7 +6,7 @@ walk the localizer tries them in.  Ends with the degenerate case and the
 top-rank seeding that the localizer runs.
 """
 
-from apseq import DegenerateClusteringError, candidate_picks, kmeans_1d
+from apseq.selection import DegenerateClusteringError, candidate_picks, kmeans_1d
 
 SCAN = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
 

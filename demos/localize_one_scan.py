@@ -11,16 +11,10 @@ from importlib import resources
 
 import numpy as np
 
-from apseq import (
-    Estimate,
-    PropagationParams,
-    aggregate_scan,
-    build_stores,
-    load_deployment,
-    localize,
-    signature_to_text,
-    synth_window,
-)
+from apseq.localize import Estimate, aggregate_scan, localize
+from apseq.mapgen import build_stores
+from apseq.model import load_deployment, signature_to_text
+from apseq.propagation import PropagationParams, synth_window
 
 DATA = resources.files("apseq") / "data"
 

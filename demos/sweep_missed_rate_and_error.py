@@ -11,13 +11,9 @@ import statistics
 from dataclasses import replace
 from importlib import resources
 
-from apseq import (
-    build_stores,
-    load_config,
-    load_deployment,
-    run_experiment,
-    window_sweep,
-)
+from apseq.evaluate import load_config, run_experiment, window_sweep
+from apseq.mapgen import build_stores
+from apseq.model import load_deployment
 
 DATA = resources.files("apseq") / "data"
 

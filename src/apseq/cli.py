@@ -10,6 +10,7 @@ from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
 from .mapgen import DEFAULT_CELL_SIZE, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
+from .propagation import window_instants
 
 
 def _cmd_mapgen(args) -> int:
@@ -27,6 +28,7 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     config.root_seed(args.seed)  # refuse a bad seed before any file is written
     deployment = load_deployment(config.deployment)
+    window_instants(deployment, config.duration_s, config.cadence_s)  # and an oversized window
     os.makedirs(args.out, exist_ok=True)
     truth_path = os.path.join(args.out, "truth.csv")
     with open(truth_path, "w") as fh:

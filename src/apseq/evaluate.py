@@ -35,6 +35,7 @@ from .propagation import (
     PropagationParams,
     gen_test_points,
     synth_window,
+    window_instants,
 )
 
 # Test points of one run; at the limit `apseq evaluate` on dover (k = 3..7) peaked at 80 MB.
@@ -306,6 +307,8 @@ def window_sweep(
     config.root_seed(seed)
     configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
     deployment = load_deployment(config.deployment)
+    for d in configs:
+        window_instants(deployment, d, config.cadence_s)
     stores = _checked_stores(config, deployment, stores)
     if not configs:
         return {}

@@ -57,6 +57,15 @@ def mean_rss(distance_m: float, params: PropagationParams) -> float:
     return params.p0_dbm - 10.0 * params.gamma * math.log10(d / params.d0_m)
 
 
+def window_instants(deployment: ApDeployment, duration_s: float, cadence_s: float) -> int:
+    """instant_count of a window over every AP; ValueError past MAX_WINDOW_SAMPLES samples."""
+    n_instants = instant_count(duration_s, cadence_s)
+    if n_instants * len(deployment.aps) > MAX_WINDOW_SAMPLES:
+        raise ValueError(f"window of {n_instants} instants x {len(deployment.aps)} APs exceeds the limit of "
+                         f"{MAX_WINDOW_SAMPLES} samples")
+    return n_instants
+
+
 def synth_window(
     point: tuple[float, float],
     deployment: ApDeployment,
@@ -75,12 +84,9 @@ def synth_window(
     rounded when round_to_int is set; samples below detect_floor_dbm go
     unheard (NaN), and APs never heard get no column.
     """
-    n_instants = instant_count(duration_s, cadence_s)
+    n_instants = window_instants(deployment, duration_s, cadence_s)
     aps = deployment.aps
     shape = (n_instants, len(aps))
-    if n_instants * len(aps) > MAX_WINDOW_SAMPLES:
-        raise ValueError(f"window of {n_instants} instants x {len(aps)} APs exceeds the limit of "
-                         f"{MAX_WINDOW_SAMPLES} samples")
     noise = rng.normal(0.0, params.sigma_db, size=shape) if params.sigma_db > 0 else np.zeros(shape)
     mean = [mean_rss(math.hypot(point[0] - x, point[1] - y), params) for _, x, y in aps]
     rss = np.minimum(noise + mean, params.p0_dbm)

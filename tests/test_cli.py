@@ -125,6 +125,7 @@ def test_oversized_config_is_an_error_under_a_memory_cap(workspace, tmp_path, co
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
     )
     assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:

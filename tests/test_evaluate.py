@@ -391,6 +391,17 @@ class TestWindowSweep:
         with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
             next(simulate(tiny_config, TINY_DEPLOY, seed=-2))
 
+    def test_oversized_window_rejected_before_any_store(self, tiny_config, monkeypatch):
+        def no_stores(*args, **kwargs):
+            raise AssertionError("a store was built")
+
+        monkeypatch.setattr(evaluate, "build_stores", no_stores)
+        # The longest duration decides: 2 000 000 instants at the 0.5 s cadence.
+        with pytest.raises(ValueError, match=(
+            "^window of 2000000 instants x 4 APs exceeds the limit of 1000000 samples$"
+        )):
+            window_sweep(tiny_config, (1.0, 1e6))
+
     def test_points_that_cannot_be_localized_are_misses(self):
         # With seed 7 on a 0.5 m grid, some -55 dBm scans degrade to k = 2,
         # which has no store, and every -45 dBm point has no signal or too
