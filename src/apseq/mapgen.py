@@ -25,13 +25,13 @@ from .model import (
     _quantize,
     deployment_from_text,
     deployment_to_text,
-    parse_signature,
     signature_to_text,
     subset_key,
 )
 
 DEFAULT_CELL_SIZE = 0.2
 MAX_CELLS = 10_000_000
+MAX_MAP_ROWS = 1_000_000  # (AP subset, full ordering) pairs in one build
 
 # Tolerance applied to width/cell_size before ceil() so that an exactly
 # divisible area does not gain a spurious extra row from float division.
@@ -107,8 +107,8 @@ class Region(NamedTuple):
     accuracy   mean distance of member centres to the centroid
     radius     max distance of member centres to the centroid
 
-    A built region has all three quantized to 6 fractional digits (file
-    precision); a loaded one carries the file's values, quantized alike.
+    All three are quantized to 6 fractional digits (file precision); a
+    loaded store's regions are those of its rebuild.
     The member cells are not held; FingerprintMap.cells_of derives them.
     """
 
@@ -127,7 +127,7 @@ class FingerprintMap:
     (R, k), count (of cells), cx, cy, accuracy and radius.  Flat cell
     c = `j * cols + i` lies in row lut[cell_labels[c]].
     cell_labels numbers each cell's ordering of all the deployment's APs,
-    so every map built together shares one such array.
+    so every map built together shares one such array.  Every array is read-only.
     """
 
     subset: SubsetKey
@@ -140,6 +140,10 @@ class FingerprintMap:
     radius: np.ndarray
     cell_labels: np.ndarray = field(repr=False)
     lut: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for array in (*self.columns, self.cell_labels, self.lut):
+            array.flags.writeable = False
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -207,6 +211,10 @@ def enumerate_ap_subsets(ids: Iterable[int], k: int) -> list[SubsetKey]:
     pool = sorted(int(i) for i in ids)
     if not 2 <= k <= len(pool):
         raise ValueError(f"subset size {k} out of range [2, {len(pool)}]")
+    n_subsets = math.comb(len(pool), k)
+    if n_subsets > MAX_MAP_ROWS:  # each subset's map takes a map row or more
+        raise ValueError(f"C({len(pool)}, {k}) = {n_subsets} AP subsets exceed the limit of "
+                         f"{MAX_MAP_ROWS} map rows")
     return [tuple(c) for c in itertools.combinations(pool, k)]
 
 
@@ -328,6 +336,10 @@ def _build_maps(
     """
     part = _partition(deployment, grid)
     groups = len(part.orders)
+    n_subsets = sum(map(len, subsets.values()))
+    if n_subsets * groups > MAX_MAP_ROWS:
+        raise ValueError(f"{n_subsets} AP subsets x {groups} orderings = {n_subsets * groups} map rows "
+                         f"exceed the limit of {MAX_MAP_ROWS}")
     maps: dict[int, dict[SubsetKey, FingerprintMap]] = {}
     for k, same_k in subsets.items():
         member = np.zeros((len(same_k), len(part.ids)), dtype=bool)
@@ -392,16 +404,14 @@ def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT
 #   ...                                 (one map block per k-subset)
 #
 # Maps are written in subset order and regions in signature order.  Cell
-# memberships are not stored.  At the first map line the loader knows k,
-# rebuilds the store once from the deployment and cell size (build_map_store),
-# and checks each map block against that rebuild as it reads it.  A block whose
-# region lines equal the rebuilt map's own text takes the rebuilt map as it is;
-# any other block is parsed and checked: the region count, then every
-# signature and cell count exactly and every statistic to within 2e-6,
-# keeping the file's value.  After the last block it checks
-# that the file declared exactly the C(n, k) k-subset maps.  All reals carry
-# exactly six fractional digits, which together with construction-time
-# quantization makes save -> load field-exact and re-saves byte-identical.
+# memberships are not stored.  At the first map line the loader knows k and
+# rebuilds the store once from the deployment and cell size (build_map_store).
+# A map block, in any subset order, loads as its rebuilt map when its region
+# lines equal that map's own text; otherwise the loader names the first line
+# that differs.  After the last block it checks that the file declared exactly
+# the C(n, k) k-subset maps.  All reals carry exactly six fractional digits,
+# which together with construction-time quantization makes save -> load
+# field-exact and re-saves byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -427,33 +437,6 @@ def _region_lines(fmap: FingerprintMap) -> list[str]:
         f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
         for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in fmap.columns))
     ]
-
-
-def _check_stats(fmap: FingerprintMap, sigs: list[Signature], rows: list, rebuilt_rows: list, source: str) -> None:
-    """Check a block's declared rows against the rebuilt map's, in row order.
-
-    The first row to fail any check raises its first failing check.  A stat
-    off but within tolerance keeps the file's value, quantized, in the map.
-    """
-    for row, (sig, (cell_count, *stats), (count, *rebuilt)) in enumerate(zip(sigs, rows, rebuilt_rows)):
-        if cell_count != count:
-            raise ValueError(
-                f"{source}: cell_count mismatch for region {signature_to_text(sig)} "
-                f"(file {cell_count}, rebuilt {count})"
-            )
-        if stats == rebuilt:
-            continue
-        if not all(abs(a - b) <= 2e-6 for a, b in zip(stats, rebuilt)):  # "not <=": a NaN fails too
-            raise ValueError(f"{source}: region stats mismatch for {signature_to_text(sig)}")
-        stats = [_quantize(v) for v in stats]
-        _, _, acc, rad = stats
-        if rad + 1e-9 < acc:
-            raise ValueError(
-                f"{source}: region radius cannot be below its accuracy for "
-                f"{signature_to_text(sig)} (radius {rad:.6f}, accuracy {acc:.6f})"
-            )
-        for column, value in zip(fmap.columns[2:], stats):
-            column[row] = value
 
 
 def load_map_store(path) -> MapStore:
@@ -505,37 +488,14 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
             raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
         if rebuilt is None:
             rebuilt = build_map_store(deployment, len(subset), grid.cell_size)
-        fmap = rebuilt.maps[subset]
-        if body[head + 1:end] == _region_lines(fmap):  # the rebuild's own text
-            maps[subset] = fmap
-            continue
-        declared: dict[Signature, tuple] = {}
-        for ln in body[head + 1:end]:
-            parts = ln.split()
-            try:
-                if len(parts) != 7:
-                    raise ValueError
-                sig = parse_signature(parts[1])
-                values = (int(parts[6]), *(float(v) for v in parts[2:6]))
-            except ValueError:
-                raise ValueError(f"{source}: malformed region line {ln!r}") from None
-            if tuple(sorted(sig)) != subset:
-                raise ValueError(f"{source}: region signature {parts[1]} not over map subset")
-            if sig in declared:
-                raise ValueError(f"{source}: duplicate region signature {parts[1]}")
-            declared[sig] = values
-        if len(declared) != fmap.n_regions:
-            raise ValueError(
-                f"{source}: map {subset} declares {len(declared)} regions, "
-                f"rebuild gives {fmap.n_regions}"
-            )
-        sigs = sorted(declared)  # the rebuild's row order, if the signatures agree
-        if sigs != list(map(tuple, fmap.signatures.tolist())):
-            raise ValueError(f"{source}: region signatures disagree with rebuild for map {subset}")
-        rows = [declared[sig] for sig in sigs]  # count, cx, cy, accuracy, radius
-        rebuilt_rows = list(zip(*(column.tolist() for column in fmap.columns[1:])))
-        _check_stats(fmap, sigs, rows, rebuilt_rows, source)
-        maps[subset] = fmap
+        got, want = body[head + 1:end], _region_lines(rebuilt.maps[subset])
+        if got != want:  # name the first line that differs, or where one side ends
+            at = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+            got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of map block" for side in (got, want))
+            raw = text.splitlines()  # numbered as given: blank lines count, and one past the last
+            line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[grid_at + head + 2 + at]
+            raise ValueError(f"{source}: line {line}: {got_ln}, rebuild gives {want_ln}")
+        maps[subset] = rebuilt.maps[subset]
     expected = math.comb(deployment.n_aps, rebuilt.k)
     if len(maps) != expected:
         raise ValueError(

@@ -14,7 +14,7 @@ from apseq.cli import main
 from apseq.evaluate import load_config, run_experiment, simulate
 from apseq.localize import scan_to_text
 from apseq.mapgen import load_map_store
-from apseq.model import ApDeployment, load_deployment, save_deployment
+from apseq.model import ApDeployment, deployment_to_text, load_deployment, save_deployment
 
 CONFIG = """\
 deployment = quad.deploy
@@ -102,6 +102,15 @@ resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 from apseq.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_capped(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+    )
 
 
 @pytest.mark.parametrize("command", ["simulate", "evaluate"])
@@ -118,14 +127,36 @@ sys.exit(main(sys.argv[1:]))
 def test_oversized_config_is_an_error_under_a_memory_cap(workspace, tmp_path, command, keys, message):
     config = tmp_path / "oversized.cfg"
     config.write_text(f"deployment = {workspace / 'quad.deploy'}\nk_values = 2, 3\ncell_size = 0.5\n{keys}")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    result = subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, command, "--config", str(config), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-    )
+    result = run_capped(command, "--config", str(config), "--out", str(tmp_path / "out"))
     assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+# 14 APs in 60 x 40 m: at 0.5 m their cells hold 1510 orderings of all 14,
+# so the C(14, 7) = 3432 maps of k = 7 would take 5 182 320 map rows.
+FOURTEEN_APS = ApDeployment(width=60.0, height=40.0, aps=(
+    (1, 38.2, 10.8), (2, 2.5, 0.7), (3, 48.8, 36.5), (4, 36.4, 29.2), (5, 32.6, 37.4),
+    (6, 49.0, 0.1), (7, 51.4, 1.3), (8, 43.8, 7.0), (9, 51.8, 21.7), (10, 18.0, 16.9),
+    (11, 1.7, 5.0), (12, 40.2, 25.9), (13, 36.9, 15.3), (14, 59.8, 39.2),
+))
+
+
+@pytest.mark.parametrize("command", ["mapgen", "localize"])
+def test_oversized_map_build_is_an_error_under_a_memory_cap(prepared, tmp_path, command):
+    save_deployment(FOURTEEN_APS, tmp_path / "fourteen.deploy")
+    # A store file whose one map line makes the loader rebuild all 3432 maps.
+    (tmp_path / "fourteen.map").write_text(
+        f"APSEQMAP v1\n{deployment_to_text(FOURTEEN_APS)}grid 0.500000\nmap 1 2 3 4 5 6 7\n")
+    argv = {
+        "mapgen": ["--deploy", str(tmp_path / "fourteen.deploy"), "--grid", "0.5", "--k", "7",
+                   "--out", str(tmp_path / "out.map")],
+        "localize": ["--store", str(tmp_path / "fourteen.map"),
+                     "--scan", str(prepared / "loc_scans" / "scan_000.txt"), "--k", "7"],
+    }[command]
+    result = run_capped(command, *argv)
+    message = "3432 AP subsets x 1510 orderings = 5182320 map rows exceed the limit of 1000000"
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out.map").exists()
 
 
 class TestSimulate:

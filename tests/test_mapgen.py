@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -124,6 +125,11 @@ class TestEnumerateSubsets:
 
     def test_explicit_ids(self):
         assert enumerate_ap_subsets([4, 2, 9], 2) == [(2, 4), (2, 9), (4, 9)]
+
+    def test_more_subsets_than_map_rows_are_refused_unlisted(self):
+        message = r"^C\(40, 20\) = 137846528820 AP subsets exceed the limit of 1000000 map rows$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_ap_subsets(range(40), 20)
 
     def test_lexicographic_order(self):
         subsets = enumerate_ap_subsets(range(1, 5), 3)
@@ -460,9 +466,9 @@ def _drop_block(text, head):
     return text[:start] + (text[end:] if end >= 0 else "")
 
 
-# One edit of small_store's text per loader message, with the message's
-# wording; the wrong-size and unknown-AP map lines have tests of their own.
-# Every map of small_store holds all six orderings of its subset.
+# One edit of small_store's text per structural loader message, with the
+# message's wording; the wrong-size and unknown-AP map lines have tests of
+# their own.
 LOADER_FAULTS = [
     (lambda t: t.replace("APSEQMAP v1", "APSEQMAP v2"),
      r"<string>: unsupported version \(expected 'APSEQMAP v1'\)"),
@@ -484,42 +490,60 @@ LOADER_FAULTS = [
      r"<string>: store contains no maps"),
     (lambda t: t + t[t.index("map 1 2 3"): t.index("map 1 2 4")],
      r"<string>: duplicate map block for subset \(1, 2, 3\)"),
-    (lambda t: t.replace(" 21\n", "\n", 1),
-     r"<string>: malformed region line 'region 1-2-3 4.773810 0.964286 0.975918 2.146161'$"),
-    (lambda t: t.replace(" 0.964286 ", " x ", 1),
-     r"<string>: malformed region line 'region 1-2-3 4.773810 x "),
-    (lambda t: t.replace("region 1-2-3 ", "region 1-x-3 ", 1),
-     r"<string>: malformed region line 'region 1-x-3 4.773810 "),
-    (lambda t: t.replace("region 1-2-3 ", "region 1-2-4 "),
-     r"<string>: region signature 1-2-4 not over map subset"),
-    (lambda t: t.replace("region 1-2-3 ", "region 1 ", 1),
-     r"<string>: region signature 1 not over map subset$"),
-    (lambda t: t.replace("region 1-3-2 ", "region 1-2-3 "),
-     r"<string>: duplicate region signature 1-2-3"),
     (lambda t: _drop_block(t, "map 2 3 4"),
      r"<string>: 3 maps does not match C\(4,3\)=4"),
-    (lambda t: t.replace("region 1-3-2 2.113208 3.193396 2.055213 4.464031 106\n", ""),
-     r"<string>: map \(1, 2, 3\) declares 5 regions, rebuild gives 6"),
+]
+
+
+def refused_at(line, got, want):
+    """The loader's message for a map block whose first line off the rebuild
+    is `line`: the file's line and the rebuild's, None where a block ends."""
+    got, want = ("end of map block" if side is None else repr(side) for side in (got, want))
+    return re.escape(f"<string>: line {line}: {got}, rebuild gives {want}") + "$"
+
+
+# Lines 10-12 of small_store's text, the first region lines of map (1, 2, 3):
+R123 = "region 1-2-3 4.773810 0.964286 0.975918 2.146161 21"
+R132 = "region 1-3-2 2.113208 3.193396 2.055213 4.464031 106"
+R213 = "region 2-1-3 7.226190 0.964286 0.975918 2.146161 21"
+# Region 1-4-3 of map (1, 3, 4), line 25, has accuracy = radius = 0.25.
+R143 = "region 1-4-3 7.750000 0.500000 0.250000 0.250000 2"
+
+
+def _accuracy_above_radius(text):
+    return text.replace(R143, R143.replace(" 0.250000 ", " 0.250001 ", 1))
+
+
+# Region-level edits of small_store's text, by the fault each makes.  The
+# loader refuses every one at the first line that is not the rebuild's.
+REGION_FAULTS = {
+    "malformed region line 'region 1-2-3 4.773810 0.964286 0.975918 2.146161'$":
+        (lambda t: t.replace(" 21\n", "\n", 1), 10, R123.removesuffix(" 21"), R123),
+    "malformed region line 'region 1-2-3 4.773810 x ":
+        (lambda t: t.replace(" 0.964286 ", " x ", 1), 10, R123.replace(" 0.964286 ", " x "), R123),
+    "malformed region line 'region 1-x-3 4.773810 ":
+        (lambda t: t.replace("region 1-2-3 ", "region 1-x-3 ", 1), 10, R123.replace("1-2-3", "1-x-3"), R123),
+    "region signature 1-2-4 not over map subset":
+        (lambda t: t.replace("region 1-2-3 ", "region 1-2-4 "), 10, R123.replace("1-2-3", "1-2-4"), R123),
+    "region signature 1 not over map subset$":
+        (lambda t: t.replace("region 1-2-3 ", "region 1 ", 1), 10, R123.replace("1-2-3", "1"), R123),
+    "duplicate region signature 1-2-3":
+        (lambda t: t.replace("region 1-3-2 ", "region 1-2-3 "), 11, R132.replace("1-3-2", "1-2-3"), R132),
+    "map (1, 2, 3) declares 5 regions, rebuild gives 6":
+        (lambda t: t.replace(R132 + "\n", ""), 11, R213, R132),
     # AP 3 moved onto the line through APs 1 and 2, between them: the map
     # of (1, 2, 3) loses the two orderings that put AP 3 last.
-    (lambda t: t.replace("ap 3 6.000000 7.000000", "ap 3 6.000000 2.000000")
-     .replace("region 1-2-3 4.773810 0.964286 0.975918 2.146161 21\n", "")
-     .replace("region 1-3-2 2.113208 3.193396 2.055213 4.464031 106\n", ""),
-     r"<string>: region signatures disagree with rebuild for map \(1, 2, 3\)"),
-    (lambda t: t.replace(" 2.146161 21\n", " 2.146161 22\n", 1),
-     r"<string>: cell_count mismatch for region 1-2-3 \(file 22, rebuilt 21\)"),
-    (lambda t: t.replace(" 0.975918 ", " 0.975921 ", 1),
-     r"<string>: region stats mismatch for 1-2-3"),
-    # Region 1-4-3 of map (1, 3, 4) has accuracy = radius = 0.25 over 2 cells;
-    # an accuracy 1e-6 higher lies inside the loader's 2e-6 tolerance.
-    (lambda t: t.replace("region 1-4-3 7.750000 0.500000 0.250000 ",
-                         "region 1-4-3 7.750000 0.500000 0.250001 "),
-     r"<string>: region radius cannot be below its accuracy"),
-    (lambda t: t.replace("region 1-4-3 7.750000 0.500000 0.250000 ",
-                         "region 1-4-3 7.750000 0.500000 0.250001 "),
-     r"<string>: region radius cannot be below its accuracy for 1-4-3 "
-     r"\(radius 0.250000, accuracy 0.250001\)"),
-]
+    "region signatures disagree with rebuild for map (1, 2, 3)":
+        (lambda t: t.replace("ap 3 6.000000 7.000000", "ap 3 6.000000 2.000000")
+         .replace(R123 + "\n", "").replace(R132 + "\n", ""),
+         10, R213, "region 1-3-2 2.000000 4.000000 2.366925 4.138236 128"),
+    "cell_count mismatch for region 1-2-3 (file 22, rebuilt 21)":
+        (lambda t: t.replace(" 2.146161 21\n", " 2.146161 22\n", 1), 10, R123[:-2] + "22", R123),
+    "region stats mismatch for 1-2-3":
+        (lambda t: t.replace(" 0.975918 ", " 0.975921 ", 1), 10, R123.replace(" 0.975918 ", " 0.975921 "), R123),
+    "region radius cannot be below its accuracy for 1-4-3 (radius 0.250000, accuracy 0.250001)":
+        (_accuracy_above_radius, 25, R143.replace(" 0.250000 ", " 0.250001 ", 1), R143),
+}
 
 
 class TestMapStore:
@@ -556,34 +580,45 @@ class TestMapStore:
     def test_missing_region_line_detected(self, small_store):
         lines = map_store_to_text(small_store).splitlines()
         drop = next(i for i, ln in enumerate(lines) if ln.startswith("region "))
-        with pytest.raises(ValueError, match="region"):
+        with pytest.raises(ValueError, match=refused_at(10, R132, R123)):
             map_store_from_text("\n".join(lines[:drop] + lines[drop + 1:]) + "\n")
 
-    def test_tampered_stats_detected(self, small_store):
+    def test_a_block_that_ends_early_or_late_is_refused_where_it_ends(self, small_store):
+        lines = map_store_to_text(small_store).splitlines()
+        cases = [
+            (lines[:14] + lines[15:], 15, None, lines[14]),  # last line of map (1, 2, 3)
+            (lines[:-1], 36, None, lines[-1]),  # last line of the file
+            (lines[:15] + [R123] + lines[15:], 16, R123, None),
+            (lines + [R123], 37, R123, None),
+        ]
+        for edited, line, got, want in cases:
+            with pytest.raises(ValueError, match=refused_at(line, got, want)):
+                map_store_from_text("\n".join(edited) + "\n")
+
+    def test_map_blocks_load_in_any_subset_order(self, small_store):
         text = map_store_to_text(small_store)
-        target = next(ln for ln in text.splitlines() if ln.startswith("region "))
-        parts = target.split()
-        parts[2] = f"{float(parts[2]) + 0.5:.6f}"
-        with pytest.raises(ValueError, match="mismatch"):
-            map_store_from_text(text.replace(target, " ".join(parts), 1))
+        head, *blocks = text.split("map ")
+        assert map_store_from_text(head + "".join("map " + b for b in blocks[::-1])) == small_store
+
+    @staticmethod
+    def assert_first_region_refused(store, field, value):
+        """The first region line, line 10, with one field replaced is refused at that line."""
+        text = map_store_to_text(store)
+        parts = R123.split()
+        parts[field] = value(parts[field])
+        with pytest.raises(ValueError, match=refused_at(10, " ".join(parts), R123)):
+            map_store_from_text(text.replace(R123, " ".join(parts), 1))
+
+    def test_tampered_stats_detected(self, small_store):
+        self.assert_first_region_refused(small_store, 2, lambda v: f"{float(v) + 0.5:.6f}")
 
     def test_tampered_cell_count_detected(self, small_store):
-        text = map_store_to_text(small_store)
-        target = next(ln for ln in text.splitlines() if ln.startswith("region "))
-        parts = target.split()
-        parts[6] = str(int(parts[6]) + 1)
-        with pytest.raises(ValueError, match="cell_count"):
-            map_store_from_text(text.replace(target, " ".join(parts), 1))
+        self.assert_first_region_refused(small_store, 6, lambda v: str(int(v) + 1))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [2, 3, 4, 5])
     def test_non_finite_stats_detected(self, small_store, field, value):
-        text = map_store_to_text(small_store)
-        target = next(ln for ln in text.splitlines() if ln.startswith("region "))
-        parts = target.split()
-        parts[field] = value
-        with pytest.raises(ValueError, match="mismatch"):
-            map_store_from_text(text.replace(target, " ".join(parts), 1))
+        self.assert_first_region_refused(small_store, field, lambda v: value)
 
     def test_map_naming_an_unknown_ap_detected(self, small_store):
         # AP 4 renamed to 9 throughout the block of subset (1, 2, 4).
@@ -616,51 +651,49 @@ class TestMapStore:
             map_store_from_text("\n".join(lines[:start] + lines[end:]) + "\n")
 
     @pytest.mark.parametrize(
-        "edit, message", LOADER_FAULTS,
-        ids=[m.removeprefix("<string>: ").replace("\\", "") for _, m in LOADER_FAULTS],
+        "edit, message",
+        [pytest.param(edit, m, id=m.removeprefix("<string>: ").replace("\\", "")) for edit, m in LOADER_FAULTS]
+        + [pytest.param(edit, refused_at(*sides), id=fault) for fault, (edit, *sides) in REGION_FAULTS.items()]
+        # The accuracy edit once more, matched by its line number alone.
+        + [pytest.param(_accuracy_above_radius, "<string>: line 25: ",
+                        id="region radius cannot be below its accuracy")],
     )
     def test_loader_message(self, small_store, edit, message):
         text = edit(map_store_to_text(small_store))
         with pytest.raises(ValueError, match=message):
             map_store_from_text(text)
 
-    def test_canonical_text_loads_without_parsing_regions(self, small_store, monkeypatch):
-        def no_parse(text):
-            raise AssertionError("region line parsed")
-
-        text = map_store_to_text(small_store)
-        monkeypatch.setattr(mapgen, "parse_signature", no_parse)
-        assert map_store_from_text(text) == small_store
-
-    def test_reordered_region_lines_load_the_same_store(self, small_store):
+    def test_reordered_region_lines_are_refused(self, small_store):
         lines = map_store_to_text(small_store).splitlines()
         start = lines.index("map 1 2 3") + 1
         end = lines.index("map 1 2 4")
         lines[start:end] = lines[start:end][::-1]
-        loaded = map_store_from_text("\n".join(lines) + "\n")
-        assert loaded == small_store
-        assert map_store_to_text(loaded) == map_store_to_text(small_store)
+        with pytest.raises(ValueError, match=refused_at(10, lines[start], R123)):
+            map_store_from_text("\n".join(lines) + "\n")
 
     def test_indented_and_blank_lines_load_the_same_store(self, small_store):
         text = map_store_to_text(small_store)
         edited = "\n" + text.replace("\nregion ", "\n\n   region ").replace("\nmap ", "\n\t map ")
         assert edited != text
         assert map_store_from_text(edited) == small_store
+        # A refusal counts the blank lines: R123, line 10, is now line 12.
+        with pytest.raises(ValueError, match=refused_at(12, R123[:-2] + "22", R123)):
+            map_store_from_text(edited.replace(R123, R123[:-2] + "22"))
 
     def test_rows_are_checked_in_order(self, small_store):
-        # Map (1, 2, 3) with a wrong cell count in its last row, 3-2-1.
-        text = map_store_to_text(small_store).replace(
-            "region 3-2-1 8.126923 6.296154 1.728712 3.903890 65\n",
-            "region 3-2-1 8.126923 6.296154 1.728712 3.903890 66\n")
-        with pytest.raises(ValueError, match=r"cell_count mismatch for region 3-2-1 \(file 66, rebuilt 65\)$"):
+        # Map (1, 2, 3) with a wrong cell count in its last row, 3-2-1, on line 15.
+        r321 = "region 3-2-1 8.126923 6.296154 1.728712 3.903890 65"
+        text = map_store_to_text(small_store).replace(r321, r321[:-2] + "66")
+        with pytest.raises(ValueError, match=refused_at(15, r321[:-2] + "66", r321)):
             map_store_from_text(text)
-        # A stat far out of tolerance in the earlier row 1-3-2 is named
-        # first, also behind a stat within tolerance in the first row, 1-2-3.
-        far = text.replace("region 1-3-2 2.113208 ", "region 1-3-2 2.613208 ")
-        near = far.replace("region 1-2-3 4.773810 ", "region 1-2-3 4.773811 ")
-        for edited in (far, near):
-            with pytest.raises(ValueError, match=r"region stats mismatch for 1-3-2$"):
-                map_store_from_text(edited)
+        # An edit of an earlier row is named first: 1-3-2 on line 11, then
+        # 1-2-3 on line 10, however small its change.
+        far = text.replace(R132, R132.replace(" 2.113208 ", " 2.613208 "))
+        with pytest.raises(ValueError, match=refused_at(11, R132.replace(" 2.113208 ", " 2.613208 "), R132)):
+            map_store_from_text(far)
+        near = far.replace(R123, R123.replace(" 4.773810 ", " 4.773811 "))
+        with pytest.raises(ValueError, match=refused_at(10, R123.replace(" 4.773810 ", " 4.773811 "), R123)):
+            map_store_from_text(near)
 
     def test_grid_off_the_cell_size_round_trips(self):
         # 10.3 x 7.1 m is no whole number of 0.5 m cells: 21 x 15 cells.
@@ -674,19 +707,33 @@ class TestMapStore:
         assert build_stores(dep, [2, 3], 0.5)[3].grid == grid
         assert map_store_from_text(map_store_to_text(store)) == store
 
-    def test_stats_within_tolerance_load_quantized(self, small_store):
-        # A stat 1e-6 off keeps the file's value; extra digits are rounded off.
-        text = map_store_to_text(small_store)
-        edited = text.replace(" 4.773810 0.964286 ", " 4.7738114 0.964286 ", 1)
-        loaded = map_store_from_text(edited)
-        assert loaded.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid == (4.773811, 0.964286)
-        assert map_store_to_text(loaded) == text.replace(" 4.773810 ", " 4.773811 ", 1)
+    def test_stats_off_the_rebuilds_text_are_refused(self, small_store):
+        # 1e-6 off, or the same value in other digits: the text is not the rebuild's.
+        for cx in ("4.773811", "4.7738104", "4.77381"):
+            edited = R123.replace(" 4.773810 ", f" {cx} ")
+            with pytest.raises(ValueError, match=refused_at(10, edited, R123)):
+                map_store_from_text(map_store_to_text(small_store).replace(R123, edited))
 
     @pytest.mark.parametrize("area", ["area inf 8.000000", "area 12.000000 inf"])
     def test_non_finite_area_detected(self, small_store, area):
         text = map_store_to_text(small_store).replace("area 12.000000 8.000000", area)
         with pytest.raises(ValueError, match="finite, positive width and height"):
             map_store_from_text(text)
+
+    def test_map_row_limit_admits_its_own_size(self, small_store, monkeypatch):
+        dep, grid = small_store.deployment, small_store.grid
+        rows = 4 * len(_partition(dep, grid).orders)  # C(4, 3) subsets x orderings
+        monkeypatch.setattr(mapgen, "MAX_MAP_ROWS", rows)
+        assert build_map_store(dep, 3, grid.cell_size) == small_store
+        monkeypatch.setattr(mapgen, "MAX_MAP_ROWS", rows - 1)
+        with pytest.raises(ValueError, match=rf"^4 AP subsets x {rows // 4} orderings = {rows} map rows "
+                                             rf"exceed the limit of {rows - 1}$"):
+            build_map_store(dep, 3, grid.cell_size)
+        # A build of several k counts the subsets of every k: C(4, 2) + C(4, 3) = 10.
+        monkeypatch.setattr(mapgen, "MAX_MAP_ROWS", 10 * rows // 4)
+        assert build_stores(dep, [2, 3], grid.cell_size)[3] == small_store
+        with pytest.raises(ValueError, match=r"^11 AP subsets x "):
+            build_stores(dep, [2, 3, 4], grid.cell_size)
 
     def test_build_time_recorded(self, small_store):
         assert small_store.build_ms > 0.0
@@ -715,6 +762,15 @@ class TestColumns:
 
     def test_cells_of_an_absent_signature_is_empty(self, small_store):
         assert small_store.maps[(1, 2, 3)].cells_of((9, 8, 7)).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "array", ["signatures", "count", "cx", "cy", "accuracy", "radius", "lut", "cell_labels"])
+    def test_every_array_is_read_only(self, small_store, array):
+        loaded = map_store_from_text(map_store_to_text(small_store))
+        for store in (small_store, loaded):
+            for fmap in store.maps.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(fmap, array)[0] = 0
 
     @pytest.mark.parametrize("column", ["signatures", "count", "cx", "cy", "accuracy", "radius"])
     def test_equality_compares_every_column(self, small_store, column):

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,27 +64,33 @@ def map_stores(draw):
     return build_map_store(dep, k, cell_size)
 
 
+def assert_refused_at(line, lines):
+    with pytest.raises(ValueError, match=rf"^<string>: line {line}: "):
+        map_store_from_text("\n".join(lines) + "\n")
+
+
 @PROPERTY
 @given(map_stores(), st.data())
 def test_map_store_text_round_trips(store, data):
     text = map_store_to_text(store)
     assert map_store_from_text(text) == store
     assert map_store_to_text(map_store_from_text(text)) == text
-    # Move one declared stat by at least 3e-6, beyond the loader's 2e-6.
+    # Move one declared stat by 1e-6 or more: refused at that line.
     lines = text.splitlines()
     row = data.draw(st.sampled_from([n for n, ln in enumerate(lines) if ln.startswith("region ")]))
     parts = lines[row].split()
     col = data.draw(st.integers(2, 5))
-    shift = data.draw(st.integers(3, 10**6) | st.integers(-(10**6), -3))
+    shift = data.draw(st.integers(1, 10**6) | st.integers(-(10**6), -1))
     parts[col] = f"{float(parts[col]) + shift * 1e-6:.6f}"
-    lines[row] = " ".join(parts)
-    with pytest.raises(ValueError, match="mismatch"):
-        map_store_from_text("\n".join(lines) + "\n")
-    # Dropping that region line, or one whole map block, is refused too.
-    lines = text.splitlines()
+    assert_refused_at(row + 1, lines[:row] + [" ".join(parts)] + lines[row + 1:])
+    # Dropping that region line, adding a copy after it or swapping it with
+    # the next region line is refused at the first line that differs.
+    assert_refused_at(row + 1, lines[:row] + lines[row + 1:])
+    assert_refused_at(row + 2, lines[: row + 1] + lines[row:])
+    if row + 1 < len(lines) and lines[row + 1].startswith("region "):
+        assert_refused_at(row + 1, lines[:row] + [lines[row + 1], lines[row]] + lines[row + 2:])
+    # So is dropping one whole map block.
     heads = [n for n, ln in enumerate(lines) if ln.startswith("map ")] + [len(lines)]
-    with pytest.raises(ValueError):
-        map_store_from_text("\n".join(lines[:row] + lines[row + 1:]) + "\n")
     block = data.draw(st.integers(0, len(heads) - 2))
     with pytest.raises(ValueError):
         map_store_from_text("\n".join(lines[: heads[block]] + lines[heads[block + 1]:]) + "\n")
@@ -306,3 +315,33 @@ def test_mutated_file_inputs_never_crash_main(cli_files, kind, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc == 0 or (rc == 2 and err.getvalue().startswith("error: ")), (rc, err.getvalue())
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_below_five(n):
+    assert n < 5
+
+
+def test_after():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_under_the_repo_config(tmp_path):
+    # Under the repo's warning filters, reporting the falsifying example
+    # must not turn into an INTERNALERROR that ends the session.
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", "-q",
+         str(tmp_path / "test_failing.py")],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
+    assert "Falsifying example: test_below_five(" in result.stdout
