@@ -32,6 +32,10 @@ from .model import (
 DEFAULT_CELL_SIZE = 0.2
 MAX_CELLS = 10_000_000
 MAX_MAP_ROWS = 1_000_000  # (AP subset, full ordering) pairs in one build
+MAX_PARTITION_VALUES = 10_000_000  # grid cells x (APs + bisector words) in one partition
+# Each AP pair is one pass over the cells, and each bisector word one sort key
+# of ≈ 2.8 kB whatever the cell count, so the AP count is bounded as well.
+MAX_PARTITION_APS = 256
 
 # Tolerance applied to width/cell_size before ceil() so that an exactly
 # divisible area does not gain a spurious extra row from float division.
@@ -126,8 +130,9 @@ class FingerprintMap:
     Its regions are columns with one row each, in signature order: signatures
     (R, k), count (of cells), cx, cy, accuracy and radius.  Flat cell
     c = `j * cols + i` lies in row lut[cell_labels[c]].
-    cell_labels numbers each cell's ordering of all the deployment's APs,
-    so every map built together shares one such array.  Every array is read-only.
+    cell_labels numbers each cell's ordering of all the deployment's APs, in
+    the narrowest unsigned dtype, from runs of cells (_Partition); every map
+    built together shares one such array.  Every array is read-only.
     """
 
     subset: SubsetKey
@@ -233,9 +238,13 @@ def cell_signature(point: Sequence[float], subset: Iterable[int], deployment: Ap
 class _Partition(NamedTuple):
     """Grid cells grouped by their ordering of all the deployment's APs.
 
+    Groups are found from runs, stretches of cells in flat order on the same
+    side of every AP pair's bisector: only the runs are sorted.
+
     ids          AP ids in ascending order, the columns `orders` indexes
     orders       (groups, n) each group's ordering, lexicographic by group
-    cell_labels  group of each flat cell `j * cols + i`
+    cell_labels  group of each flat cell `j * cols + i`, in the narrowest
+                 unsigned dtype that holds the group count
     xs, ys       cell centres, sorted by group so that each group is a slice
     starts       where each group's slice of xs and ys begins
     count        cells per group
@@ -260,45 +269,59 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     Spatial Tessellations, ch. 3), sampled at the cell centres: the faces
     of the arrangement of the AP pairs' perpendicular bisectors.
     """
+    n, cells = deployment.n_aps, grid.n_cells
+    n_words = -(-math.comb(n, 2) // 32)
+    if n > MAX_PARTITION_APS:
+        raise ValueError(f"{n} APs exceed the limit of {MAX_PARTITION_APS} in one partition")
+    if cells * (n + n_words) > MAX_PARTITION_VALUES:
+        raise ValueError(f"{cells} cells x ({n} APs + {n_words} bisector words) = {cells * (n + n_words)} "
+                         f"values exceed the limit of {MAX_PARTITION_VALUES}")
     ids = np.asarray(deployment.ap_ids)
     pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
     col_x = (np.arange(grid.cols) + 0.5) * grid.cell_size
     row_y = (np.arange(grid.rows) + 0.5) * grid.cell_size
     # Squared distances, (APs, cells), same arithmetic as cell_signature:
     # dx*dx + dy*dy, squared once per column and row, then one broadcast add.
-    dx = col_x - pos[:, :1]
-    dx *= dx
-    dy = row_y - pos[:, 1:]
-    dy *= dy
-    d2 = (dx[:, None, :] + dy[:, :, None]).reshape(len(ids), grid.n_cells)
-    # One bit per AP pair a < b (columns in ascending-id order): the side of
-    # their bisector, with ties on the smaller id's side.  A stable argsort
-    # puts a before b exactly when the bit is set, so the bits determine a
-    # cell's ordering; 63 bits a word keep every word non-negative.
-    words = np.zeros((-(-math.comb(len(ids), 2) // 63), grid.n_cells), dtype=np.int64)
-    for bit, (a, b) in enumerate(itertools.combinations(range(len(ids)), 2)):
-        words[bit // 63] |= (d2[a] <= d2[b]).astype(np.int64) << (bit % 63)
-    by_key = np.lexsort(words)
-    sorted_words = words[:, by_key]
-    new_group = np.empty(grid.n_cells, dtype=bool)
-    new_group[0] = True
-    np.any(sorted_words[:, 1:] != sorted_words[:, :-1], axis=0, out=new_group[1:])
-    # Only one cell per group is argsorted; the groups are then numbered
-    # lexicographically by their orderings.
-    orders = np.argsort(d2[:, by_key[new_group]].T, axis=1, kind="stable")
+    dx, dy = np.square(col_x - pos[:, :1]), np.square(row_y - pos[:, 1:])
+    d2 = (dx[:, None, :] + dy[:, :, None]).reshape(n, cells)
+    # One bit per AP pair a < b (columns in ascending-id order), 32 a word:
+    # the side of their bisector, with ties on the smaller id's side.  A
+    # stable argsort puts a before b exactly when the bit is set, so the bits
+    # determine a cell's ordering.
+    words = np.zeros((n_words, cells), dtype=np.uint32)
+    side, shifted = np.empty(cells, dtype=bool), np.empty(cells, dtype=np.uint32)
+    for bit, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        np.less_equal(d2[a], d2[b], out=side)
+        words[bit // 32] |= np.left_shift(side, bit % 32, out=shifted, dtype=np.uint32)
+    # Neighbouring cells mostly share their words, so only the runs' words
+    # are sorted.  The lexsort is stable: each group's first run holds its
+    # lowest flat cell, and only that cell is argsorted.
+    run_first = np.flatnonzero(_column_changes(words))
+    by_key = np.lexsort(words[:, run_first])
+    new_group = _column_changes(words[:, run_first[by_key]])
+    orders = np.argsort(d2[:, run_first[by_key[new_group]]].T, axis=1, kind="stable")
+    del d2, words
+    # The groups are numbered lexicographically by their orderings.
     by_order = np.lexsort(orders.T[::-1])
-    rank = np.empty(len(orders), dtype=np.intp)
-    rank[by_order] = np.arange(len(orders))
     orders = orders[by_order]
-    cell_labels = np.empty(grid.n_cells, dtype=np.intp)
-    cell_labels[by_key] = rank[np.cumsum(new_group) - 1]
-    # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
-    perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
+    run_label = np.empty(len(by_key), dtype=np.min_scalar_type(len(orders)))
+    run_label[by_key] = np.argsort(by_order)[np.cumsum(new_group) - 1]
+    cell_labels = np.repeat(run_label, np.diff(run_first, append=cells))
+    # A stable argsort of 8- or 16-bit labels is a radix sort.
+    perm = np.argsort(cell_labels, kind="stable")
     count = np.bincount(cell_labels)
     starts = np.concatenate(([0], np.cumsum(count[:-1])))
-    xs, ys = col_x[perm % grid.cols], row_y[perm // grid.cols]
+    row, col = np.divmod(perm, grid.cols)
+    xs, ys = col_x[col], row_y[row]
     return _Partition(ids, orders, cell_labels, xs, ys, starts, count,
                       np.add.reduceat(xs, starts), np.add.reduceat(ys, starts))
+
+
+def _column_changes(columns: np.ndarray) -> np.ndarray:
+    """Whether each column differs from the one before it; the first does."""
+    changes = np.ones(columns.shape[1], dtype=bool)
+    np.any(columns[:, 1:] != columns[:, :-1], axis=0, out=changes[1:])
+    return changes
 
 
 def _map_stats(part: _Partition, lut: np.ndarray) -> np.ndarray:
@@ -352,8 +375,7 @@ def _build_maps(
         # every map's regions by signature, since ids ascend with columns.
         by_row = np.lexsort(np.vstack([rows.T[::-1], np.arange(len(rows)) // groups]))
         sorted_rows = rows[by_row]
-        new_region = np.empty(len(rows), dtype=bool)
-        np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=new_region[1:])
+        new_region = _column_changes(sorted_rows.T)
         new_region[::groups] = True  # each subset's block starts a region
         number = np.cumsum(new_region) - 1
         first = number[::groups]

@@ -159,6 +159,18 @@ def test_oversized_map_build_is_an_error_under_a_memory_cap(prepared, tmp_path, 
     assert not (tmp_path / "out.map").exists()
 
 
+def test_oversized_partition_is_an_error_under_a_memory_cap(tmp_path):
+    # 5000 x 2000 cells of 1 m pass the cell limit; with 2 APs and their one
+    # bisector word they hold three times the limit of partition values.
+    save_deployment(ApDeployment(width=5000.0, height=2000.0, aps=((1, 1.0, 1.0), (2, 9.0, 9.0))),
+                    tmp_path / "wide.deploy")
+    result = run_capped("mapgen", "--deploy", str(tmp_path / "wide.deploy"), "--grid", "1.0", "--k", "2",
+                        "--out", str(tmp_path / "out.map"))
+    message = "10000000 cells x (2 APs + 1 bisector words) = 30000000 values exceed the limit of 10000000"
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out.map").exists()
+
+
 class TestSimulate:
     def test_writes_scans_and_truth(self, workspace, capsys):
         out_dir = workspace / "scans"

@@ -6,11 +6,14 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apseq import mapgen
 from apseq.evaluate import load_config
@@ -400,8 +403,9 @@ def _partition_oracle(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     # Stable argsort on distance; columns are in ascending-id order, so ties
     # resolve toward the smaller ap_id exactly as the scalar version does.
     orders, cell_labels = _unique_rows(np.argsort(dx * dx + dy * dy, axis=1, kind="stable"))
-    # Labels narrowed to the smallest dtype: a stable argsort of 16-bit ints is a radix sort.
-    perm = np.argsort(cell_labels.astype(np.min_scalar_type(len(orders))), kind="stable")
+    # Labels in the narrowest unsigned dtype that holds the group count.
+    cell_labels = cell_labels.astype(np.min_scalar_type(len(orders)))
+    perm = np.argsort(cell_labels, kind="stable")
     count = np.bincount(cell_labels)
     starts = np.concatenate(([0], np.cumsum(count[:-1])))
     xs, ys = xs[perm], ys[perm]
@@ -420,6 +424,17 @@ def lattice_deployment(seed):
         width=10.0, height=8.0,
         aps=tuple((int(i), float(p % 21) / 2, float(p // 21) / 2) for i, p in zip(ids, spots)),
     )
+
+
+@st.composite
+def lattice_deployments(draw):
+    """2-13 APs with any ids on the half-metre lattice over 10 m x 8 m.  Often
+    8 or 9 APs (one bisector word or two) and 11 or 12 (two words or three)."""
+    n_aps = draw(st.one_of(st.sampled_from([8, 9, 11, 12]), st.integers(2, 13)))
+    spots = draw(st.lists(st.integers(0, 21 * 17 - 1), min_size=n_aps, max_size=n_aps, unique=True))
+    ids = draw(st.lists(st.integers(1, 99), min_size=n_aps, max_size=n_aps, unique=True))
+    return ApDeployment(width=10.0, height=8.0,
+                        aps=tuple((i, (p % 21) / 2, (p // 21) / 2) for i, p in zip(ids, spots)))
 
 
 class TestPartitionOracle:
@@ -448,6 +463,73 @@ class TestPartitionOracle:
 
     def test_lattice_deployments_reach_two_words(self):
         assert {lattice_deployment(seed).n_aps for seed in range(30)} == set(range(2, 14))
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(dep=lattice_deployments(), cell_size=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.2, 2.0)))
+    def test_random_lattice_deployments(self, dep, cell_size):
+        self.assert_same_partition(dep, cell_size)
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s peak of traced allocations in bytes, and its result or ValueError."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestPartitionSize:
+    def test_limit_admits_its_own_size(self, small_store, monkeypatch):
+        dep, grid = small_store.deployment, small_store.grid
+        size = grid.n_cells * (dep.n_aps + 1)
+        monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", size)
+        assert build_map_store(dep, 3, grid.cell_size) == small_store
+        monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", size - 1)
+        with pytest.raises(ValueError, match=rf"^{grid.n_cells} cells x \(4 APs \+ 1 bisector words\) = "
+                                             rf"{size} values exceed the limit of {size - 1}$"):
+            build_map_store(dep, 3, grid.cell_size)
+
+    def test_oversized_partition_is_refused_unallocated(self, monkeypatch):
+        # 200 x 100 cells x (2 APs + 1 word): three times a lowered limit,
+        # and ≈ 0.8 MB of partition if built.
+        monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", 20_000)
+        dep = ApDeployment(width=200.0, height=100.0, aps=((1, 1.0, 1.0), (2, 9.0, 9.0)))
+        peak, error = traced_peak(_partition, dep, GridSpec.for_deployment(dep, 1.0))
+        assert str(error) == "20000 cells x (2 APs + 1 bisector words) = 60000 values exceed the limit of 20000"
+        assert peak < 50_000
+
+    def test_bisector_words_count_toward_the_limit(self):
+        # 256 APs on 10 000 cells: 2 560 000 distances, but C(256, 2) pairs
+        # take 1 020 words a cell, ≈ 100 MB if built.
+        dep = ApDeployment(width=100.0, height=100.0,
+                           aps=tuple((i + 1, float(i % 16 * 6), float(i // 16 * 6)) for i in range(256)))
+        peak, error = traced_peak(_partition, dep, GridSpec.for_deployment(dep, 1.0))
+        assert str(error) == ("10000 cells x (256 APs + 1020 bisector words) = 12760000 values "
+                              "exceed the limit of 10000000")
+        assert peak < 50_000
+
+    def test_ap_limit(self):
+        aps = tuple((i + 1, i % 16 + 0.5, i // 16 + 0.5) for i in range(257))
+        TestPartitionOracle.assert_same_partition(ApDeployment(width=17.0, height=17.0, aps=aps[:256]), 4.25)
+        dep = ApDeployment(width=17.0, height=17.0, aps=aps)
+        peak, error = traced_peak(_partition, dep, GridSpec.for_deployment(dep, 4.25))
+        assert str(error) == "257 APs exceed the limit of 256 in one partition"
+        assert peak < 50_000
+
+    def test_peak_memory_per_cell(self):
+        # The distances (8 B an AP) and the 4-byte bisector words dominate:
+        # ≈ 67 B a cell for dover's 7 APs.
+        dep = load_deployment(load_config(str(DATA / "dover.cfg")).deployment)
+        grid = GridSpec.for_deployment(dep, 0.2)
+        _partition(dep, grid)  # numpy's one-time allocations are not the partition's
+        peak, part = traced_peak(_partition, dep, grid)
+        assert len(part.cell_labels) == grid.n_cells == 60000
+        assert peak / grid.n_cells <= 80
 
 
 @pytest.fixture(scope="module")

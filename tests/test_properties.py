@@ -245,8 +245,9 @@ def test_localize_raises_only_value_error(store_family, values, k, single):
 
 
 # Replacement tokens: the edges of every field's domain, and the keywords of
-# every format.  None asks for more than a few thousand cells or samples.
-TOKENS = ["", "0", "-1", "2", "7", "0.5", "-0.0", "1e308", "1e-300", "nan", "inf", "-inf", "x",
+# every format.  Huge magnitudes reach the size limits of grids, partitions,
+# test points and windows, each of which refuses before it allocates.
+TOKENS = ["", "0", "-1", "2", "7", "0.5", "-0.0", "1e9", "1e12", "1e308", "1e-300", "nan", "inf", "-inf", "x",
           "1-2", "2-1", "map", "region", "sample", "window", "ap", "area", "grid", "="]
 
 CLI_CONFIG = """\
