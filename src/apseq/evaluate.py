@@ -173,12 +173,8 @@ def error_cdf(errors: Sequence[float]) -> tuple[tuple[float, float], ...]:
     """Empirical CDF evaluated at each distinct error value (right-continuous)."""
     if len(errors) == 0:
         raise ValueError("empty error list")
-    arr = np.sort(np.asarray(errors, dtype=float))
-    n = len(arr)
-    out = []
-    for v in np.unique(arr):
-        out.append((float(v), float(np.searchsorted(arr, v, side="right") / n)))
-    return tuple(out)
+    values, counts = np.unique(np.asarray(errors, dtype=float), return_counts=True)
+    return tuple(zip(values.tolist(), (np.cumsum(counts) / len(errors)).tolist()))
 
 
 @dataclass(frozen=True)

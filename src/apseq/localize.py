@@ -24,6 +24,9 @@ from .selection import _lloyd, _rank, candidate_picks, kmeans_1d  # noqa: F401 (
 # An AP must appear in at least this fraction of the window's sampling
 # instants to count as detected after aggregation.
 DETECTION_RATIO = 0.10
+# Instants x APs of one window, simulated or loaded from a scan file; at the
+# limit synth_window + aggregate_scan add 40 MB of peak.
+MAX_WINDOW_SAMPLES = 1_000_000
 
 
 def instant_count(duration_s: float, cadence_s: float) -> int:
@@ -254,6 +257,8 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         except ValueError:
             raise ValueError(f"{source}: malformed window line {' '.join(parts)!r}") from None
         body = body[1:]
+    if len(body) > MAX_WINDOW_SAMPLES:
+        raise ValueError(f"{source}: {len(body)} sample lines exceed the limit of {MAX_WINDOW_SAMPLES} samples")
     samples = []
     for ln in body:
         parts = ln.split()
@@ -286,7 +291,11 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     counts = [rows[t] for t in ts]
     first_row = dict(zip(ts, np.cumsum(counts) - counts))
     col = {ap_id: j for j, ap_id in enumerate(last)}
-    rss = np.full((sum(counts), len(col)), np.nan)
+    shape = (sum(counts), len(col))
+    if shape[0] * shape[1] > MAX_WINDOW_SAMPLES:
+        raise ValueError(f"{source}: window of {shape[0]} rows x {shape[1]} APs exceeds the limit of "
+                         f"{MAX_WINDOW_SAMPLES} samples")
+    rss = np.full(shape, np.nan)
     for (t, ap_id, v), m in zip(samples, ms):
         rss[first_row[t] + m, col[ap_id]] = v
     if schedule is None:

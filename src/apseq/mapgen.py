@@ -425,15 +425,13 @@ def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT
 #   region <signature-text> <cx> <cy> <accuracy> <radius> <cell_count>
 #   ...                                 (one map block per k-subset)
 #
-# Maps are written in subset order and regions in signature order.  Cell
-# memberships are not stored.  At the first map line the loader knows k and
-# rebuilds the store once from the deployment and cell size (build_map_store).
-# A map block, in any subset order, loads as its rebuilt map when its region
-# lines equal that map's own text; otherwise the loader names the first line
-# that differs.  After the last block it checks that the file declared exactly
-# the C(n, k) k-subset maps.  All reals carry exactly six fractional digits,
-# which together with construction-time quantization makes save -> load
-# field-exact and re-saves byte-identical.
+# A store is derived data, so its body has one rule: every line after the
+# grid line is the writer's text (_map_lines) of the store that
+# build_map_store rebuilds from the deployment, the cell size and the k of
+# the first map line.  Maps come in subset order and regions in signature
+# order; cell memberships are not stored.  The loader names the first line
+# that differs.  All reals carry six fractional digits, so re-saves are
+# byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -444,21 +442,20 @@ def save_map_store(store: MapStore, path) -> None:
 
 
 def map_store_to_text(store: MapStore) -> str:
-    out = [STORE_HEADER]
-    out.append(deployment_to_text(store.deployment).rstrip("\n"))
-    out.append(f"grid {store.grid.cell_size:.6f}")
+    head = [STORE_HEADER, deployment_to_text(store.deployment).rstrip("\n"), f"grid {store.grid.cell_size:.6f}"]
+    return "\n".join(head + _map_lines(store)) + "\n"
+
+
+def _map_lines(store: MapStore) -> list[str]:
+    """The store's map blocks as the store file holds them: a map line, then its region lines."""
+    out = []
     for subset in sorted(store.maps):
         out.append("map " + " ".join(str(i) for i in subset))
-        out.extend(_region_lines(store.maps[subset]))
-    return "\n".join(out) + "\n"
-
-
-def _region_lines(fmap: FingerprintMap) -> list[str]:
-    """A map's region lines, as the store file holds them."""
-    return [
-        f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
-        for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in fmap.columns))
-    ]
+        out.extend(
+            f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
+            for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in store.maps[subset].columns))
+        )
+    return out
 
 
 def load_map_store(path) -> MapStore:
@@ -485,42 +482,26 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     except ValueError as exc:
         raise ValueError(f"{source}: malformed grid line {lines[grid_at]!r} ({exc})") from None
 
-    # Each map block runs from its map line to the next line that is not a
-    # region line; the first line after the grid starts a block regardless.
+    # k comes from the first map line, and the whole body must be the rebuild's text.
     body = lines[grid_at + 1:]
     if not body:
         raise ValueError(f"{source}: store contains no maps")
-    heads = [n for n, ln in enumerate(body) if n == 0 or not ln.startswith("region ")]
-    rebuilt: MapStore | None = None
-    maps: dict[SubsetKey, FingerprintMap] = {}
-    for head, end in zip(heads, heads[1:] + [len(body)]):
-        map_ln = body[head].split()
-        if map_ln[0] != "map":
-            raise ValueError(f"{source}: expected map line, got {body[head]!r}")
-        try:
-            subset = subset_key(int(i) for i in map_ln[1:])
-        except ValueError as exc:
-            raise ValueError(f"{source}: malformed map line {body[head]!r} ({exc})") from None
-        if rebuilt is not None and len(subset) != rebuilt.k:
-            raise ValueError(f"{source}: map subset {subset} is not size {rebuilt.k}")
-        if subset in maps:
-            raise ValueError(f"{source}: duplicate map block for subset {subset}")
-        unknown = sorted(set(subset) - deployment.ap_id_set)
-        if unknown:
-            raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
-        if rebuilt is None:
-            rebuilt = build_map_store(deployment, len(subset), grid.cell_size)
-        got, want = body[head + 1:end], _region_lines(rebuilt.maps[subset])
-        if got != want:  # name the first line that differs, or where one side ends
-            at = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
-            got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of map block" for side in (got, want))
-            raw = text.splitlines()  # numbered as given: blank lines count, and one past the last
-            line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[grid_at + head + 2 + at]
-            raise ValueError(f"{source}: line {line}: {got_ln}, rebuild gives {want_ln}")
-        maps[subset] = rebuilt.maps[subset]
-    expected = math.comb(deployment.n_aps, rebuilt.k)
-    if len(maps) != expected:
-        raise ValueError(
-            f"{source}: {len(maps)} maps does not match C({deployment.n_aps},{rebuilt.k})={expected}"
-        )
-    return MapStore(deployment=deployment, k=rebuilt.k, grid=grid, maps=maps)
+    map_ln = body[0].split()
+    if map_ln[0] != "map":
+        raise ValueError(f"{source}: expected map line, got {body[0]!r}")
+    try:
+        subset = subset_key(int(i) for i in map_ln[1:])
+    except ValueError as exc:
+        raise ValueError(f"{source}: malformed map line {body[0]!r} ({exc})") from None
+    unknown = sorted(set(subset) - deployment.ap_id_set)
+    if unknown:
+        raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
+    store = build_map_store(deployment, len(subset), grid.cell_size)
+    want = _map_lines(store)
+    if body != want:  # name the first line that differs, or where one side ends
+        at = next((n for n, (a, b) in enumerate(zip(body, want)) if a != b), min(len(body), len(want)))
+        got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of store" for side in (body, want))
+        raw = text.splitlines()  # numbered as given: blank lines count, and one past the last
+        line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[grid_at + 1 + at]
+        raise ValueError(f"{source}: line {line}: {got_ln}, rebuild gives {want_ln}")
+    return store

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localize import ScanWindow, instant_count
-from .model import ApDeployment
+from .localize import MAX_WINDOW_SAMPLES, ScanWindow, instant_count
+from .model import UNDETECTED_DBM, ApDeployment
 
 DEFAULT_DURATION_S = 60.0
 DEFAULT_CADENCE_S = 0.3
-# Instants x APs of one window; at the limit synth_window + aggregate_scan add 40 MB of peak.
-MAX_WINDOW_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,8 @@ class PropagationParams:
             raise ValueError("reference distance d0_m must be finite and positive")
         if not 0 <= self.sigma_db < math.inf:
             raise ValueError("sigma_db must be a finite non-negative number")
-        if not -100.0 < self.detect_floor_dbm < math.inf:
-            raise ValueError("detect_floor_dbm must be finite and exceed the -100 sentinel")
+        if not UNDETECTED_DBM < self.detect_floor_dbm < math.inf:
+            raise ValueError(f"detect_floor_dbm must be finite and exceed the {UNDETECTED_DBM:g} sentinel")
 
 
 def mean_rss(distance_m: float, params: PropagationParams) -> float:

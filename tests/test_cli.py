@@ -171,6 +171,17 @@ def test_oversized_partition_is_an_error_under_a_memory_cap(tmp_path):
     assert not (tmp_path / "out.map").exists()
 
 
+def test_sparse_scan_is_an_error_under_a_memory_cap(prepared, tmp_path):
+    # 20 000 samples, each from its own AP at its own second: as one dense
+    # window they would be 20 000 x 20 000 values, 2.98 GiB.
+    scan = tmp_path / "sparse.txt"
+    scan.write_text("APSEQ-SCAN v2\nwindow 20000.0 1.0\n"
+                    + "".join(f"sample {t}.000 {t + 1} -40.000000\n" for t in range(20_000)))
+    result = run_capped("localize", "--store", str(prepared / "loc_k2.map"), "--scan", str(scan), "--k", "2")
+    message = f"{scan}: window of 20000 rows x 20000 APs exceeds the limit of 1000000 samples"
+    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+
+
 class TestSimulate:
     def test_writes_scans_and_truth(self, workspace, capsys):
         out_dir = workspace / "scans"

@@ -111,6 +111,19 @@ class TestScanWindow:
         with pytest.raises(ValueError, match=message):
             ScanWindow(**kwargs, duration_s=2.0, cadence_s=1.0)
 
+    def test_scan_size_limit_admits_its_own_size(self, monkeypatch):
+        # 3 instants x 4 APs, every one heard: 12 sample lines and 12 values.
+        monkeypatch.setattr("apseq.localize.MAX_WINDOW_SAMPLES", 12)
+        text = "APSEQ-SCAN v2\nwindow 3.0 1.0\n" + "".join(
+            f"sample {t}.0 {ap} -40.0\n" for t in range(3) for ap in range(1, 5))
+        assert scan_from_text(text).rss.shape == (3, 4)
+        with pytest.raises(ValueError, match=r"^<string>: 13 sample lines exceed the limit of 12 samples$"):
+            scan_from_text(text + "sample 2.0 4 -41.0\n")
+        # Fewer lines, but each from its own AP at its own instant: 4 x 4 values.
+        sparse = "APSEQ-SCAN v2\nwindow 4.0 1.0\n" + "".join(f"sample {t}.0 {t + 1} -40.0\n" for t in range(4))
+        with pytest.raises(ValueError, match=r"^<string>: window of 4 rows x 4 APs exceeds the limit of 12 samples$"):
+            scan_from_text(sparse)
+
     def test_nan_sample_rejected(self):
         # In the matrix NaN marks an unheard instant; a file may not write one.
         with pytest.raises(ValueError, match="malformed sample line 'sample 1.0 1 nan'"):

@@ -549,8 +549,7 @@ def _drop_block(text, head):
 
 
 # One edit of small_store's text per structural loader message, with the
-# message's wording; the wrong-size and unknown-AP map lines have tests of
-# their own.
+# message's wording; the first map line's unknown AP has a test of its own.
 LOADER_FAULTS = [
     (lambda t: t.replace("APSEQMAP v1", "APSEQMAP v2"),
      r"<string>: unsupported version \(expected 'APSEQMAP v1'\)"),
@@ -562,25 +561,21 @@ LOADER_FAULTS = [
      r"<string>: malformed grid line"),
     (lambda t: t.replace("grid 0.500000", "grid abc"),
      r"<string>: malformed grid line 'grid abc'"),
-    (lambda t: t.replace("map 1 2 4\n", "map 1 x 4\n"),
-     r"<string>: malformed map line 'map 1 x 4'"),
-    (lambda t: t.replace("map 1 2 4\n", "map 1 1 4\n"),
-     r"<string>: malformed map line 'map 1 1 4' \(duplicate AP id in subset\)"),
+    (lambda t: t.replace("map 1 2 3\n", "map 1 x 3\n"),
+     r"<string>: malformed map line 'map 1 x 3'"),
+    (lambda t: t.replace("map 1 2 3\n", "map 1 1 3\n"),
+     r"<string>: malformed map line 'map 1 1 3' \(duplicate AP id in subset\)"),
     (lambda t: t.replace("grid 0.500000\n", "grid 0.500000\nregion 1-2-3\n"),
      r"<string>: expected map line, got 'region 1-2-3'"),
     (lambda t: t[: t.index("map ")],
      r"<string>: store contains no maps"),
-    (lambda t: t + t[t.index("map 1 2 3"): t.index("map 1 2 4")],
-     r"<string>: duplicate map block for subset \(1, 2, 3\)"),
-    (lambda t: _drop_block(t, "map 2 3 4"),
-     r"<string>: 3 maps does not match C\(4,3\)=4"),
 ]
 
 
 def refused_at(line, got, want):
-    """The loader's message for a map block whose first line off the rebuild
-    is `line`: the file's line and the rebuild's, None where a block ends."""
-    got, want = ("end of map block" if side is None else repr(side) for side in (got, want))
+    """The loader's message for a store whose first line off the rebuild is
+    `line`: the file's line and the rebuild's, None where the store ends."""
+    got, want = ("end of store" if side is None else repr(side) for side in (got, want))
     return re.escape(f"<string>: line {line}: {got}, rebuild gives {want}") + "$"
 
 
@@ -596,9 +591,9 @@ def _accuracy_above_radius(text):
     return text.replace(R143, R143.replace(" 0.250000 ", " 0.250001 ", 1))
 
 
-# Region-level edits of small_store's text, by the fault each makes.  The
-# loader refuses every one at the first line that is not the rebuild's.
-REGION_FAULTS = {
+# Edits of small_store's map blocks, by the fault each makes.  The loader
+# refuses every one at the first line that is not the rebuild's.
+BODY_FAULTS = {
     "malformed region line 'region 1-2-3 4.773810 0.964286 0.975918 2.146161'$":
         (lambda t: t.replace(" 21\n", "\n", 1), 10, R123.removesuffix(" 21"), R123),
     "malformed region line 'region 1-2-3 4.773810 x ":
@@ -625,6 +620,15 @@ REGION_FAULTS = {
         (lambda t: t.replace(" 0.975918 ", " 0.975921 ", 1), 10, R123.replace(" 0.975918 ", " 0.975921 "), R123),
     "region radius cannot be below its accuracy for 1-4-3 (radius 0.250000, accuracy 0.250001)":
         (_accuracy_above_radius, 25, R143.replace(" 0.250000 ", " 0.250001 ", 1), R143),
+    # A map line after the first is read as text, like a region line.
+    "malformed map line 'map 1 x 4'":
+        (lambda t: t.replace("map 1 2 4\n", "map 1 x 4\n"), 16, "map 1 x 4", "map 1 2 4"),
+    "malformed map line 'map 1 1 4' (duplicate AP id in subset)":
+        (lambda t: t.replace("map 1 2 4\n", "map 1 1 4\n"), 16, "map 1 1 4", "map 1 2 4"),
+    "duplicate map block for subset (1, 2, 3)":
+        (lambda t: t + t[t.index("map 1 2 3"): t.index("map 1 2 4")], 37, "map 1 2 3", None),
+    "3 maps does not match C(4,3)=4":
+        (lambda t: _drop_block(t, "map 2 3 4"), 30, None, "map 2 3 4"),
 }
 
 
@@ -668,19 +672,22 @@ class TestMapStore:
     def test_a_block_that_ends_early_or_late_is_refused_where_it_ends(self, small_store):
         lines = map_store_to_text(small_store).splitlines()
         cases = [
-            (lines[:14] + lines[15:], 15, None, lines[14]),  # last line of map (1, 2, 3)
+            (lines[:14] + lines[15:], 15, lines[15], lines[14]),  # last line of map (1, 2, 3)
             (lines[:-1], 36, None, lines[-1]),  # last line of the file
-            (lines[:15] + [R123] + lines[15:], 16, R123, None),
+            (lines[:15] + [R123] + lines[15:], 16, R123, lines[15]),
             (lines + [R123], 37, R123, None),
         ]
         for edited, line, got, want in cases:
             with pytest.raises(ValueError, match=refused_at(line, got, want)):
                 map_store_from_text("\n".join(edited) + "\n")
 
-    def test_map_blocks_load_in_any_subset_order(self, small_store):
-        text = map_store_to_text(small_store)
-        head, *blocks = text.split("map ")
-        assert map_store_from_text(head + "".join("map " + b for b in blocks[::-1])) == small_store
+    def test_map_blocks_out_of_subset_order_are_refused(self, small_store):
+        head, *blocks = map_store_to_text(small_store).split("map ")
+        with pytest.raises(ValueError, match=refused_at(9, "map 2 3 4", "map 1 2 3")):
+            map_store_from_text(head + "".join("map " + b for b in blocks[::-1]))
+        swapped = [blocks[0], blocks[2], blocks[1], blocks[3]]
+        with pytest.raises(ValueError, match=refused_at(16, "map 1 3 4", "map 1 2 4")):
+            map_store_from_text(head + "".join("map " + b for b in swapped))
 
     @staticmethod
     def assert_first_region_refused(store, field, value):
@@ -703,23 +710,28 @@ class TestMapStore:
         self.assert_first_region_refused(small_store, field, lambda v: value)
 
     def test_map_naming_an_unknown_ap_detected(self, small_store):
-        # AP 4 renamed to 9 throughout the block of subset (1, 2, 4).
-        lines = map_store_to_text(small_store).splitlines()
-        start = lines.index("map 1 2 4")
-        lines[start] = "map 1 2 9"
-        for n in range(start + 1, len(lines)):
-            if not lines[n].startswith("region "):
-                break
-            parts = lines[n].split()
-            parts[1] = parts[1].replace("4", "9")
-            lines[n] = " ".join(parts)
-        with pytest.raises(ValueError, match=r"AP ids \[9\] not in the deployment"):
-            map_store_from_text("\n".join(lines) + "\n")
+        # The first map line sets k, so its AP ids are checked by name; any
+        # later one is refused as a line off the rebuild.
+        cases = [((1, 2, 3), r"^<string>: map subset \(1, 2, 9\) names AP ids \[9\] not in the deployment$"),
+                 ((1, 2, 4), refused_at(16, "map 1 2 9", "map 1 2 4"))]
+        for subset, message in cases:
+            # The block's last AP renamed to 9 throughout.
+            last, lines = str(subset[-1]), map_store_to_text(small_store).splitlines()
+            start = lines.index("map " + " ".join(map(str, subset)))
+            lines[start] = lines[start][:-1] + "9"
+            for n in range(start + 1, len(lines)):
+                if not lines[n].startswith("region "):
+                    break
+                parts = lines[n].split()
+                parts[1] = parts[1].replace(last, "9")
+                lines[n] = " ".join(parts)
+            with pytest.raises(ValueError, match=message):
+                map_store_from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("line", ["map 1 2", "map 1 2 3 4"])
     def test_map_of_the_wrong_size_detected(self, small_store, line):
         text = map_store_to_text(small_store).replace("map 1 2 4\n", line + "\n", 1)
-        with pytest.raises(ValueError, match="is not size 3"):
+        with pytest.raises(ValueError, match=refused_at(16, line, "map 1 2 4")):
             map_store_from_text(text)
 
     def test_missing_map_block_detected(self, small_store):
@@ -729,13 +741,13 @@ class TestMapStore:
             (i for i, ln in enumerate(lines[start + 1:], start + 1) if ln.startswith("map ")),
             len(lines),
         )
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=refused_at(9, "map 1 2 4", "map 1 2 3")):
             map_store_from_text("\n".join(lines[:start] + lines[end:]) + "\n")
 
     @pytest.mark.parametrize(
         "edit, message",
         [pytest.param(edit, m, id=m.removeprefix("<string>: ").replace("\\", "")) for edit, m in LOADER_FAULTS]
-        + [pytest.param(edit, refused_at(*sides), id=fault) for fault, (edit, *sides) in REGION_FAULTS.items()]
+        + [pytest.param(edit, refused_at(*sides), id=fault) for fault, (edit, *sides) in BODY_FAULTS.items()]
         # The accuracy edit once more, matched by its line number alone.
         + [pytest.param(_accuracy_above_radius, "<string>: line 25: ",
                         id="region radius cannot be below its accuracy")],

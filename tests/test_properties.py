@@ -89,11 +89,20 @@ def test_map_store_text_round_trips(store, data):
     assert_refused_at(row + 2, lines[: row + 1] + lines[row:])
     if row + 1 < len(lines) and lines[row + 1].startswith("region "):
         assert_refused_at(row + 1, lines[:row] + [lines[row + 1], lines[row]] + lines[row + 2:])
-    # So is dropping one whole map block.
+    # So is dropping one whole map block, swapping it with the next block or
+    # adding a copy after it.
     heads = [n for n, ln in enumerate(lines) if ln.startswith("map ")] + [len(lines)]
     block = data.draw(st.integers(0, len(heads) - 2))
-    with pytest.raises(ValueError):
-        map_store_from_text("\n".join(lines[: heads[block]] + lines[heads[block + 1]:]) + "\n")
+    start, end = heads[block], heads[block + 1]
+    if len(heads) > 2:
+        assert_refused_at(start + 1, lines[:start] + lines[end:])
+    else:  # a store of k = n APs has one block, and without it no k
+        with pytest.raises(ValueError, match="^<string>: store contains no maps$"):
+            map_store_from_text("\n".join(lines[:start]) + "\n")
+    if block + 2 < len(heads):
+        after = heads[block + 2]
+        assert_refused_at(start + 1, lines[:start] + lines[end:after] + lines[start:end] + lines[after:])
+    assert_refused_at(end + 1, lines[:end] + lines[start:end] + lines[end:])
 
 
 @st.composite
