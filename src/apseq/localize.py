@@ -259,7 +259,7 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         body = body[1:]
     if len(body) > MAX_WINDOW_SAMPLES:
         raise ValueError(f"{source}: {len(body)} sample lines exceed the limit of {MAX_WINDOW_SAMPLES} samples")
-    samples = []
+    times, ids, values = [], [], []  # one list per column
     for ln in body:
         parts = ln.split()
         if len(parts) != 4 or parts[0] != "sample":
@@ -270,8 +270,11 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{source}: malformed sample line {ln!r}") from None
-        samples.append((t, ap_id, rss))
-    if not samples:
+        times.append(t)
+        ids.append(ap_id)
+        values.append(rss)
+    del lines, body  # the line texts go: the columns hold every sample now
+    if not times:
         raise ValueError(f"{source}: scan file contains no samples")
     # An AP's m-th sample at time t goes to the m-th row of t, and t gets as
     # many rows as its most-sampled AP needs.  `last` keeps each AP's latest
@@ -279,7 +282,7 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     last: dict[int, tuple[float, int]] = {}
     rows: dict[float, int] = {}
     ms = []
-    for t, ap_id, _ in samples:
+    for t, ap_id in zip(times, ids):
         prev, m = last.get(ap_id, (t, -1))
         if t < prev:
             raise ValueError(f"{source}: timestamps for AP {ap_id} are not non-decreasing")
@@ -296,8 +299,8 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         raise ValueError(f"{source}: window of {shape[0]} rows x {shape[1]} APs exceeds the limit of "
                          f"{MAX_WINDOW_SAMPLES} samples")
     rss = np.full(shape, np.nan)
-    for (t, ap_id, v), m in zip(samples, ms):
-        rss[first_row[t] + m, col[ap_id]] = v
+    rss[np.fromiter(map(first_row.__getitem__, times), np.intp, len(times)) + ms,
+        np.fromiter(map(col.__getitem__, ids), np.intp, len(ids))] = values
     if schedule is None:
         # Infer the schedule: cadence from the smallest gap between distinct
         # instants, duration covering all of them.

@@ -25,7 +25,6 @@ from .model import (
     _quantize,
     deployment_from_text,
     deployment_to_text,
-    signature_to_text,
     subset_key,
 )
 
@@ -324,30 +323,6 @@ def _column_changes(columns: np.ndarray) -> np.ndarray:
     return changes
 
 
-def _map_stats(part: _Partition, lut: np.ndarray) -> np.ndarray:
-    """Rows of cell count, centroid x and y, accuracy and radius, unquantized,
-    over the regions of a map whose region numbers by group are `lut`.
-
-    Counts, centroids and the accuracy sums add up per-group values, so
-    only the per-cell distance to the centroid is computed over the cells.
-    """
-    count = np.bincount(lut, weights=part.count)
-    cx = np.bincount(lut, weights=part.sum_x) / count
-    cy = np.bincount(lut, weights=part.sum_y) / count
-    # dx*dx + dy*dy in two buffers, in place.
-    dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
-    np.subtract(part.xs, dx, out=dx)
-    dx *= dx
-    np.subtract(part.ys, dy, out=dy)
-    dy *= dy
-    dx += dy
-    dist = np.sqrt(dx, out=dx)
-    accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
-    radius = np.zeros(len(count))
-    np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
-    return np.stack((count, cx, cy, accuracy, radius))
-
-
 def _build_maps(
     deployment: ApDeployment, subsets: dict[int, list[SubsetKey]], grid: GridSpec
 ) -> dict[int, dict[SubsetKey, FingerprintMap]]:
@@ -373,23 +348,42 @@ def _build_maps(
         rows = rows[member[:, part.orders]].reshape(-1, k)
         # Sorting by subset, then lexicographically by the row, numbers
         # every map's regions by signature, since ids ascend with columns.
-        by_row = np.lexsort(np.vstack([rows.T[::-1], np.arange(len(rows)) // groups]))
-        sorted_rows = rows[by_row]
-        new_region = _column_changes(sorted_rows.T)
+        by_row = np.lexsort((*rows.T[::-1], np.arange(len(rows)) // groups))
+        rows = rows[by_row]
+        new_region = _column_changes(rows.T)
         new_region[::groups] = True  # each subset's block starts a region
+        sigs = part.ids[rows[new_region]]
+        del rows  # the k's largest array, before its statistics
         number = np.cumsum(new_region) - 1
-        first = number[::groups]
+        bounds = np.append(number[::groups], number[-1] + 1)  # each map's slice of the k's regions
         luts = np.empty_like(number)
-        luts[by_row] = number - np.repeat(first, groups)
+        luts[by_row] = number  # numbered across the whole k, for now
+        # Every region of this k in one set of columns.  Counts, centroids and
+        # the accuracy sums add up per-group values in group order, so only
+        # the per-cell distance to the centroid is computed map by map.
+        count = np.bincount(luts, weights=np.tile(part.count, len(same_k)))
+        cx, cy = (np.bincount(luts, weights=np.tile(s, len(same_k))) / count for s in (part.sum_x, part.sum_y))
+        accuracy, radius, peaks = np.empty(len(count)), np.zeros(len(count)), np.empty(len(luts))
         luts = luts.reshape(-1, groups)
-        # Every region of this k in one set of columns, quantized at once.
-        stats = np.hstack([_map_stats(part, lut) for lut in luts])
-        stats[1:] = _quantize_array(stats[1:])
-        per_map = zip(same_k, luts, np.split(part.ids[sorted_rows[new_region]], first[1:]),
-                      np.split(stats, first[1:], axis=1))
+        for lut, a, b, peak in zip(luts, bounds, bounds[1:], peaks.reshape(-1, groups)):
+            # dx*dx + dy*dy in two buffers, in place.
+            dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
+            np.subtract(part.xs, dx, out=dx)
+            dx *= dx
+            np.subtract(part.ys, dy, out=dy)
+            dy *= dy
+            dx += dy
+            dist = np.sqrt(dx, out=dx)
+            accuracy[a:b] = np.bincount(lut - a, weights=np.add.reduceat(dist, part.starts))
+            np.maximum.reduceat(dist, part.starts, out=peak)
+        np.maximum.at(radius, luts.ravel(), peaks)
+        accuracy /= count
+        luts -= bounds[:-1, None]  # each map numbers its own regions from 0
+        stats = _quantize_array(np.stack((cx, cy, accuracy, radius)))
+        count = count.astype(np.int64)
         maps[k] = {
-            subset: FingerprintMap(subset, grid, sigs, n.astype(np.int64), x, y, acc, rad, part.cell_labels, lut)
-            for subset, lut, sigs, (n, x, y, acc, rad) in per_map
+            subset: FingerprintMap(subset, grid, sigs[a:b], count[a:b], *stats[:, a:b], part.cell_labels, lut)
+            for subset, lut, a, b in zip(same_k, luts, bounds, bounds[1:])
         }
     return maps
 
@@ -448,13 +442,12 @@ def map_store_to_text(store: MapStore) -> str:
 
 def _map_lines(store: MapStore) -> list[str]:
     """The store's map blocks as the store file holds them: a map line, then its region lines."""
+    region = "region " + "-".join(["%d"] * store.k) + " %.6f %.6f %.6f %.6f %d"
     out = []
-    for subset in sorted(store.maps):
-        out.append("map " + " ".join(str(i) for i in subset))
-        out.extend(
-            f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
-            for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in store.maps[subset].columns))
-        )
+    for subset, m in sorted(store.maps.items()):  # subsets are distinct, so maps are never compared
+        out.append("map " + " ".join(map(str, subset)))
+        out.extend(map(region.__mod__, zip(*m.signatures.T.tolist(),
+                                           *(c.tolist() for c in (m.cx, m.cy, m.accuracy, m.radius, m.count)))))
     return out
 
 
@@ -496,7 +489,10 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     unknown = sorted(set(subset) - deployment.ap_id_set)
     if unknown:
         raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
-    store = build_map_store(deployment, len(subset), grid.cell_size)
+    try:
+        store = build_map_store(deployment, len(subset), grid.cell_size)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     want = _map_lines(store)
     if body != want:  # name the first line that differs, or where one side ends
         at = next((n for n, (a, b) in enumerate(zip(body, want)) if a != b), min(len(body), len(want)))

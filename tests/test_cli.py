@@ -155,7 +155,9 @@ def test_oversized_map_build_is_an_error_under_a_memory_cap(prepared, tmp_path, 
     }[command]
     result = run_capped(command, *argv)
     message = "3432 AP subsets x 1510 orderings = 5182320 map rows exceed the limit of 1000000"
-    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+    # The loader's rebuild names the store file, as its other refusals do.
+    source = {"mapgen": "", "localize": f"{tmp_path / 'fourteen.map'}: "}[command]
+    assert (result.returncode, result.stderr) == (2, f"error: {source}{message}\n")
     assert not (tmp_path / "out.map").exists()
 
 

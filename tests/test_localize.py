@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestScanWindow:
         sparse = "APSEQ-SCAN v2\nwindow 4.0 1.0\n" + "".join(f"sample {t}.0 {t + 1} -40.0\n" for t in range(4))
         with pytest.raises(ValueError, match=r"^<string>: window of 4 rows x 4 APs exceeds the limit of 12 samples$"):
             scan_from_text(sparse)
+
+    def test_loading_a_long_scan_keeps_no_record_per_sample(self):
+        # 5 000 instants x 4 APs: the samples are held as columns, and the
+        # line texts are dropped before the window matrix is filled.
+        text = "APSEQ-SCAN v2\nwindow 1000.0 0.2\n" + "".join(
+            f"sample {t * 0.2:.3f} {ap} {-40.0 - (t * 7 + ap) % 50:.6f}\n" for t in range(5000) for ap in range(1, 5))
+        tracemalloc.start()
+        try:
+            window = scan_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert window.rss.shape == (5000, 4)
+        assert window.rss[4999].tolist() == [-40.0 - (4999 * 7 + ap) % 50 for ap in range(1, 5)]
+        assert peak <= 200 * 20_000
 
     def test_nan_sample_rejected(self):
         # In the matrix NaN marks an unheard instant; a file may not write one.

@@ -19,7 +19,7 @@ from apseq import mapgen
 from apseq.evaluate import load_config
 from apseq.mapgen import (
     GridSpec,
-    _map_stats,
+    _map_lines,
     _Partition,
     _partition,
     _quantize_array,
@@ -32,7 +32,7 @@ from apseq.mapgen import (
     map_store_to_text,
     save_map_store,
 )
-from apseq.model import ApDeployment, _quantize, load_deployment
+from apseq.model import ApDeployment, _quantize, load_deployment, signature_to_text
 
 DATA = resources.files("apseq") / "data"
 
@@ -427,10 +427,11 @@ def lattice_deployment(seed):
 
 
 @st.composite
-def lattice_deployments(draw):
-    """2-13 APs with any ids on the half-metre lattice over 10 m x 8 m.  Often
-    8 or 9 APs (one bisector word or two) and 11 or 12 (two words or three)."""
-    n_aps = draw(st.one_of(st.sampled_from([8, 9, 11, 12]), st.integers(2, 13)))
+def lattice_deployments(draw, n_aps=st.one_of(st.sampled_from([8, 9, 11, 12]), st.integers(2, 13))):
+    """2-13 APs (or as many as `n_aps` draws) with any ids on the half-metre
+    lattice over 10 m x 8 m.  By default often 8 or 9 APs (one bisector word
+    or two) and 11 or 12 (two words or three)."""
+    n_aps = draw(n_aps)
     spots = draw(st.lists(st.integers(0, 21 * 17 - 1), min_size=n_aps, max_size=n_aps, unique=True))
     ids = draw(st.lists(st.integers(1, 99), min_size=n_aps, max_size=n_aps, unique=True))
     return ApDeployment(width=10.0, height=8.0,
@@ -468,6 +469,59 @@ class TestPartitionOracle:
     @given(dep=lattice_deployments(), cell_size=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.2, 2.0)))
     def test_random_lattice_deployments(self, dep, cell_size):
         self.assert_same_partition(dep, cell_size)
+
+
+def _map_stats_oracle(part: _Partition, lut: np.ndarray) -> np.ndarray:
+    """Rows of cell count, centroid x and y, accuracy and radius, unquantized,
+    over the regions of one map whose region numbers by group are `lut`: the
+    per-map statistics that the build once computed map by map."""
+    count = np.bincount(lut, weights=part.count)
+    cx = np.bincount(lut, weights=part.sum_x) / count
+    cy = np.bincount(lut, weights=part.sum_y) / count
+    dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
+    np.subtract(part.xs, dx, out=dx)
+    dx *= dx
+    np.subtract(part.ys, dy, out=dy)
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)
+    accuracy = np.bincount(lut, weights=np.add.reduceat(dist, part.starts)) / count
+    radius = np.zeros(len(count))
+    np.maximum.at(radius, lut, np.maximum.reduceat(dist, part.starts))
+    return np.stack((count, cx, cy, accuracy, radius))
+
+
+def _fstring_map_lines(store) -> list[str]:
+    """The store's map blocks as one f-string per region line renders them."""
+    out = []
+    for subset in sorted(store.maps):
+        out.append("map " + " ".join(str(i) for i in subset))
+        out.extend(
+            f"region {signature_to_text(sig)} {x:.6f} {y:.6f} {acc:.6f} {rad:.6f} {n}"
+            for sig, n, x, y, acc, rad in zip(*(column.tolist() for column in store.maps[subset].columns))
+        )
+    return out
+
+
+class TestMapStatsOracle:
+    """Every map's columns and lut against a map-by-map build from the
+    partition, and the writer's lines against the f-string renderer."""
+
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(dep=lattice_deployments(n_aps=st.integers(2, 9)), cell_size=st.floats(0.3, 2.0))
+    def test_random_lattice_deployments(self, dep, cell_size):
+        part = _partition(dep, GridSpec.for_deployment(dep, cell_size))
+        full = part.ids[part.orders]
+        for k, store in build_stores(dep, range(2, dep.n_aps + 1), cell_size).items():
+            for subset, fmap in store.maps.items():
+                sigs, lut = _unique_rows(full[np.isin(full, subset)].reshape(-1, k))
+                count, *reals = _map_stats_oracle(part, lut)
+                want = (sigs, count.astype(np.int64), *(np.array([_quantize(v) for v in r]) for r in reals), lut)
+                for name, got, expected in zip(("signatures", "count", "cx", "cy", "accuracy", "radius", "lut"),
+                                               (*fmap.columns, fmap.lut), want):
+                    assert got.dtype == expected.dtype, (subset, name)
+                    assert np.array_equal(got, expected), (subset, name)
+            assert _map_lines(store) == _fstring_map_lines(store)
 
 
 def traced_peak(fn, *args):
@@ -940,9 +994,8 @@ class TestDistanceKernel:
             for fmap in build_stores(dep, range(2, dep.n_aps + 1), cell_size).values():
                 for m in fmap.maps.values():
                     accuracy, radius = _hypot_stats(part, m.lut)
-                    stats = _map_stats(part, m.lut)
-                    assert _quantize_array(stats[3]).tolist() == m.accuracy.tolist() == accuracy
-                    assert _quantize_array(stats[4]).tolist() == m.radius.tolist() == radius
+                    assert m.accuracy.tolist() == accuracy
+                    assert m.radius.tolist() == radius
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
