@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate, rank_scan
+from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate_all, rank_scan
 from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_stores
 from .model import ApDeployment, load_deployment
 from .propagation import (
@@ -38,6 +38,8 @@ from .propagation import (
     window_instants,
 )
 
+# Scans that window_sweep clusters at once, in one locate_all call.
+SWEEP_BATCH = 128
 # Test points of one run; at the limit `apseq evaluate` on dover (k = 3..7) peaked at 80 MB.
 MAX_TEST_POINTS = 100_000
 
@@ -117,12 +119,9 @@ class ExperimentConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
 
 
 def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> ExperimentConfig:
@@ -226,22 +225,11 @@ def simulate(
     """
     seed = config.root_seed(seed)
     params = config.params()
-    points = gen_test_points(
-        deployment.width,
-        deployment.height,
-        config.test_points,
-        mode=config.test_point_mode,
-        rng=np.random.default_rng(np.random.SeedSequence((seed, 0))),
-    )
+    points = gen_test_points(deployment.width, deployment.height, config.test_points, config.test_point_mode,
+                             rng=np.random.default_rng(np.random.SeedSequence((seed, 0))))
     for idx, point in enumerate(points):
-        yield point, synth_window(
-            point,
-            deployment,
-            params,
-            duration_s=config.duration_s,
-            cadence_s=config.cadence_s,
-            rng=np.random.default_rng(np.random.SeedSequence((seed, idx + 1))),
-        )
+        rng = np.random.default_rng(np.random.SeedSequence((seed, idx + 1)))
+        yield point, synth_window(point, deployment, params, config.duration_s, config.cadence_s, rng=rng)
 
 
 def _checked_stores(
@@ -255,9 +243,7 @@ def _checked_stores(
     grid = GridSpec.for_deployment(deployment, config.cell_size)
     for k, store in stores.items():
         if store.deployment != deployment:
-            raise ValueError(
-                f"store for k={k} was built for another deployment than {config.deployment}"
-            )
+            raise ValueError(f"store for k={k} was built for another deployment than {config.deployment}")
         if store.grid != grid:
             raise ValueError(f"store for k={k} has grid {store.grid}, the config needs {grid}")
     for k in config.k_values:
@@ -294,10 +280,10 @@ def window_sweep(
     Each test point's window is simulated once, at the longest duration.
     One aggregate_heads pass gives every duration d aggregate_scan(window, d):
     the samples a window simulated for d would hold, since every duration
-    replays the point's noise stream.  Each such scan is ranked once and
-    located at every k, which is localize at that k.  The comparison thus
-    isolates the effect of observation time.  `stores` is checked as in
-    run_experiment.
+    replays the point's noise stream.  Each such scan is ranked once, and
+    SWEEP_BATCH scans at a time are located at every k by one locate_all
+    call, which is localize at each k.  The comparison thus isolates the
+    effect of observation time.  `stores` is checked as in run_experiment.
     """
     # Check the seed and every duration before any store is built.
     config.root_seed(seed)
@@ -314,25 +300,25 @@ def window_sweep(
     points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
     # Per duration and k, each point's error; None where it was missed.
     errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
-    # The stores fit the config, so a ValueError here comes from the scan
-    # (no signal, too few APs, a degraded k without a store): a miss.
-    longest = max(configs)
+    longest, batch = max(configs), []
     for idx, (point, window) in enumerate(simulate(configs[longest], deployment, seed)):
         points[idx] = point
         head = aggregate_heads(window, longest)
         for d in configs:
             try:
-                ranked = rank_scan(head(d), stores)
-            except ValueError:
+                batch.append((idx, d, rank_scan(head(d), stores)))
+            except ValueError:  # no signal: a miss at every k
                 continue
-            for k in ks:
-                try:
-                    outcome = locate(ranked, stores, k)
-                except ValueError:
-                    continue
+        if len(batch) < SWEEP_BATCH and idx < len(points) - 1:
+            continue
+        # The stores fit the config, so a None outcome comes from the scan (too
+        # few APs, a degraded k without a store, an empty cluster): a miss.
+        for (i, d, _), outcomes in zip(batch, locate_all([ranked for *_, ranked in batch], stores, ks)):
+            for k, outcome in zip(ks, outcomes):
                 if isinstance(outcome, Estimate):
-                    ex, ey = outcome.position
-                    errors[d][k][idx] = float(np.hypot(ex - point[0], ey - point[1]))
+                    (ex, ey), (px, py) = outcome.position, points[i]
+                    errors[d][k][i] = float(np.hypot(ex - px, ey - py))
+        batch = []
 
     def k_report(d: float, k: int) -> KReport:
         hits = tuple(e for e in errors[d][k] if e is not None)

@@ -9,6 +9,7 @@ every candidate misses, the attempt is a missed detection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,8 @@ import numpy as np
 
 from .mapgen import MapStore
 from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
-from .selection import _lloyd, _rank, candidate_picks, kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
+from .selection import _lloyd, _rank, candidate_picks, lloyd_runs
+from .selection import kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
 
 # An AP must appear in at least this fraction of the window's sampling
 # instants to count as detected after aggregation.
@@ -162,24 +164,22 @@ def rank_scan(scan: RssScan, stores: Mapping[int, MapStore]) -> tuple:
     return _rank(detected if detected.keys() <= known else {i: v for i, v in detected.items() if i in known})
 
 
-def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
-    """localize at one k from rank_scan's ranking: localize(scan, stores, k) is
-    locate(rank_scan(scan, stores), stores, k)."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2 (got {k})")
+def _seeded(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> tuple:
+    """localize's (ids, xs, seeds, maps) at k from rank_scan's ranking, or its ValueError."""
     ids, xs, distinct, fault = ranked
     k_eff = min(k, len(distinct))
-    if k_eff < 2:
-        raise ValueError("insufficient APs")
-    try:
-        maps = stores[k_eff].maps
-    except KeyError:
-        raise ValueError(f"store/k mismatch (no store for k={k_eff})") from None
+    if k < 2 or k_eff < 2:
+        raise ValueError(f"k must be at least 2 (got {k})" if k < 2 else "insufficient APs")
+    if k_eff not in stores:
+        raise ValueError(f"store/k mismatch (no store for k={k_eff})")
     if fault:
         raise ValueError(fault)
-    # Top-rank Lloyd seeding, not the exact default: localization outcomes
-    # are pinned by per-k references, and switching is a change of its own.
-    for tried, picks in enumerate(candidate_picks(_lloyd(ids, xs, distinct[:k_eff])), 1):
+    return ids, xs, distinct[:k_eff], stores[k_eff].maps
+
+
+def _first_hit(walk, maps) -> LocalizationOutcome:
+    """The first candidate of the walk whose signature is in its map."""
+    for tried, picks in enumerate(walk, 1):
         region = maps[tuple(sorted(picks))].regions.get(picks)
         if region is not None:
             return Estimate(region.centroid, picks, tuple(sorted(picks)), region.accuracy, region.radius, tried)
@@ -195,7 +195,33 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
     selection.candidate_picks order until a signature is present in its map.
     Detected APs foreign to the deployment are ignored.
     """
-    return locate(rank_scan(scan, stores), stores, k)
+    ids, xs, seeds, maps = _seeded(rank_scan(scan, stores), stores, k)
+    # Top-rank Lloyd seeding, not the exact default: localization outcomes
+    # are pinned by per-k references, and switching is a change of its own.
+    return _first_hit(candidate_picks(_lloyd(ids, xs, seeds)), maps)
+
+
+def locate_all(rankings: list, stores: Mapping[int, MapStore], ks) -> list:
+    """[[localize at k for k in ks] for each of rank_scan's rankings], None where
+    localize raises ValueError; one lloyd_runs call clusters every (ranking, k)."""
+    out, jobs = [[None] * len(ks) for _ in rankings], []
+    for (r, ranked), (j, k) in itertools.product(enumerate(rankings), enumerate(ks)):
+        try:
+            jobs.append((r, j, *_seeded(ranked, stores, k)))
+        except ValueError:
+            continue
+    if not jobs:
+        return out
+    # One padded row of values, and one of distinct values, per job.
+    rows, width = [job[0] for job in jobs], max(len(v[1]) for v in rankings)
+    xs, distinct = (np.array([v[i] + [0.0] * (width - len(v[i])) for v in rankings])[rows] for i in (1, 2))
+    sizes, ks_eff = np.array([len(v[1]) for v in rankings])[rows], np.array([len(job[4]) for job in jobs])
+    bounds, failed = lloyd_runs(xs, sizes, distinct[:, : ks_eff.max()], ks_eff)
+    for (r, j, ids, _, seeds, maps), cuts, bad in zip(jobs, bounds.tolist(), failed.tolist()):
+        if not bad:  # else a pass left a cluster empty: _lloyd's ValueError
+            runs = zip(cuts, cuts[1 : len(seeds) + 1])
+            out[r][j] = _first_hit(itertools.product(*[ids[a:b] for a, b in runs]), maps)
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -241,10 +267,7 @@ def load_scan(path) -> ScanWindow:
 def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] not in (SCAN_HEADER, SCAN_HEADER_V1):
-        raise ValueError(
-            f"{source}: unsupported version "
-            f"(expected {SCAN_HEADER!r} or {SCAN_HEADER_V1!r})"
-        )
+        raise ValueError(f"{source}: unsupported version (expected {SCAN_HEADER!r} or {SCAN_HEADER_V1!r})")
     schedule = None
     body = lines[1:]
     if lines[0] == SCAN_HEADER:

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .model import Signature
 
@@ -22,10 +26,8 @@ class DegenerateClusteringError(ValueError):
     """Raised when fewer distinct RSS values exist than requested clusters."""
 
     def __init__(self, requested: int, max_k: int):
-        super().__init__(
-            f"degenerate clustering: {requested} clusters requested but only "
-            f"{max_k} distinct RSS values"
-        )
+        super().__init__(f"degenerate clustering: {requested} clusters requested but only "
+                         f"{max_k} distinct RSS values")
 
 
 @dataclass(frozen=True)
@@ -121,39 +123,22 @@ def _lloyd(ids: list[int], xs: list[float], centroids: list[float]) -> Clusterin
     k = len(centroids)
     # Values and centroids both run strongest-first, so every pass splits xs
     # into k contiguous runs, one per centroid.
-    bounds = _nearest_runs(xs, centroids)
-    history: list[float] = []
-    iterations = 1
+    bounds, history, iterations = _nearest_runs(xs, centroids), [], 1
     while True:
         runs = list(zip(bounds, bounds[1:]))
         empty = [c for c, (a, b) in enumerate(runs, 1) if a == b]
         if empty:
             # A Lloyd pass can strand a centroid, and centroids a few ulps
             # apart can tie, so that no value is nearest to some centroid.
-            raise ValueError(
-                f"K-means left clusters {empty} of {k} empty (numbered "
-                f"strongest-first from 1): no RSS value is nearest to their centroids"
-            )
-        centroids = [sum(xs[a:b]) / (b - a) for a, b in runs]
-        history.append(
-            sum((x - c) ** 2 for (a, b), c in zip(runs, centroids) for x in xs[a:b])
-        )
-        if iterations >= MAX_ITERATIONS:
+            raise ValueError(f"K-means left clusters {empty} of {k} empty (numbered strongest-first "
+                             f"from 1): no RSS value is nearest to their centroids")
+        centroids = [_sum(xs[a:b]) / (b - a) for a, b in runs]
+        history.append(_sum((x - c) ** 2 for (a, b), c in zip(runs, centroids) for x in xs[a:b]))
+        if iterations >= MAX_ITERATIONS or (new_bounds := _nearest_runs(xs, centroids)) == bounds:
             break
-        new_bounds = _nearest_runs(xs, centroids)
-        if new_bounds == bounds:
-            break
-        bounds = new_bounds
-        iterations += 1
-
-    return Clustering(
-        clusters=tuple(
-            Cluster(members=tuple(zip(ids[a:b], xs[a:b])), centroid=c)
-            for (a, b), c in zip(runs, centroids)
-        ),
-        iterations=iterations,
-        objective_history=tuple(history),
-    )
+        bounds, iterations = new_bounds, iterations + 1
+    clusters = tuple(Cluster(tuple(zip(ids[a:b], xs[a:b])), c) for (a, b), c in zip(runs, centroids))
+    return Clustering(clusters, iterations, tuple(history))
 
 
 def _nearest_runs(xs: list[float], cents: list[float]) -> list[int]:
@@ -173,6 +158,44 @@ def _nearest_runs(xs: list[float], cents: list[float]) -> list[int]:
     return bounds
 
 
+def _sum(xs) -> float:  # left to right on every Python: sum() of floats is compensated from 3.12
+    return reduce(operator.add, xs, 0.0)
+
+
+def lloyd_runs(xs: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, ks: np.ndarray) -> tuple:
+    """_lloyd's run bounds for many rows at once, bit for bit: (bounds, failed).
+
+    Row r clusters xs[r, :sizes[r]] (sorted strongest-first, then padding)
+    from the centroids seeds[r, :ks[r]].  bounds[r, :ks[r] + 1] are its run
+    bounds unless failed[r]: a pass left a cluster empty, and _lloyd raises.
+    """
+    (rows, width), kmax = xs.shape, seeds.shape[1]
+    every, at, runs = np.arange(rows), np.arange(width + 1), np.arange(kmax) < ks[:, None]
+    x = np.pad(xs, ((0, 0), (0, 1)))[:, :, None]
+    # bincount adds each (row, run) slot's values in order; padding has slot kmax.
+    slot = every[:, None] * (kmax + 1) + (at[:width] >= sizes[:, None])
+    bounds, failed, cents = np.full((rows, kmax + 1), -1), np.zeros(rows, dtype=bool), seeds
+    for _ in range(MAX_ITERATIONS):
+        # _nearest_runs of every row; no value is nearer to the centroids past a row's k.
+        d = np.abs(x - np.where(runs, cents, np.inf)[:, None, :])
+        # stop[r, i, c]: the first j >= i at which value j is strictly nearer to centroid c + 1 than to c.
+        stop = np.minimum.accumulate(np.where(d[:, :, 1:] >= d[:, :, :-1], width, at[:, None])[:, ::-1], axis=1)
+        new = np.zeros_like(bounds)
+        new[:, kmax] = sizes
+        for c in range(kmax - 1):
+            new[:, c + 1] = np.minimum(stop[every, width - new[:, c], c], sizes)
+        moved = (new != bounds).any(axis=1) & ~failed
+        if not moved.any():
+            break
+        bounds[moved] = new[moved]
+        counts = np.diff(bounds)
+        failed |= ((counts == 0) & runs).any(axis=1)
+        label = slot + (at[:width, None] >= bounds[:, None, 1:kmax]).sum(axis=2)
+        sums = np.bincount(label.ravel(), xs.ravel(), rows * (kmax + 1)).reshape(rows, -1)
+        cents = sums[:, :kmax] / np.maximum(counts, 1)
+    return bounds, failed
+
+
 def _optimal_split_means(xs: list[float], k: int) -> list[float]:
     """Means of the least-squares split of xs (sorted descending) into k
     contiguous runs, cutting only between unequal values.
@@ -181,7 +204,7 @@ def _optimal_split_means(xs: list[float], k: int) -> list[float]:
     distinct values.
     """
     n = len(xs)
-    shift = sum(xs) / n  # centred prefix sums keep the run costs precise
+    shift = _sum(xs) / n  # centred prefix sums keep the run costs precise
     s, s2 = [0.0], [0.0]
     for x in xs:
         s.append(s[-1] + (x - shift))
@@ -204,7 +227,7 @@ def _optimal_split_means(xs: list[float], k: int) -> list[float]:
             for b in ends[j:]
         }
     bounds = best[n][1] + (n,)
-    return [sum(xs[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return [_sum(xs[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def candidate_picks(clustering: Clustering) -> Iterator[Signature]:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from importlib import resources
 
@@ -468,6 +469,30 @@ class TestWindowSweep:
         cfg, stores = bundled["ecc"]
         want = sweep_oracle(cfg, (cfg.duration_s,), 2, stores)[cfg.duration_s]
         assert run_experiment(cfg, seed=2, stores=stores) == want
+
+
+def test_sweep_memory_is_bounded_by_its_batch():
+    """The sweep clusters at most SWEEP_BATCH scans at a time, so its traced
+    peak above what its reports keep does not grow with the test points:
+    from 400 to 1 600 points it may grow by the few pointers a point's
+    errors take, not by the ≈ 10 kB a point that held scans take."""
+    cfg = replace(load_config(str(DATA / "ecc.cfg")), cell_size=1.0, duration_s=3.0)
+    stores = build_stores(load_deployment(cfg.deployment), cfg.k_values, cfg.cell_size)
+    window_sweep(replace(cfg, test_points=5), (3.0,), seed=5, stores=stores)  # regions are made on first use
+
+    def working_peak(points: int) -> int:
+        tracemalloc.start()
+        try:
+            sweep = window_sweep(replace(cfg, test_points=points), (3.0,), seed=5, stores=stores)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rep.n_points for rep in sweep[3.0].per_k.values()) == 4 * points
+        return peak - kept
+
+    assert 400 > evaluate.SWEEP_BATCH
+    small, large = working_peak(400), working_peak(1_600)
+    assert large - small < 100 * 1_200, (small, large)
 
 
 def no_windows(*args, **kwargs):

@@ -19,6 +19,8 @@ from apseq.localize import (
     instant_count,
     load_scan,
     localize,
+    locate_all,
+    rank_scan,
     save_scan,
     scan_from_text,
     scan_to_text,
@@ -333,7 +335,8 @@ class TestLocalize:
 
     def test_empty_cluster_is_a_value_error(self):
         # Near-tie RSS values on which a top-rank Lloyd pass leaves a cluster
-        # empty: localize raises ValueError, not AssertionError.
+        # empty: localize raises ValueError, not AssertionError, and
+        # locate_all answers None for that k alone.
         values = {
             30: -44.00000000000001, 6: -74.00000000000001, 26: -44.000000000000014,
             3: -41.00000000000001, 29: -44.000000000000014, 13: -43.99999999999999,
@@ -344,9 +347,11 @@ class TestLocalize:
             width=10.0, height=10.0,
             aps=tuple((ap_id, float(n % 4) * 3.0, float(n // 4) * 3.0) for n, ap_id in enumerate(values)),
         )
-        store = build_map_store(dep, 6, 2.5)
+        stores, scan = build_stores(dep, (3, 6), 2.5), RssScan(values=values)
         with pytest.raises(ValueError, match=r"K-means left clusters \[4\] of 6 empty"):
-            localize(RssScan(values=values), {6: store}, 6)
+            localize(scan, stores, 6)
+        ranked = rank_scan(scan, stores)
+        assert locate_all([ranked, ranked], stores, (6, 3)) == [[None, localize(scan, stores, 3)]] * 2
 
     @pytest.mark.parametrize("foreign_rss", [-20.0, -45.0, -51.0, -90.0])
     def test_ap_outside_the_deployment_is_ignored(self, fallback_store, foreign_rss):
@@ -475,6 +480,48 @@ def test_localize_is_the_one_function_oracle(six_ap_family, values, k, family_ks
     stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
     scan = RssScan(values=values)
     assert outcome_or_error(localize, scan, stores, k) == outcome_or_error(localize_oracle, scan, stores, k)
+
+
+def outcomes_or_none(scans, stores, ks):
+    """localize at every (scan, k), with None where it raises ValueError."""
+    return [[None if isinstance(o, str) else o for o in (outcome_or_error(localize, s, stores, k) for k in ks)]
+            for s in scans]
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(
+    st.lists(st.dictionaries(st.integers(1, 9), scan_values, max_size=9), max_size=6),
+    st.lists(st.integers(1, 8), max_size=5),
+    st.sets(st.integers(2, 6)),
+)
+def test_locate_all_is_localize_per_ranking_and_k(six_ap_family, scans, ks, family_ks):
+    # One call clusters every (scan, k); ks below 2 and stores missing for
+    # some k are refused per pair, as localize refuses them.
+    stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
+    scans = [RssScan(values=values) for values in scans]
+    want = outcomes_or_none(scans, stores, ks)
+    assert locate_all([rank_scan(scan, stores) for scan in scans], stores, ks) == want
+
+
+def test_locate_all_refuses_each_pair_as_localize_does(six_ap_family):
+    stores = {k: six_ap_family[k] for k in (3, 4, 6)}
+    scans = {
+        "no signal": {1: UNDETECTED_DBM, 2: UNDETECTED_DBM},
+        "one AP": {1: -40.0, 2: UNDETECTED_DBM},
+        "degraded k without a store": {1: -40.0, 2: -50.0, 3: -50.0},
+        "not finite": {1: -40.0, 2: math.nan, 3: -60.0, 4: -70.0},
+        "too large": {1: 1e308, 2: -40.0, 3: -50.0, 4: -70.0},
+        "located": {1: -40.0, 2: -55.0, 3: -61.0, 4: -70.0, 5: -75.0, 6: -80.0},
+    }
+    ks = (1, 3, 4, 5, 6, 7)
+    scans = {name: RssScan(values=values) for name, values in scans.items()}
+    got = locate_all([rank_scan(scan, stores) for scan in scans.values()], stores, ks)
+    want = outcomes_or_none(scans.values(), stores, ks)
+    assert dict(zip(scans, got)) == dict(zip(scans, want))
+    assert [name for name, row in zip(scans, got) if any(row)] == ["located"]
+    # A batch of misses only, and an empty batch, return at once.
+    assert locate_all([rank_scan(scans["no signal"], stores)] * 3, stores, ks) == [[None] * len(ks)] * 3
+    assert locate_all([], stores, ks) == []
 
 
 class TestScanFiles:
