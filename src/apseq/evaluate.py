@@ -38,7 +38,7 @@ from .propagation import (
     window_instants,
 )
 
-# Scans that window_sweep clusters at once, in one locate_all call.
+# Scans that window_sweep ranks, then locates at every k in one locate_all call.
 SWEEP_BATCH = 128
 # Test points of one run; at the limit `apseq evaluate` on dover (k = 3..7) peaked at 80 MB.
 MAX_TEST_POINTS = 100_000

@@ -20,7 +20,7 @@ import numpy as np
 
 from .mapgen import MapStore
 from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
-from .selection import _lloyd, _rank, candidate_picks, lloyd_runs
+from .selection import _clustering, _lloyd, _rank, candidate_picks
 from .selection import kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
 
 # An AP must appear in at least this fraction of the window's sampling
@@ -198,30 +198,22 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
     ids, xs, seeds, maps = _seeded(rank_scan(scan, stores), stores, k)
     # Top-rank Lloyd seeding, not the exact default: localization outcomes
     # are pinned by per-k references, and switching is a change of its own.
-    return _first_hit(candidate_picks(_lloyd(ids, xs, seeds)), maps)
+    return _first_hit(candidate_picks(_clustering(ids, xs, _lloyd(xs, seeds))), maps)
 
 
 def locate_all(rankings: list, stores: Mapping[int, MapStore], ks) -> list:
     """[[localize at k for k in ks] for each of rank_scan's rankings], None where
-    localize raises ValueError; one lloyd_runs call clusters every (ranking, k)."""
-    out, jobs = [[None] * len(ks) for _ in rankings], []
-    for (r, ranked), (j, k) in itertools.product(enumerate(rankings), enumerate(ks)):
+    localize raises ValueError; the walk reads the runs of _lloyd's last pass."""
+
+    def locate(ranked: tuple, k: int) -> LocalizationOutcome | None:
         try:
-            jobs.append((r, j, *_seeded(ranked, stores, k)))
+            ids, xs, seeds, maps = _seeded(ranked, stores, k)
+            bounds, _ = _lloyd(xs, seeds)[-1]
         except ValueError:
-            continue
-    if not jobs:
-        return out
-    # One padded row of values, and one of distinct values, per job.
-    rows, width = [job[0] for job in jobs], max(len(v[1]) for v in rankings)
-    xs, distinct = (np.array([v[i] + [0.0] * (width - len(v[i])) for v in rankings])[rows] for i in (1, 2))
-    sizes, ks_eff = np.array([len(v[1]) for v in rankings])[rows], np.array([len(job[4]) for job in jobs])
-    bounds, failed = lloyd_runs(xs, sizes, distinct[:, : ks_eff.max()], ks_eff)
-    for (r, j, ids, _, seeds, maps), cuts, bad in zip(jobs, bounds.tolist(), failed.tolist()):
-        if not bad:  # else a pass left a cluster empty: _lloyd's ValueError
-            runs = zip(cuts, cuts[1 : len(seeds) + 1])
-            out[r][j] = _first_hit(itertools.product(*[ids[a:b] for a, b in runs]), maps)
-    return out
+            return None
+        return _first_hit(itertools.product(*[ids[a:b] for a, b in zip(bounds, bounds[1:])]), maps)
+
+    return [[locate(ranked, k) for k in ks] for ranked in rankings]
 
 
 # ----------------------------------------------------------------------------

@@ -97,9 +97,11 @@ class GridSpec:
         return ((i + 0.5) * self.cell_size, (j + 0.5) * self.cell_size)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Grid cell containing the point (clamped onto the grid)."""
-        i = min(max(int(x / self.cell_size), 0), self.cols - 1)
-        j = min(max(int(y / self.cell_size), 0), self.rows - 1)
+        """Grid cell containing the point (clamped onto the grid); ValueError for NaN."""
+        if math.isnan(x) or math.isnan(y):
+            raise ValueError(f"point ({x}, {y}) has no grid cell")
+        i = int(min(max(x / self.cell_size, 0.0), self.cols - 1))
+        j = int(min(max(y / self.cell_size, 0.0), self.rows - 1))
         return (i, j)
 
 

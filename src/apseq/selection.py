@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .model import Signature
 
 MAX_ITERATIONS = 100
@@ -100,7 +98,7 @@ def kmeans_1d(values: Mapping[int, float], k: int, top_ranks: bool = False) -> C
         raise ValueError(fault)
     if len(distinct) < k:
         raise DegenerateClusteringError(k, len(distinct))
-    return _lloyd(ids, xs, distinct[:k] if top_ranks else _optimal_split_means(xs, k))
+    return _clustering(ids, xs, _lloyd(xs, distinct[:k] if top_ranks else _optimal_split_means(xs, k)))
 
 
 def _rank(values: Mapping[int, float]) -> tuple:
@@ -118,27 +116,34 @@ def _rank(values: Mapping[int, float]) -> tuple:
     return ids, xs, sorted(set(xs), reverse=True), fault
 
 
-def _lloyd(ids: list[int], xs: list[float], centroids: list[float]) -> Clustering:
-    """kmeans_1d's Lloyd loop over _rank's ids and xs, from strongest-first centroids."""
+def _lloyd(xs: list[float], centroids: list[float]) -> list[tuple[list[int], list[float]]]:
+    """kmeans_1d's Lloyd loop over _rank's xs from strongest-first centroids:
+    each pass's (run bounds, run means), the last pass's runs the result."""
     k = len(centroids)
     # Values and centroids both run strongest-first, so every pass splits xs
     # into k contiguous runs, one per centroid.
-    bounds, history, iterations = _nearest_runs(xs, centroids), [], 1
+    bounds, passes = _nearest_runs(xs, centroids), []
     while True:
-        runs = list(zip(bounds, bounds[1:]))
-        empty = [c for c, (a, b) in enumerate(runs, 1) if a == b]
-        if empty:
+        if len(set(bounds)) <= k:
             # A Lloyd pass can strand a centroid, and centroids a few ulps
             # apart can tie, so that no value is nearest to some centroid.
+            empty = [c for c, (a, b) in enumerate(zip(bounds, bounds[1:]), 1) if a == b]
             raise ValueError(f"K-means left clusters {empty} of {k} empty (numbered strongest-first "
                              f"from 1): no RSS value is nearest to their centroids")
-        centroids = [_sum(xs[a:b]) / (b - a) for a, b in runs]
-        history.append(_sum((x - c) ** 2 for (a, b), c in zip(runs, centroids) for x in xs[a:b]))
-        if iterations >= MAX_ITERATIONS or (new_bounds := _nearest_runs(xs, centroids)) == bounds:
-            break
-        bounds, iterations = new_bounds, iterations + 1
-    clusters = tuple(Cluster(tuple(zip(ids[a:b], xs[a:b])), c) for (a, b), c in zip(runs, centroids))
-    return Clustering(clusters, iterations, tuple(history))
+        cents = [_sum(xs[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
+        passes.append((bounds, cents))
+        if len(passes) >= MAX_ITERATIONS or (bounds := _nearest_runs(xs, cents)) == passes[-1][0]:
+            return passes
+
+
+def _clustering(ids: list[int], xs: list[float], passes: list) -> Clustering:
+    """The Clustering of _lloyd's passes over _rank's ids and xs: the last
+    pass's runs, and each pass's objective at its run means."""
+    history = tuple([_sum([(x - c) ** 2 for a, b, c in zip(bounds, bounds[1:], cents) for x in xs[a:b]])
+                     for bounds, cents in passes])
+    bounds, cents = passes[-1]
+    clusters = tuple([Cluster(tuple(zip(ids[a:b], xs[a:b])), c) for a, b, c in zip(bounds, bounds[1:], cents)])
+    return Clustering(clusters, len(passes), history)
 
 
 def _nearest_runs(xs: list[float], cents: list[float]) -> list[int]:
@@ -160,40 +165,6 @@ def _nearest_runs(xs: list[float], cents: list[float]) -> list[int]:
 
 def _sum(xs) -> float:  # left to right on every Python: sum() of floats is compensated from 3.12
     return reduce(operator.add, xs, 0.0)
-
-
-def lloyd_runs(xs: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, ks: np.ndarray) -> tuple:
-    """_lloyd's run bounds for many rows at once, bit for bit: (bounds, failed).
-
-    Row r clusters xs[r, :sizes[r]] (sorted strongest-first, then padding)
-    from the centroids seeds[r, :ks[r]].  bounds[r, :ks[r] + 1] are its run
-    bounds unless failed[r]: a pass left a cluster empty, and _lloyd raises.
-    """
-    (rows, width), kmax = xs.shape, seeds.shape[1]
-    every, at, runs = np.arange(rows), np.arange(width + 1), np.arange(kmax) < ks[:, None]
-    x = np.pad(xs, ((0, 0), (0, 1)))[:, :, None]
-    # bincount adds each (row, run) slot's values in order; padding has slot kmax.
-    slot = every[:, None] * (kmax + 1) + (at[:width] >= sizes[:, None])
-    bounds, failed, cents = np.full((rows, kmax + 1), -1), np.zeros(rows, dtype=bool), seeds
-    for _ in range(MAX_ITERATIONS):
-        # _nearest_runs of every row; no value is nearer to the centroids past a row's k.
-        d = np.abs(x - np.where(runs, cents, np.inf)[:, None, :])
-        # stop[r, i, c]: the first j >= i at which value j is strictly nearer to centroid c + 1 than to c.
-        stop = np.minimum.accumulate(np.where(d[:, :, 1:] >= d[:, :, :-1], width, at[:, None])[:, ::-1], axis=1)
-        new = np.zeros_like(bounds)
-        new[:, kmax] = sizes
-        for c in range(kmax - 1):
-            new[:, c + 1] = np.minimum(stop[every, width - new[:, c], c], sizes)
-        moved = (new != bounds).any(axis=1) & ~failed
-        if not moved.any():
-            break
-        bounds[moved] = new[moved]
-        counts = np.diff(bounds)
-        failed |= ((counts == 0) & runs).any(axis=1)
-        label = slot + (at[:width, None] >= bounds[:, None, 1:kmax]).sum(axis=2)
-        sums = np.bincount(label.ravel(), xs.ravel(), rows * (kmax + 1)).reshape(rows, -1)
-        cents = sums[:, :kmax] / np.maximum(counts, 1)
-    return bounds, failed
 
 
 def _optimal_split_means(xs: list[float], k: int) -> list[float]:

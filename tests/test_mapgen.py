@@ -109,6 +109,19 @@ class TestGridSpec:
         grid = GridSpec(cell_size=1.0, width=4.0, height=4.0)
         assert grid.cell_of(-1.0, 99.0) == (0, 3)
 
+    def test_infinite_points_clamp(self):
+        grid = GridSpec(cell_size=1.0, width=4.0, height=3.0)
+        assert grid.cell_of(math.inf, -math.inf) == (3, 0)
+        assert grid.cell_of(-math.inf, math.inf) == (0, 2)
+        # Finite points whose quotient by the cell size overflows clamp too.
+        assert GridSpec(cell_size=0.5, width=4.0, height=3.0).cell_of(1.7e308, -1.7e308) == (7, 0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_points_have_no_cell(self, x, y):
+        grid = GridSpec(cell_size=1.0, width=4.0, height=4.0)
+        with pytest.raises(ValueError, match=r"point \(.*nan.*\) has no grid cell"):
+            grid.cell_of(x, y)
+
     def test_flat_cells_are_row_major(self):
         # Flat cell c = j * cols + i: its group's slice of the partition
         # holds cell (i, j)'s centre, partial edge cells included.

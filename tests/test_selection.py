@@ -6,13 +6,11 @@ import itertools
 import math
 import operator
 import random
-from functools import reduce
+from functools import partial, reduce
 from typing import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from apseq import selection
 from apseq.selection import (
@@ -20,12 +18,9 @@ from apseq.selection import (
     Cluster,
     Clustering,
     DegenerateClusteringError,
-    _lloyd,
     _optimal_split_means,
-    _rank,
     candidate_picks,
     kmeans_1d,
-    lloyd_runs,
 )
 
 
@@ -322,7 +317,8 @@ def _ltr_sum(xs) -> float:
     return reduce(operator.add, xs, 0.0)
 
 
-def _lloyd_oracle(values: Mapping[int, float], k: int, top_ranks: bool = False) -> Clustering:
+def _lloyd_oracle(values: Mapping[int, float], k: int, top_ranks: bool = False,
+                  cap: int = MAX_ITERATIONS) -> Clustering:
     if k < 1:
         raise ValueError("k must be at least 1")
     if not values:
@@ -368,7 +364,7 @@ def _lloyd_oracle(values: Mapping[int, float], k: int, top_ranks: bool = False) 
         history.append(
             _ltr_sum((x - centroids[a]) ** 2 for x, a in zip(xs, assignment))
         )
-        if iterations >= MAX_ITERATIONS:
+        if iterations >= cap:
             break
         new_assignment = assign(centroids)
         if new_assignment == assignment:
@@ -457,77 +453,23 @@ def test_run_based_kmeans_matches_the_lloyd_oracle():
 
 
 # ---------------------------------------------------------------------------
-# lloyd_runs is _lloyd over many padded rows at once, checked row by row.
-
-def _lloyd_bounds(xs: list[float], k: int) -> list[int] | None:
-    """_lloyd's run bounds for the values xs (ids 1, 2, ...) from the k
-    strongest distinct values, or None where it raises (a cluster went empty)."""
-    ids, ranked, distinct, _ = _rank(dict(enumerate(xs, 1)))
-    try:
-        clustering = _lloyd(ids, ranked, distinct[:k])
-    except ValueError:
-        return None
-    return [0, *itertools.accumulate(len(c.members) for c in clustering.clusters)]
-
-
-def _batch_bounds(rows: list[tuple[list[float], int]]) -> list[list[int] | None]:
-    """lloyd_runs over the rows (xs, k), ranked as _lloyd's, with a padding
-    that would show if it entered a run; None where a row failed."""
-    ranked = [_rank(dict(enumerate(xs, 1))) for xs, _ in rows]
-    width, kmax = max(len(r[1]) for r in ranked), max(k for _, k in rows)
-    xs = np.array([r[1] + [-1e6] * (width - len(r[1])) for r in ranked])
-    seeds = np.array([r[2][:k] + [7.0] * (kmax - k) for r, (_, k) in zip(ranked, rows)])
-    sizes, ks = np.array([len(r[1]) for r in ranked]), np.array([k for _, k in rows])
-    bounds, failed = lloyd_runs(xs, sizes, seeds, ks)
-    assert bounds.shape == (len(rows), kmax + 1) and failed.shape == (len(rows),)
-    return [None if bad else b[: k + 1] for b, bad, (_, k) in zip(bounds.tolist(), failed.tolist(), rows)]
-
+# Rows on which the Lloyd loop is hard to get right: near-ties, iteration
+# caps, and sums whose result depends on their order.
 
 # Values a few ulps apart at -41, -44 and -74 dBm, on which a Lloyd pass can
 # leave a cluster empty (most often at k = the distinct count).
 NEAR_TIES = [-41.00000000000001, -43.99999999999999, -44.00000000000001, -44.000000000000014,
              -73.99999999999999, -74.00000000000001]
-# Whole dBm, 3-dB steps that tie often, near-ties, and any RSS-like float.
-rss_values = st.one_of(
-    st.integers(-95, -30).map(float),
-    st.sampled_from([-90.0, -87.0, -84.0, -81.0, -60.0]),
-    st.sampled_from(NEAR_TIES),
-    st.floats(-100.0, -20.0),
-)
-lloyd_rows = (  # near-ties weighted up, so that some rows raise
-    st.lists(st.one_of(rss_values, st.sampled_from(NEAR_TIES)), min_size=2, max_size=9)
-    .filter(lambda xs: len(set(xs)) >= 2)
-    .flatmap(lambda xs: st.tuples(st.just(xs), st.integers(2, len(set(xs)))))
-)
 
 
 @contextlib.contextmanager
 def _max_iterations(cap: int):
-    """Both _lloyd and lloyd_runs read the module's MAX_ITERATIONS."""
+    """_lloyd reads the module's MAX_ITERATIONS."""
     saved, selection.MAX_ITERATIONS = selection.MAX_ITERATIONS, cap
     try:
         yield
     finally:
         selection.MAX_ITERATIONS = saved
-
-
-# Rows whose _lloyd runs move when the run means are summed in another
-# order: compensated, as sum() of floats from Python 3.12, or (the fourth) pairwise.
-SUM_ORDER_SENSITIVE = [
-    ([-30.8, -43.7, -52.1, -65.3, -65.3], 2),
-    ([-64.9, -58.7, -65.3, -83.1], 2),
-    ([-38.8, -59.3, -85.9, -40.8, -42.9, -44.7, -73.1], 3),
-    ([-61.7, -55.7, -88.3, -50.1, -37.9, -65.1, -54.7], 4),
-    ([-56.9, -60.7, -42.9, -64.3, -50.7, -37.1, -69.1, -84.1, -42.7], 5),
-]
-
-
-@settings(database=None, deadline=None, max_examples=150)
-@given(st.lists(lloyd_rows, min_size=1, max_size=12), st.sampled_from([1, 2, MAX_ITERATIONS]))
-@example(SUM_ORDER_SENSITIVE, MAX_ITERATIONS)
-def test_lloyd_runs_is_lloyd_row_by_row(rows, cap):
-    with _max_iterations(cap):  # at the cap a row stops with that pass's runs
-        assert _batch_bounds(rows) == [_lloyd_bounds(xs, k) for xs, k in rows]
 
 
 def _draw_lloyd_row(rng: random.Random) -> tuple[list[float], int]:
@@ -544,28 +486,34 @@ def _draw_lloyd_row(rng: random.Random) -> tuple[list[float], int]:
     return (xs, distinct if kind == 3 else rng.randint(2, distinct)) if distinct >= 2 else _draw_lloyd_row(rng)
 
 
-@pytest.mark.parametrize("cap", [1, 2, MAX_ITERATIONS])
-def test_lloyd_runs_matches_lloyd_on_many_batches(cap):
+@pytest.mark.parametrize("cap", [1, 2])
+def test_lloyd_stops_at_the_iteration_cap_with_the_oracles_clustering(cap):
     rng = random.Random(cap)
-    raised = 0
+    capped = raised = 0
     with _max_iterations(cap):
-        for _ in range(100):
-            rows = [_draw_lloyd_row(rng) for _ in range(rng.randint(1, 60))]
-            want = [_lloyd_bounds(xs, k) for xs, k in rows]
-            assert _batch_bounds(rows) == want
-            raised += want.count(None)
+        for _ in range(3_000):
+            xs, k = _draw_lloyd_row(rng)
+            values = dict(enumerate(xs, 1))
+            want = _outcome(partial(_lloyd_oracle, cap=cap), values, k, True)
+            assert _outcome(kmeans_1d, values, k, True) == want, (xs, k)
+            if want == "empty cluster":
+                raised += 1
+            elif kmeans_1d(values, k, True).iterations == cap:
+                capped += 1
+    assert capped > 100
     # The first pass starts from distinct values, so only later passes can empty a cluster.
     assert (raised > 10) == (cap > 1)
 
 
-def test_lloyd_runs_marks_the_rows_where_lloyd_raises():
-    values, k, _ = EMPTY_CLUSTER_INPUTS[0]
-    near_ties = [values[i] for i in sorted(values)]
-    rows = [([-40.0, -50.0, -60.0], 2), (near_ties, k), ([-40.0, -41.0, -70.0, -71.0], 2), (near_ties, 3)]
-    want = [[0, 1, 3], None, [0, 2, 4], _lloyd_bounds(near_ties, 3)]
-    assert _lloyd_bounds(near_ties, k) is None and want[3] is not None
-    assert _batch_bounds(rows) == want
-
+# Rows whose Lloyd runs move when the run means are summed in another
+# order: compensated, as sum() of floats from Python 3.12, or (the fourth) pairwise.
+SUM_ORDER_SENSITIVE = [
+    ([-30.8, -43.7, -52.1, -65.3, -65.3], 2),
+    ([-64.9, -58.7, -65.3, -83.1], 2),
+    ([-38.8, -59.3, -85.9, -40.8, -42.9, -44.7, -73.1], 3),
+    ([-61.7, -55.7, -88.3, -50.1, -37.9, -65.1, -54.7], 4),
+    ([-56.9, -60.7, -42.9, -64.3, -50.7, -37.1, -69.1, -84.1, -42.7], 5),
+]
 
 _builtin_sum = builtins.sum
 
@@ -583,15 +531,17 @@ def _compensated_sum(iterable, /, start=0):
     return total + c if c and math.isfinite(c) else total
 
 
-def test_lloyd_runs_is_lloyd_under_a_compensated_sum(monkeypatch):
+def test_lloyd_is_the_oracle_under_a_compensated_sum(monkeypatch):
     # Python 3.12 made sum() of floats compensated; the clustering sums left
-    # to right on every Python, so the scalar and batch paths still agree.
+    # to right on every Python, as the oracle does.
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert sum([0.1] * 10) == 1.0 != _ltr_sum([0.1] * 10)
     rng = random.Random(312)
     rows = list(SUM_ORDER_SENSITIVE)
-    while len(rows) < 2_000:
+    while len(rows) < 2_000 + len(SUM_ORDER_SENSITIVE):
         xs = [round(rng.uniform(-90.0, -30.0), rng.choice([1, 2])) for _ in range(rng.randint(2, 9))]
         if len(set(xs)) >= 2:
             rows.append((xs, rng.randint(2, len(set(xs)))))
-    assert _batch_bounds(rows) == [_lloyd_bounds(xs, k) for xs, k in rows]
+    for xs, k in rows:
+        values = dict(enumerate(xs, 1))
+        assert _outcome(kmeans_1d, values, k, True) == _outcome(_lloyd_oracle, values, k, True), (xs, k)
