@@ -51,7 +51,7 @@ def _cmd_localize(args) -> int:
         print(
             f"estimate {x:.6f} {y:.6f} "
             f"{signature_to_text(outcome.matched_signature)} "
-            f"{'-'.join(str(i) for i in outcome.subset)}"
+            f"{signature_to_text(outcome.subset)}"
         )
     else:
         print("missed")

@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
-    DEPLOY_HEADER,
     ApDeployment,
     Signature,
     SubsetKey,
@@ -421,13 +420,12 @@ def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT
 #   region <signature-text> <cx> <cy> <accuracy> <radius> <cell_count>
 #   ...                                 (one map block per k-subset)
 #
-# A store is derived data, so its body has one rule: every line after the
-# grid line is the writer's text (_map_lines) of the store that
-# build_map_store rebuilds from the deployment, the cell size and the k of
-# the first map line.  Maps come in subset order and regions in signature
-# order; cell memberships are not stored.  The loader names the first line
-# that differs.  All reals carry six fractional digits, so re-saves are
-# byte-identical.
+# A store is derived data, so the whole file has one rule: it is the writer's
+# text (_store_lines) of the store that build_map_store rebuilds from the
+# deployment block, the grid line's cell size and the first map line's id
+# count, k.  Maps come in subset order and regions in signature order; cell
+# memberships are not stored.  The loader names the first line that differs.
+# All reals carry six fractional digits, so re-saves are byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -438,14 +436,13 @@ def save_map_store(store: MapStore, path) -> None:
 
 
 def map_store_to_text(store: MapStore) -> str:
-    head = [STORE_HEADER, deployment_to_text(store.deployment).rstrip("\n"), f"grid {store.grid.cell_size:.6f}"]
-    return "\n".join(head + _map_lines(store)) + "\n"
+    return "\n".join(_store_lines(store)) + "\n"
 
 
-def _map_lines(store: MapStore) -> list[str]:
-    """The store's map blocks as the store file holds them: a map line, then its region lines."""
+def _store_lines(store: MapStore) -> list[str]:
+    """Every line of the store's file: the head, then each map line and its region lines."""
+    out = [STORE_HEADER, *deployment_to_text(store.deployment).splitlines(), f"grid {store.grid.cell_size:.6f}"]
     region = "region " + "-".join(["%d"] * store.k) + " %.6f %.6f %.6f %.6f %d"
-    out = []
     for subset, m in sorted(store.maps.items()):  # subsets are distinct, so maps are never compared
         out.append("map " + " ".join(map(str, subset)))
         out.extend(map(region.__mod__, zip(*m.signatures.T.tolist(),
@@ -462,44 +459,27 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != STORE_HEADER:
         raise ValueError(f"{source}: unsupported version (expected {STORE_HEADER!r})")
-    # Deployment block: header line then area/ap lines until 'grid'.
+    # The rebuild takes the deployment block, the cell size and k from the file.
     grid_at = next((n for n, ln in enumerate(lines) if ln.startswith("grid ")), len(lines))
-    if grid_at == len(lines):
+    if grid_at + 1 >= len(lines):  # no grid line, or no map line after it
         raise ValueError(f"{source}: truncated store file")
-    if lines[1] != DEPLOY_HEADER:
-        raise ValueError(f"{source}: missing deployment block")
     deployment = deployment_from_text("\n".join(lines[1:grid_at]), source=source)
-    grid_ln = lines[grid_at].split()
     try:
-        if len(grid_ln) != 2:
-            raise ValueError("expected one cell size")
-        grid = GridSpec.for_deployment(deployment, float(grid_ln[1]))
+        cell_size = float(lines[grid_at].split()[1])
     except ValueError as exc:
         raise ValueError(f"{source}: malformed grid line {lines[grid_at]!r} ({exc})") from None
-
-    # k comes from the first map line, and the whole body must be the rebuild's text.
-    body = lines[grid_at + 1:]
-    if not body:
-        raise ValueError(f"{source}: store contains no maps")
-    map_ln = body[0].split()
+    map_ln = lines[grid_at + 1].split()
     if map_ln[0] != "map":
-        raise ValueError(f"{source}: expected map line, got {body[0]!r}")
+        raise ValueError(f"{source}: expected map line, got {lines[grid_at + 1]!r}")
     try:
-        subset = subset_key(int(i) for i in map_ln[1:])
-    except ValueError as exc:
-        raise ValueError(f"{source}: malformed map line {body[0]!r} ({exc})") from None
-    unknown = sorted(set(subset) - deployment.ap_id_set)
-    if unknown:
-        raise ValueError(f"{source}: map subset {subset} names AP ids {unknown} not in the deployment")
-    try:
-        store = build_map_store(deployment, len(subset), grid.cell_size)
+        store = build_map_store(deployment, len(map_ln) - 1, cell_size)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    want = _map_lines(store)
-    if body != want:  # name the first line that differs, or where one side ends
-        at = next((n for n, (a, b) in enumerate(zip(body, want)) if a != b), min(len(body), len(want)))
-        got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of store" for side in (body, want))
+    want = _store_lines(store)
+    if lines != want:  # name the first line that differs, or where one side ends
+        at = next((n for n, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
+        got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of store" for side in (lines, want))
         raw = text.splitlines()  # numbered as given: blank lines count, and one past the last
-        line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[grid_at + 1 + at]
+        line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[at]
         raise ValueError(f"{source}: line {line}: {got_ln}, rebuild gives {want_ln}")
     return store

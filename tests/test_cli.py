@@ -284,6 +284,21 @@ class TestLocalize:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_signature_in_no_map_prints_missed(self, tmp_path, capsys):
+        # AP 2 lies midway between APs 1 and 3, so it is never the farthest of
+        # the three: no cell has the signature 1-3-2 of a scan ordered 1 > 3 > 2.
+        dep = ApDeployment(width=10.0, height=10.0, aps=((1, 1.0, 5.0), (2, 5.0, 5.0), (3, 9.0, 5.0)))
+        save_deployment(dep, tmp_path / "line.deploy")
+        assert main(["mapgen", "--deploy", str(tmp_path / "line.deploy"), "--grid", "0.5",
+                     "--k", "3", "--out", str(tmp_path / "line.map")]) == 0
+        assert (1, 3, 2) not in load_map_store(tmp_path / "line.map").maps[(1, 2, 3)].regions
+        (tmp_path / "scan.txt").write_text(
+            "APSEQ-SCAN v1\nsample 0.000 1 -40.0\nsample 0.000 3 -50.0\nsample 0.000 2 -60.0\n")
+        capsys.readouterr()
+        rc = main(["localize", "--store", str(tmp_path / "line.map"), "--scan", str(tmp_path / "scan.txt"), "--k", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == "missed\n"
+
     def test_k_mismatch_is_reported(self, prepared, capsys):
         rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
                    "--scan", str(prepared / "loc_scans" / "scan_000.txt"),

@@ -19,7 +19,7 @@ from apseq import mapgen
 from apseq.evaluate import load_config
 from apseq.mapgen import (
     GridSpec,
-    _map_lines,
+    _store_lines,
     _Partition,
     _partition,
     _quantize_array,
@@ -534,7 +534,8 @@ class TestMapStatsOracle:
                                                (*fmap.columns, fmap.lut), want):
                     assert got.dtype == expected.dtype, (subset, name)
                     assert np.array_equal(got, expected), (subset, name)
-            assert _map_lines(store) == _fstring_map_lines(store)
+            # Past the file's head: the header, the deployment block and the grid line.
+            assert _store_lines(store)[dep.n_aps + 4:] == _fstring_map_lines(store)
 
 
 def traced_peak(fn, *args):
@@ -615,35 +616,38 @@ def _drop_block(text, head):
     return text[:start] + (text[end:] if end >= 0 else "")
 
 
-# One edit of small_store's text per structural loader message, with the
-# message's wording; the first map line's unknown AP has a test of its own.
-LOADER_FAULTS = [
-    (lambda t: t.replace("APSEQMAP v1", "APSEQMAP v2"),
-     r"<string>: unsupported version \(expected 'APSEQMAP v1'\)"),
-    (lambda t: t[: t.index("grid ")],
-     r"<string>: truncated store file"),
-    (lambda t: t.replace("APSEQ-DEPLOY v1", "APSEQ-DEPLOY v0"),
-     r"<string>: missing deployment block"),
-    (lambda t: t.replace("grid 0.500000", "grid 0.500000 1"),
-     r"<string>: malformed grid line"),
-    (lambda t: t.replace("grid 0.500000", "grid abc"),
-     r"<string>: malformed grid line 'grid abc'"),
-    (lambda t: t.replace("map 1 2 3\n", "map 1 x 3\n"),
-     r"<string>: malformed map line 'map 1 x 3'"),
-    (lambda t: t.replace("map 1 2 3\n", "map 1 1 3\n"),
-     r"<string>: malformed map line 'map 1 1 3' \(duplicate AP id in subset\)"),
-    (lambda t: t.replace("grid 0.500000\n", "grid 0.500000\nregion 1-2-3\n"),
-     r"<string>: expected map line, got 'region 1-2-3'"),
-    (lambda t: t[: t.index("map ")],
-     r"<string>: store contains no maps"),
-]
-
-
 def refused_at(line, got, want):
     """The loader's message for a store whose first line off the rebuild is
     `line`: the file's line and the rebuild's, None where the store ends."""
     got, want = ("end of store" if side is None else repr(side) for side in (got, want))
     return re.escape(f"<string>: line {line}: {got}, rebuild gives {want}") + "$"
+
+
+# Edits of small_store's head, by the fault each makes.  Only a fault that
+# stops the rebuild has a message of its own; any other is refused at the
+# first line that is not the rebuild's, like an edit of the map blocks.
+LOADER_FAULTS = {
+    "unsupported version (expected 'APSEQMAP v1')":
+        (lambda t: t.replace("APSEQMAP v1", "APSEQMAP v2"), r"<string>: unsupported version \(expected 'APSEQMAP v1'\)"),
+    "truncated store file":
+        (lambda t: t[: t.index("grid ")], r"<string>: truncated store file$"),
+    "missing deployment block":
+        (lambda t: t.replace("APSEQ-DEPLOY v1", "APSEQ-DEPLOY v0"),
+         r"<string>: unsupported version \(expected 'APSEQ-DEPLOY v1'\)$"),
+    "malformed grid line":
+        (lambda t: t.replace("grid 0.500000", "grid 0.500000 1"), refused_at(8, "grid 0.500000 1", "grid 0.500000")),
+    "malformed grid line 'grid abc'":
+        (lambda t: t.replace("grid 0.500000", "grid abc"), r"<string>: malformed grid line 'grid abc'"),
+    "malformed map line 'map 1 x 3'":
+        (lambda t: t.replace("map 1 2 3\n", "map 1 x 3\n"), refused_at(9, "map 1 x 3", "map 1 2 3")),
+    "malformed map line 'map 1 1 3' (duplicate AP id in subset)":
+        (lambda t: t.replace("map 1 2 3\n", "map 1 1 3\n"), refused_at(9, "map 1 1 3", "map 1 2 3")),
+    "expected map line, got 'region 1-2-3'":
+        (lambda t: t.replace("grid 0.500000\n", "grid 0.500000\nregion 1-2-3\n"),
+         r"<string>: expected map line, got 'region 1-2-3'"),
+    "store contains no maps":
+        (lambda t: t[: t.index("map ")], r"<string>: truncated store file$"),
+}
 
 
 # Lines 10-12 of small_store's text, the first region lines of map (1, 2, 3):
@@ -777,9 +781,9 @@ class TestMapStore:
         self.assert_first_region_refused(small_store, field, lambda v: value)
 
     def test_map_naming_an_unknown_ap_detected(self, small_store):
-        # The first map line sets k, so its AP ids are checked by name; any
-        # later one is refused as a line off the rebuild.
-        cases = [((1, 2, 3), r"^<string>: map subset \(1, 2, 9\) names AP ids \[9\] not in the deployment$"),
+        # The first map line sets k alone, so an AP id off the deployment is
+        # refused as a line off the rebuild, on the first map line or a later one.
+        cases = [((1, 2, 3), refused_at(9, "map 1 2 9", "map 1 2 3")),
                  ((1, 2, 4), refused_at(16, "map 1 2 9", "map 1 2 4"))]
         for subset, message in cases:
             # The block's last AP renamed to 9 throughout.
@@ -813,7 +817,7 @@ class TestMapStore:
 
     @pytest.mark.parametrize(
         "edit, message",
-        [pytest.param(edit, m, id=m.removeprefix("<string>: ").replace("\\", "")) for edit, m in LOADER_FAULTS]
+        [pytest.param(edit, m, id=fault) for fault, (edit, m) in LOADER_FAULTS.items()]
         + [pytest.param(edit, refused_at(*sides), id=fault) for fault, (edit, *sides) in BODY_FAULTS.items()]
         # The accuracy edit once more, matched by its line number alone.
         + [pytest.param(_accuracy_above_radius, "<string>: line 25: ",

@@ -139,7 +139,9 @@ class TestDeploymentFile:
         ("area x 10", r"d\.deploy: malformed area line 'area x 10'$"),
         ("ap 1.5 2 0", r"d\.deploy: malformed ap line 'ap 1\.5 2 0'$"),
         ("ap 1 20 0", r"d\.deploy: AP 1 lies outside the area$"),
-    ], ids=["area-number", "ap-id", "ap-outside-area"])
+        ("area 10", r"d\.deploy: malformed area line 'area 10'$"),
+        ("ap 1 2", r"d\.deploy: malformed ap line 'ap 1 2'$"),
+    ], ids=["area-number", "ap-id", "ap-outside-area", "area-field-count", "ap-field-count"])
     def test_faults_name_the_file(self, line, message):
         lines = ["APSEQ-DEPLOY v1", "area 10 10", "ap 2 1 1", "ap 3 2 2"]
         lines[1 if line.startswith("area") else 2] = line

@@ -89,6 +89,19 @@ def test_map_store_text_round_trips(store, data):
     assert_refused_at(row + 2, lines[: row + 1] + lines[row:])
     if row + 1 < len(lines) and lines[row + 1].startswith("region "):
         assert_refused_at(row + 1, lines[:row] + [lines[row + 1], lines[row]] + lines[row + 2:])
+    # The head is text of the rebuild as well: a grid or area line with a
+    # value in another form, or an ap line swapped with the next, is refused
+    # at that line.
+    n_aps = store.deployment.n_aps
+    at = data.draw(st.sampled_from([2, n_aps + 3]) | st.integers(3, n_aps + 1))  # area, grid | ap line
+    if lines[at].startswith("ap "):
+        assert_refused_at(at + 1, lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:])
+    else:
+        parts = lines[at].split()
+        col = data.draw(st.integers(1, len(parts) - 1))
+        parts[col] = data.draw(st.sampled_from(["{}0", "+{}", "0{}"])).format(parts[col])
+        assert float(parts[col]) == float(lines[at].split()[col])
+        assert_refused_at(at + 1, lines[:at] + [" ".join(parts)] + lines[at + 1:])
     # So is dropping one whole map block, swapping it with the next block or
     # adding a copy after it.
     heads = [n for n, ln in enumerate(lines) if ln.startswith("map ")] + [len(lines)]
@@ -97,7 +110,7 @@ def test_map_store_text_round_trips(store, data):
     if len(heads) > 2:
         assert_refused_at(start + 1, lines[:start] + lines[end:])
     else:  # a store of k = n APs has one block, and without it no k
-        with pytest.raises(ValueError, match="^<string>: store contains no maps$"):
+        with pytest.raises(ValueError, match="^<string>: truncated store file$"):
             map_store_from_text("\n".join(lines[:start]) + "\n")
     if block + 2 < len(heads):
         after = heads[block + 2]
