@@ -10,7 +10,6 @@ from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
 from .mapgen import DEFAULT_CELL_SIZE, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
-from .propagation import window_instants
 
 
 def _cmd_mapgen(args) -> int:
@@ -26,14 +25,12 @@ def _cmd_mapgen(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    config.root_seed(args.seed)  # refuse a bad seed before any file is written
-    deployment = load_deployment(config.deployment)
-    window_instants(deployment, config.duration_s, config.cadence_s)  # and an oversized window
+    pairs = simulate(config, load_deployment(config.deployment), args.seed)  # refusals come before any file
     os.makedirs(args.out, exist_ok=True)
     truth_path = os.path.join(args.out, "truth.csv")
     with open(truth_path, "w") as fh:
         fh.write("point,x,y,scan_file\n")
-        for idx, ((x, y), window) in enumerate(simulate(config, deployment, args.seed)):
+        for idx, ((x, y), window) in enumerate(pairs):
             scan_name = f"scan_{idx:03d}.txt"
             save_scan(window, os.path.join(args.out, scan_name))
             fh.write(f"{idx},{x:.6f},{y:.6f},{scan_name}\n")

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate_all, rank_scan
+from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate, rank_scan
 from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_stores
 from .model import ApDeployment, load_deployment
 from .propagation import (
@@ -38,10 +38,6 @@ from .propagation import (
     window_instants,
 )
 
-# Scans that window_sweep ranks, then locates at every k in one locate_all call.
-# One call per test point instead ran ≈ 2-4 % slower on dover (300 points,
-# windows 3-60 s) and ≈ 1-2 % on ecc at 2 points per sweep (2-CPU Xeon).
-SWEEP_BATCH = 128
 # Test points of one run; at the limit `apseq evaluate` on dover (k = 3..7) peaked at 80 MB.
 MAX_TEST_POINTS = 100_000
 
@@ -53,7 +49,7 @@ class ExperimentConfig:
     Every field is a config key (see parse_config).  Key, default, meaning:
 
     deployment        (required)  deployment file, relative to the config file
-    k_values          (required)  subset sizes to evaluate, e.g. ``3, 4, 5``
+    k_values          (required)  distinct subset sizes to evaluate, e.g. ``3, 4, 5``
     cell_size         0.2         grid cell edge of the maps, m
     p0_dbm            -30.0       RSS at the reference distance, dBm
     gamma             2.5         path-loss exponent
@@ -90,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("k_values must not be empty")
         if any(k < 2 for k in self.k_values):
             raise ValueError("every k must be at least 2")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise ValueError(f"k={max(self.k_values, key=self.k_values.count)} is repeated in k_values")
         if self.test_points < 1:
             raise ValueError("test_points must be at least 1")
         if self.test_point_mode not in ("grid", "random"):
@@ -218,20 +216,23 @@ class ExperimentReport:
 def simulate(
     config: ExperimentConfig, deployment: ApDeployment, seed: int | None = None
 ) -> Iterator[tuple[tuple[float, float], ScanWindow]]:
-    """Yield the experiment's (test point, simulated window) pairs in order.
+    """The experiment's (test point, simulated window) pairs, in order.
 
-    Windows are made one at a time, so a caller that consumes each before
-    the next holds only one.  `seed` overrides the config seed.  A window's
-    noise comes from its point's own substream, so the window of a shorter
-    duration holds the leading rows of a longer one.
+    The call checks the seed (`seed` overrides the config's), the propagation
+    parameters and the window's size, and draws the test points; ValueError
+    comes here, before any window.  The windows are then made one at a time,
+    so a caller that consumes each before the next holds only one.  A
+    window's noise comes from its point's own substream, so the window of a
+    shorter duration holds the leading rows of a longer one.
     """
     seed = config.root_seed(seed)
     params = config.params()
+    window_instants(deployment, config.duration_s, config.cadence_s)
     points = gen_test_points(deployment.width, deployment.height, config.test_points, config.test_point_mode,
                              rng=np.random.default_rng(np.random.SeedSequence((seed, 0))))
-    for idx, point in enumerate(points):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx + 1)))
-        yield point, synth_window(point, deployment, params, config.duration_s, config.cadence_s, rng=rng)
+    return ((point, synth_window(point, deployment, params, config.duration_s, config.cadence_s,
+                                 rng=np.random.default_rng(np.random.SeedSequence((seed, idx + 1)))))
+            for idx, point in enumerate(points))
 
 
 def _checked_stores(
@@ -282,45 +283,38 @@ def window_sweep(
     Each test point's window is simulated once, at the longest duration.
     One aggregate_heads pass gives every duration d aggregate_scan(window, d):
     the samples a window simulated for d would hold, since every duration
-    replays the point's noise stream.  Each such scan is ranked once, and
-    SWEEP_BATCH scans at a time are located at every k by one locate_all
-    call, which is localize at each k.  The comparison thus isolates the
-    effect of observation time.  `stores` is checked as in run_experiment.
+    replays the point's noise stream.  Point by point, each such scan is
+    ranked once and located at every k, which is localize at each k.  The
+    comparison thus isolates the effect of observation time.  `stores` is
+    checked as in run_experiment; no durations give {} with no store built.
     """
-    # Check the seed and every duration before any store is built.
-    config.root_seed(seed)
     configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
-    deployment = load_deployment(config.deployment)
-    for d in configs:
-        window_instants(deployment, d, config.cadence_s)
-    stores = _checked_stores(config, deployment, stores)
     if not configs:
         return {}
-    ks = config.k_values
+    deployment = load_deployment(config.deployment)
+    longest, ks = max(configs), config.k_values
+    walk = simulate(configs[longest], deployment, seed)  # refuses a bad seed or window before any store
+    stores = _checked_stores(config, deployment, stores)
     # Filled by index, not appended: small allocations made while windows
     # come and go pin allocator arenas and raise the process's peak RSS.
     points: list[tuple[float, float]] = [(math.nan, math.nan)] * config.n_points
     # Per duration and k, each point's error; None where it was missed.
     errors = {d: {k: [None] * config.n_points for k in ks} for d in configs}
-    longest, batch = max(configs), []
-    for idx, (point, window) in enumerate(simulate(configs[longest], deployment, seed)):
+    for idx, (point, window) in enumerate(walk):
         points[idx] = point
-        head = aggregate_heads(window, longest)
+        head = aggregate_heads(window)
         for d in configs:
             try:
-                batch.append((idx, d, rank_scan(head(d), stores)))
+                ranked = rank_scan(head(d), stores)
             except ValueError:  # no signal: a miss at every k
                 continue
-        if len(batch) < SWEEP_BATCH and idx < len(points) - 1:
-            continue
-        # The stores fit the config, so a None outcome comes from the scan (too
-        # few APs, a degraded k without a store, an empty cluster): a miss.
-        for (i, d, _), outcomes in zip(batch, locate_all([ranked for *_, ranked in batch], stores, ks)):
-            for k, outcome in zip(ks, outcomes):
+            # The stores fit the config, so a None outcome comes from the scan (too
+            # few APs, a degraded k without a store, an empty cluster): a miss.
+            for k in ks:
+                outcome = locate(ranked, stores, k)
                 if isinstance(outcome, Estimate):
-                    (ex, ey), (px, py) = outcome.position, points[i]
-                    errors[d][k][i] = float(np.hypot(ex - px, ey - py))
-        batch = []
+                    (ex, ey), (px, py) = outcome.position, point
+                    errors[d][k][idx] = float(np.hypot(ex - px, ey - py))
 
     def k_report(d: float, k: int) -> KReport:
         hits = tuple(e for e in errors[d][k] if e is not None)

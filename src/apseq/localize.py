@@ -100,18 +100,16 @@ def aggregate_scan(window: ScanWindow, duration_s: float | None = None) -> RssSc
     for duration_s would hold.  A duration_s beyond the window's own is a
     ValueError.  APs heard in fewer than 10% of the instants counted get the
     undetected sentinel; ValueError("no signal") when nothing survives.
-    This is the one-duration case of aggregate_heads.
+    This is aggregate_heads(window)(duration_s).
     """
-    return aggregate_heads(window, duration_s)(duration_s)
+    return aggregate_heads(window)(duration_s)
 
 
-def aggregate_heads(window: ScanWindow, longest_s: float | None = None) -> Callable[[float | None], RssScan]:
-    """head, with head(d) == aggregate_scan(window, d) bit for bit for every d
-    up to longest_s, and head(None) == aggregate_scan(window) if longest_s is
-    None.  The running sums are accumulated once, row after row, so row
-    instant_count(d) - 1 holds the totals of head d."""
-    limit = window.duration_s if longest_s is None else min(longest_s, window.duration_s)
-    rss = window.rss if longest_s is None else window.rss[: instant_count(limit, window.cadence_s)]
+def aggregate_heads(window: ScanWindow) -> Callable[[float | None], RssScan]:
+    """head, with head(d) == aggregate_scan(window, d) bit for bit for every d.
+    The running sums are accumulated once, row after row, so row
+    instant_count(d) - 1 holds the totals of head d whatever rows follow."""
+    rss, limit = window.rss, window.duration_s
     heard = rss == rss  # False exactly where NaN
     # Each total is the left-to-right sum of the AP's samples; + 0.0 below
     # turns an all -0.0 total into 0.0, as 0 + -0.0.
@@ -201,19 +199,15 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
     return _first_hit(candidate_picks(_clustering(ids, xs, _lloyd(xs, seeds))), maps)
 
 
-def locate_all(rankings: list, stores: Mapping[int, MapStore], ks) -> list:
-    """[[localize at k for k in ks] for each of rank_scan's rankings], None where
-    localize raises ValueError; the walk reads the runs of _lloyd's last pass."""
-
-    def locate(ranked: tuple, k: int) -> LocalizationOutcome | None:
-        try:
-            ids, xs, seeds, maps = _seeded(ranked, stores, k)
-            bounds, _ = _lloyd(xs, seeds)[-1]
-        except ValueError:
-            return None
-        return _first_hit(itertools.product(*[ids[a:b] for a, b in zip(bounds, bounds[1:])]), maps)
-
-    return [[locate(ranked, k) for k in ks] for ranked in rankings]
+def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome | None:
+    """localize at k from rank_scan's ranking, None where localize raises
+    ValueError; the walk reads the runs of _lloyd's last pass."""
+    try:
+        ids, xs, seeds, maps = _seeded(ranked, stores, k)
+        bounds, _ = _lloyd(xs, seeds)[-1]
+    except ValueError:
+        return None
+    return _first_hit(itertools.product(*[ids[a:b] for a, b in zip(bounds, bounds[1:])]), maps)
 
 
 # ----------------------------------------------------------------------------
@@ -321,4 +315,8 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
         # instants, duration covering all of them.
         cadence = min((b - a for a, b in zip(ts, ts[1:])), default=1.0)
         schedule = cadence * len(ts), cadence
+        try:
+            instant_count(*schedule)
+        except ValueError as exc:
+            raise ValueError(f"{source}: timestamps give no schedule: {exc}") from None
     return ScanWindow(np.repeat(ts, counts), tuple(col), rss, *schedule)

@@ -178,6 +178,7 @@ class TestConfigParsing:
             (dict(k_values=(2,), test_point_mode="spiral"), "unknown test-point mode"),
             (dict(k_values=(2,), duration_s=3.0, cadence_s=5.0), "duration_s"),
             (dict(k_values=(2,), p0_dbm=math.nan), "p0_dbm"),
+            (dict(k_values=(3, 3, 4)), r"^k=3 is repeated in k_values$"),
         ],
     )
     def test_config_validation(self, kwargs, match):
@@ -403,6 +404,15 @@ class TestWindowSweep:
         )):
             window_sweep(tiny_config, (1.0, 1e6))
 
+    @pytest.mark.parametrize("change, seed, match", [
+        ({}, -2, "^seed must be non-negative, got -2$"),
+        ({"duration_s": 1e6}, None, "^window of 2000000 instants x 4 APs exceeds the limit of 1000000 samples$"),
+    ], ids=["negative-seed", "oversized-window"])
+    def test_simulate_refuses_when_called(self, tiny_config, change, seed, match):
+        # The checks run at the call, before the first window is asked for.
+        with pytest.raises(ValueError, match=match):
+            simulate(replace(tiny_config, **change), TINY_DEPLOY, seed)
+
     def test_points_that_cannot_be_localized_are_misses(self):
         # With seed 7 on a 0.5 m grid, some -55 dBm scans degrade to k = 2,
         # which has no store, and every -45 dBm point has no signal or too
@@ -472,8 +482,8 @@ class TestWindowSweep:
 
 
 def test_sweep_memory_is_bounded_by_its_batch():
-    """The sweep clusters at most SWEEP_BATCH scans at a time, so its traced
-    peak above what its reports keep does not grow with the test points:
+    """The sweep locates one point's scans at a time, so its traced peak
+    above what its reports keep does not grow with the test points:
     from 400 to 1 600 points it may grow by the few pointers a point's
     errors take, not by the ≈ 10 kB a point that held scans take."""
     cfg = replace(load_config(str(DATA / "ecc.cfg")), cell_size=1.0, duration_s=3.0)
@@ -490,7 +500,6 @@ def test_sweep_memory_is_bounded_by_its_batch():
         assert sum(rep.n_points for rep in sweep[3.0].per_k.values()) == 4 * points
         return peak - kept
 
-    assert 400 > evaluate.SWEEP_BATCH
     small, large = working_peak(400), working_peak(1_600)
     assert large - small < 100 * 1_200, (small, large)
 

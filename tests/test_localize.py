@@ -19,7 +19,7 @@ from apseq.localize import (
     instant_count,
     load_scan,
     localize,
-    locate_all,
+    locate,
     rank_scan,
     save_scan,
     scan_from_text,
@@ -241,21 +241,13 @@ def test_every_head_is_the_pure_python_mean_bit_for_bit(window, data):
         st.integers(1, 70).map(lambda m: m * cadence) | st.floats(cadence, 2.0 * window.duration_s),
         min_size=1, max_size=6,
     ))
-    head = aggregate_heads(window, max(durations))
+    head = aggregate_heads(window)
     for d in durations:
         want = bits_or_error(head_oracle, window, d)
         assert bits_or_error(head, d) == want
         assert bits_or_error(aggregate_scan, window, d) == want
     assert bits_or_error(aggregate_scan, window) == bits_or_error(head_oracle, window)
     assert bits_or_error(aggregate_heads(window), None) == bits_or_error(head_oracle, window)
-
-
-def test_a_head_beyond_the_aggregated_rows_is_refused():
-    w = window_of({1: [-40.0] * 10}, duration_s=10.0, cadence_s=1.0)
-    head = aggregate_heads(w, 4.0)
-    assert head(4.0) == aggregate_scan(w, 4.0)
-    with pytest.raises(ValueError, match="5.0 s exceeds the window's 4.0 s"):
-        head(5.0)
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +328,7 @@ class TestLocalize:
     def test_empty_cluster_is_a_value_error(self):
         # Near-tie RSS values on which a top-rank Lloyd pass leaves a cluster
         # empty: localize raises ValueError, not AssertionError, and
-        # locate_all answers None for that k alone.
+        # locate answers None at that k alone.
         values = {
             30: -44.00000000000001, 6: -74.00000000000001, 26: -44.000000000000014,
             3: -41.00000000000001, 29: -44.000000000000014, 13: -43.99999999999999,
@@ -351,7 +343,7 @@ class TestLocalize:
         with pytest.raises(ValueError, match=r"K-means left clusters \[4\] of 6 empty"):
             localize(scan, stores, 6)
         ranked = rank_scan(scan, stores)
-        assert locate_all([ranked, ranked], stores, (6, 3)) == [[None, localize(scan, stores, 3)]] * 2
+        assert [locate(ranked, stores, k) for k in (6, 3)] == [None, localize(scan, stores, 3)]
 
     @pytest.mark.parametrize("foreign_rss", [-20.0, -45.0, -51.0, -90.0])
     def test_ap_outside_the_deployment_is_ignored(self, fallback_store, foreign_rss):
@@ -494,16 +486,16 @@ def outcomes_or_none(scans, stores, ks):
     st.lists(st.integers(1, 8), max_size=5),
     st.sets(st.integers(2, 6)),
 )
-def test_locate_all_is_localize_per_ranking_and_k(six_ap_family, scans, ks, family_ks):
-    # One call clusters every (scan, k); ks below 2 and stores missing for
-    # some k are refused per pair, as localize refuses them.
+def test_locate_is_localize_per_ranking_and_k(six_ap_family, scans, ks, family_ks):
+    # Every (scan, k) is one call; ks below 2 and stores missing for some k
+    # are refused per pair, as localize refuses them.
     stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
     scans = [RssScan(values=values) for values in scans]
     want = outcomes_or_none(scans, stores, ks)
-    assert locate_all([rank_scan(scan, stores) for scan in scans], stores, ks) == want
+    assert [[locate(rank_scan(scan, stores), stores, k) for k in ks] for scan in scans] == want
 
 
-def test_locate_all_refuses_each_pair_as_localize_does(six_ap_family):
+def test_locate_refuses_each_pair_as_localize_does(six_ap_family):
     stores = {k: six_ap_family[k] for k in (3, 4, 6)}
     scans = {
         "no signal": {1: UNDETECTED_DBM, 2: UNDETECTED_DBM},
@@ -515,13 +507,10 @@ def test_locate_all_refuses_each_pair_as_localize_does(six_ap_family):
     }
     ks = (1, 3, 4, 5, 6, 7)
     scans = {name: RssScan(values=values) for name, values in scans.items()}
-    got = locate_all([rank_scan(scan, stores) for scan in scans.values()], stores, ks)
+    got = [[locate(rank_scan(scan, stores), stores, k) for k in ks] for scan in scans.values()]
     want = outcomes_or_none(scans.values(), stores, ks)
     assert dict(zip(scans, got)) == dict(zip(scans, want))
     assert [name for name, row in zip(scans, got) if any(row)] == ["located"]
-    # A batch of misses only, and an empty batch, return at once.
-    assert locate_all([rank_scan(scans["no signal"], stores)] * 3, stores, ks) == [[None] * len(ks)] * 3
-    assert locate_all([], stores, ks) == []
 
 
 class TestScanFiles:
@@ -588,6 +577,12 @@ class TestScanFiles:
         assert (loaded.duration_s, loaded.cadence_s) == (2.0, 1.0)
         assert instant_count(loaded.duration_s, loaded.cadence_s) == 2
         assert aggregate_scan(loaded).values == {1: -40.5, 2: -60.0}
+
+    def test_v1_timestamps_that_give_no_schedule_name_the_file(self):
+        # Two instants 2e308 s apart: the inferred cadence and duration overflow to inf.
+        text = "APSEQ-SCAN v1\nsample -1e308 1 -40\nsample 1e308 2 -41\n"
+        with pytest.raises(ValueError, match=r"^walk\.txt: timestamps give no schedule: need 0 < cadence_s"):
+            scan_from_text(text, source="walk.txt")
 
     @pytest.mark.parametrize(
         "window_line",
