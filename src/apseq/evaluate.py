@@ -245,6 +245,8 @@ def _checked_stores(
         return build_stores(deployment, config.k_values, config.cell_size)
     grid = GridSpec.for_deployment(deployment, config.cell_size)
     for k, store in stores.items():
+        if store.k != k:
+            raise ValueError(f"store for k={k} holds the maps of k={store.k}")
         if store.deployment != deployment:
             raise ValueError(f"store for k={k} was built for another deployment than {config.deployment}")
         if store.grid != grid:

@@ -170,9 +170,13 @@ def _seeded(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> tuple:
         raise ValueError(f"k must be at least 2 (got {k})" if k < 2 else "insufficient APs")
     if k_eff not in stores:
         raise ValueError(f"store/k mismatch (no store for k={k_eff})")
+    store, known = stores[k_eff], next(iter(stores.values())).deployment  # rank_scan filtered by it
+    if store.k != k_eff or (store.deployment is not known and store.deployment != known):
+        raise ValueError(f"store for k={k_eff} holds the maps of k={store.k}" if store.k != k_eff
+                         else f"store for k={k_eff} was built for another deployment than the first store's")
     if fault:
         raise ValueError(fault)
-    return ids, xs, distinct[:k_eff], stores[k_eff].maps
+    return ids, xs, distinct[:k_eff], store.maps
 
 
 def _first_hit(walk, maps) -> LocalizationOutcome:
@@ -187,7 +191,7 @@ def _first_hit(walk, maps) -> LocalizationOutcome:
 def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
     """Estimate a position from an aggregated scan, with candidate fallback.
 
-    `stores` holds map stores keyed by k, all over one deployment; k >= 2.
+    `stores` holds map stores keyed by their k, all over one deployment; k >= 2.
     When fewer than k distinct RSS values were detected, k degrades to that
     count, whose store must be present too.  Candidates are walked lazily in
     selection.candidate_picks order until a signature is present in its map.

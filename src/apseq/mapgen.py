@@ -31,8 +31,8 @@ DEFAULT_CELL_SIZE = 0.2
 MAX_CELLS = 10_000_000
 MAX_MAP_ROWS = 1_000_000  # (AP subset, full ordering) pairs in one build
 MAX_PARTITION_VALUES = 10_000_000  # grid cells x (APs + bisector words) in one partition
-# Each AP pair is one pass over the cells, and each bisector word one sort key
-# of ≈ 2.8 kB whatever the cell count, so the AP count is bounded as well.
+# A bisector word, one per 32 AP pairs, bounds the per-pair passes over the
+# cells; each AP is one sort key of the runs' orderings, so it is bounded too.
 MAX_PARTITION_APS = 256
 
 # Tolerance applied to width/cell_size before ceil() so that an exactly
@@ -284,28 +284,25 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     # dx*dx + dy*dy, squared once per column and row, then one broadcast add.
     dx, dy = np.square(col_x - pos[:, :1]), np.square(row_y - pos[:, 1:])
     d2 = (dx[:, None, :] + dy[:, :, None]).reshape(n, cells)
-    # One bit per AP pair a < b (columns in ascending-id order), 32 a word:
-    # the side of their bisector, with ties on the smaller id's side.  A
-    # stable argsort puts a before b exactly when the bit is set, so the bits
-    # determine a cell's ordering.
-    words = np.zeros((n_words, cells), dtype=np.uint32)
-    side, shifted = np.empty(cells, dtype=bool), np.empty(cells, dtype=np.uint32)
-    for bit, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+    # Each AP pair a < b (columns in ascending-id order) has a bisector, with
+    # ties on the smaller id's side; a stable argsort puts a before b exactly
+    # on that side, so a cell's sides give its ordering.  A run, a stretch of
+    # cells in flat order on one side of every bisector, starts where any flips.
+    flips, side = np.zeros(cells - 1, dtype=bool), np.empty(cells, dtype=bool)
+    for a, b in itertools.combinations(range(n), 2):
         np.less_equal(d2[a], d2[b], out=side)
-        words[bit // 32] |= np.left_shift(side, bit % 32, out=shifted, dtype=np.uint32)
-    # Neighbouring cells mostly share their words, so only the runs' words
-    # are sorted.  The lexsort is stable: each group's first run holds its
-    # lowest flat cell, and only that cell is argsorted.
-    run_first = np.flatnonzero(_column_changes(words))
-    by_key = np.lexsort(words[:, run_first])
-    new_group = _column_changes(words[:, run_first[by_key]])
-    orders = np.argsort(d2[:, run_first[by_key[new_group]]].T, axis=1, kind="stable")
-    del d2, words
-    # The groups are numbered lexicographically by their orderings.
-    by_order = np.lexsort(orders.T[::-1])
-    orders = orders[by_order]
-    run_label = np.empty(len(by_key), dtype=np.min_scalar_type(len(orders)))
-    run_label[by_key] = np.argsort(by_order)[np.cumsum(new_group) - 1]
+        flips |= side[1:] != side[:-1]
+    run_first = np.flatnonzero(np.append(True, flips))
+    # Only each run's first cell is argsorted.  One sort of the runs'
+    # orderings then finds the groups and numbers them lexicographically.
+    d2 = d2[:, run_first].T  # the other cells' distances go before the argsort
+    run_orders = np.argsort(d2, axis=1, kind="stable")
+    del d2, flips, side  # flips and side held to the return split the heap: +2 MB RSS in a later build
+    by_order = np.lexsort(run_orders.T[::-1])
+    new_group = _column_changes(run_orders[by_order].T)
+    orders = run_orders[by_order[new_group]]
+    run_label = np.empty(len(run_first), dtype=np.min_scalar_type(len(orders)))
+    run_label[by_order] = np.cumsum(new_group) - 1
     cell_labels = np.repeat(run_label, np.diff(run_first, append=cells))
     # A stable argsort of 8- or 16-bit labels is a radix sort.
     perm = np.argsort(cell_labels, kind="stable")

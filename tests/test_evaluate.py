@@ -534,6 +534,12 @@ class TestStoreChecks:
         with pytest.raises(ValueError, match=r"store/k mismatch \(no store for k=3\)"):
             experiment(tiny_config, stores)
 
+    def test_a_store_filed_under_another_k(self, tiny_config, experiment, monkeypatch):
+        stores = build_stores(TINY_DEPLOY, tiny_config.k_values, tiny_config.cell_size)
+        monkeypatch.setattr(evaluate, "synth_window", no_windows)
+        with pytest.raises(ValueError, match=r"^store for k=2 holds the maps of k=3$"):
+            experiment(tiny_config, {2: stores[3], 3: stores[2]})
+
     def test_matching_stores_accepted(self, tiny_config, experiment):
         stores = build_stores(TINY_DEPLOY, tiny_config.k_values, tiny_config.cell_size)
         experiment(tiny_config, stores)

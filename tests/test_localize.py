@@ -351,6 +351,23 @@ class TestLocalize:
         heard = RssScan(values={**values, 99: foreign_rss})
         assert localize(heard, {3: fallback_store}, 3) == localize(RssScan(values=values), {3: fallback_store}, 3)
 
+    def test_a_store_filed_under_another_k_is_refused(self, store_family):
+        scan = RssScan(values={1: -35.0, 2: -45.0, 3: -50.0, 4: -60.0})
+        with pytest.raises(ValueError, match=r"^store for k=3 holds the maps of k=4$"):
+            localize(scan, {3: store_family[4]}, 3)
+        assert locate(rank_scan(scan, {3: store_family[4]}), {3: store_family[4]}, 3) is None
+
+    @pytest.mark.parametrize("other_aps", [((5, 5.0, 3.0),), ((4, 6.0, 8.0),)], ids=["other_ids", "moved_ap"])
+    def test_a_store_of_another_deployment_is_refused(self, store_family, other_aps):
+        # Ranked by the first store's deployment, localized at k = 4 in a store of another.
+        dep = store_family[4].deployment
+        other = ApDeployment(width=dep.width, height=dep.height, aps=dep.aps[:3] + other_aps)
+        stores = {3: store_family[3], 4: build_map_store(other, 4, 1.0)}
+        scan = RssScan(values={1: -35.0, 2: -45.0, 3: -50.0, 4: -60.0, 5: -70.0})
+        with pytest.raises(ValueError, match=r"^store for k=4 was built for another deployment than the first"):
+            localize(scan, stores, 4)
+        assert localize(scan, stores, 3) == localize(scan, store_family, 3)
+
     def test_estimate_carries_region_stats(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})
         result = localize(scan, {2: half_plane_store}, 2)

@@ -451,6 +451,24 @@ def lattice_deployments(draw, n_aps=st.one_of(st.sampled_from([8, 9, 11, 12]), s
                         aps=tuple((i, (p % 21) / 2, (p // 21) / 2) for i, p in zip(ids, spots)))
 
 
+@st.composite
+def co_located_deployments(draw):
+    """lattice_deployments of 2-13 APs with one AP moved onto another's spot:
+    that pair's bisector has a zero normal, so at every cell the tie rule
+    (the smaller id first) orders it."""
+    dep = draw(lattice_deployments(n_aps=st.integers(2, 13)))
+    aps = list(dep.aps)
+    moved, spot = draw(st.lists(st.sampled_from(range(len(aps))), min_size=2, max_size=2, unique=True))
+    aps[moved] = (aps[moved][0], *aps[spot][1:])
+    return ApDeployment(width=dep.width, height=dep.height, aps=tuple(aps))
+
+
+def uniform_60x40_deployment(n_aps):
+    """n_aps APs at uniform random spots over 60 m x 40 m."""
+    spots = np.random.default_rng(n_aps).uniform((0, 0), (60, 40), (n_aps, 2)).tolist()
+    return ApDeployment(width=60.0, height=40.0, aps=tuple((i + 1, x, y) for i, (x, y) in enumerate(spots)))
+
+
 class TestPartitionOracle:
     """The bisector-side grouping against every cell's full argsort."""
 
@@ -482,6 +500,21 @@ class TestPartitionOracle:
     @given(dep=lattice_deployments(), cell_size=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.2, 2.0)))
     def test_random_lattice_deployments(self, dep, cell_size):
         self.assert_same_partition(dep, cell_size)
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(dep=co_located_deployments(), cell_size=st.sampled_from([0.25, 0.3, 0.5, 0.7]))
+    def test_co_located_aps(self, dep, cell_size):
+        assert len({(x, y) for _, x, y in dep.aps}) < dep.n_aps
+        self.assert_same_partition(dep, cell_size)
+
+    @settings(database=None, deadline=None, max_examples=20)
+    @given(dep=lattice_deployments(n_aps=st.integers(14, 30)), cell_size=st.sampled_from([0.25, 0.3, 0.5]))
+    def test_many_lattice_aps(self, dep, cell_size):
+        self.assert_same_partition(dep, cell_size)
+
+    @pytest.mark.parametrize("n_aps", [14, 20, 30])
+    def test_many_uniform_aps(self, n_aps):
+        self.assert_same_partition(uniform_60x40_deployment(n_aps), 0.5)
 
 
 def _map_stats_oracle(part: _Partition, lut: np.ndarray) -> np.ndarray:
