@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="localize one scan file against a map store")
     p.add_argument("--store", required=True, help="map-store file (APSEQMAP v1)")
-    p.add_argument("--scan", required=True, help="scan file (APSEQ-SCAN v2 or v1)")
+    p.add_argument("--scan", required=True, help="scan file (APSEQ-SCAN v2)")
     p.add_argument("--k", type=int, required=True, help="number of APs to select")
     p.set_defaults(run=_cmd_localize)
 

@@ -159,7 +159,10 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<string>") -> Ex
     for req in ("deployment", "k_values"):
         if req not in values:
             raise ValueError(f"{source}: missing required key {req!r}")
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:

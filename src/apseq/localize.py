@@ -222,12 +222,9 @@ def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> Localizatio
 #   window <duration_s> <cadence_s>
 #   sample <t_seconds> <ap_id> <rss_dbm>
 #
-# The schedule is written exactly (shortest round-trip repr).  Version 1
-# files carry no window line; their schedule is inferred from the distinct
-# timestamps present in the file.
+# The schedule is written exactly (shortest round-trip repr).
 
 SCAN_HEADER = "APSEQ-SCAN v2"
-SCAN_HEADER_V1 = "APSEQ-SCAN v1"
 
 
 def save_scan(window: ScanWindow, path) -> None:
@@ -256,20 +253,17 @@ def load_scan(path) -> ScanWindow:
 
 def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] not in (SCAN_HEADER, SCAN_HEADER_V1):
-        raise ValueError(f"{source}: unsupported version (expected {SCAN_HEADER!r} or {SCAN_HEADER_V1!r})")
-    schedule = None
-    body = lines[1:]
-    if lines[0] == SCAN_HEADER:
-        parts = body[0].split() if body else []
-        try:
-            if len(parts) != 3 or parts[0] != "window":
-                raise ValueError
-            schedule = float(parts[1]), float(parts[2])
-            instant_count(*schedule)
-        except ValueError:
-            raise ValueError(f"{source}: malformed window line {' '.join(parts)!r}") from None
-        body = body[1:]
+    if not lines or lines[0] != SCAN_HEADER:
+        raise ValueError(f"{source}: unsupported version (expected {SCAN_HEADER!r})")
+    parts = lines[1].split() if len(lines) > 1 else []
+    try:
+        if len(parts) != 3 or parts[0] != "window":
+            raise ValueError
+        schedule = float(parts[1]), float(parts[2])
+        instant_count(*schedule)
+    except ValueError:
+        raise ValueError(f"{source}: malformed window line {' '.join(parts)!r}") from None
+    body = lines[2:]
     if len(body) > MAX_WINDOW_SAMPLES:
         raise ValueError(f"{source}: {len(body)} sample lines exceed the limit of {MAX_WINDOW_SAMPLES} samples")
     times, ids, values = [], [], []  # one list per column
@@ -314,13 +308,4 @@ def scan_from_text(text: str, source: str = "<string>") -> ScanWindow:
     rss = np.full(shape, np.nan)
     rss[np.fromiter(map(first_row.__getitem__, times), np.intp, len(times)) + ms,
         np.fromiter(map(col.__getitem__, ids), np.intp, len(ids))] = values
-    if schedule is None:
-        # Infer the schedule: cadence from the smallest gap between distinct
-        # instants, duration covering all of them.
-        cadence = min((b - a for a, b in zip(ts, ts[1:])), default=1.0)
-        schedule = cadence * len(ts), cadence
-        try:
-            instant_count(*schedule)
-        except ValueError as exc:
-            raise ValueError(f"{source}: timestamps give no schedule: {exc}") from None
     return ScanWindow(np.repeat(ts, counts), tuple(col), rss, *schedule)

@@ -118,7 +118,7 @@ def run_capped(*argv):
     "keys, message",
     [
         ("test_point_mode = grid\ntest_points = 100000\n",
-         "10000000000 test points (grid mode, test_points = 100000) exceed the limit of 100000"),
+         "{config}: 10000000000 test points (grid mode, test_points = 100000) exceed the limit of 100000"),
         ("duration_s = 1000000\ncadence_s = 0.001\n",
          "window of 1000000000 instants x 4 APs exceeds the limit of 1000000 samples"),
     ],
@@ -128,7 +128,7 @@ def test_oversized_config_is_an_error_under_a_memory_cap(workspace, tmp_path, co
     config = tmp_path / "oversized.cfg"
     config.write_text(f"deployment = {workspace / 'quad.deploy'}\nk_values = 2, 3\ncell_size = 0.5\n{keys}")
     result = run_capped(command, "--config", str(config), "--out", str(tmp_path / "out"))
-    assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+    assert (result.returncode, result.stderr) == (2, f"error: {message.format(config=config)}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -229,7 +229,7 @@ class TestSimulate:
         out_dir = workspace / "nan_cell_scans"
         rc = main(["simulate", "--config", str(bad), "--out", str(out_dir)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: cell_size must be finite and positive\n"
+        assert capsys.readouterr().err == f"error: {bad}: cell_size must be finite and positive\n"
         assert not out_dir.exists()
 
     def test_repeat_runs_are_identical(self, workspace):
@@ -293,7 +293,7 @@ class TestLocalize:
                      "--k", "3", "--out", str(tmp_path / "line.map")]) == 0
         assert (1, 3, 2) not in load_map_store(tmp_path / "line.map").maps[(1, 2, 3)].regions
         (tmp_path / "scan.txt").write_text(
-            "APSEQ-SCAN v1\nsample 0.000 1 -40.0\nsample 0.000 3 -50.0\nsample 0.000 2 -60.0\n")
+            "APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\nsample 0.000 3 -50.0\nsample 0.000 2 -60.0\n")
         capsys.readouterr()
         rc = main(["localize", "--store", str(tmp_path / "line.map"), "--scan", str(tmp_path / "scan.txt"), "--k", "3"])
         assert rc == 0
@@ -315,7 +315,7 @@ class TestLocalize:
 
     def test_corrupt_scan_is_reported(self, prepared, capsys):
         bad = prepared / "bad_scan.txt"
-        bad.write_text("APSEQ-SCAN v1\nsample zero 1 -40\n")
+        bad.write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\nsample zero 1 -40\n")
         rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
                    "--scan", str(bad), "--k", "2"])
         assert rc == 2
@@ -325,13 +325,13 @@ class TestLocalize:
         # finite values whose cluster sum overflows to inf
         huge = prepared / "huge_scan.txt"
         huge.write_text(
-            "APSEQ-SCAN v1\nsample 0.000 2 1e308\nsample 0.000 3 1e308\n"
+            "APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 2 1e308\nsample 0.000 3 1e308\n"
             "sample 0.000 4 -78.5\n"
         )
         rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
                    "--scan", str(huge), "--k", "2"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: RSS values to cluster are too large\n"
 
 
 class TestEvaluate:
@@ -360,6 +360,13 @@ class TestEvaluate:
         rc = main(["evaluate", "--config", str(bad)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_field_refusal_names_the_file(self, workspace, capsys):
+        bad = workspace / "no_points.cfg"
+        bad.write_text(CONFIG.replace("test_points = 4", "test_points = 0"))
+        rc = main(["evaluate", "--config", str(bad), "--out", str(workspace / "no_points")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: test_points must be at least 1\n"
 
 
 # sha256 of each file that `apseq --seed 7 evaluate` writes for a bundled
@@ -414,7 +421,7 @@ class TestNegativeSeed:
         bad.write_text(CONFIG.replace("seed = 11", "seed = -4"))
         rc = main(["evaluate", "--config", str(bad), "--out", str(workspace / "neg_a")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: seed must be non-negative, got -4\n"
+        assert capsys.readouterr().err == f"error: {bad}: seed must be non-negative, got -4\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "simulate"])
     def test_seed_override_is_refused(self, workspace, capsys, command):

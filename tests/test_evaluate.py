@@ -192,7 +192,7 @@ class TestConfigParsing:
     def test_test_points_above_the_limit_refused(self, mode, side, points):
         # Only parsed: 10**10 grid points would be ~1 TB of point tuples.
         text = f"deployment = d\nk_values = 2\ntest_point_mode = {mode}\ntest_points = {side}\n"
-        want = rf"^{points} test points \({mode} mode, test_points = {side}\) exceed the limit of 100000$"
+        want = rf"^<string>: {points} test points \({mode} mode, test_points = {side}\) exceed the limit of 100000$"
         with pytest.raises(ValueError, match=want):
             parse_config(text)
 

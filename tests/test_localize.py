@@ -25,8 +25,9 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import build_map_store, build_stores
+from apseq.mapgen import build_map_store, build_stores, cell_signature
 from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
+from apseq.propagation import PropagationParams, synth_window
 from apseq.selection import kmeans_1d
 
 
@@ -512,6 +513,41 @@ def test_locate_is_localize_per_ranking_and_k(six_ap_family, scans, ks, family_k
     assert [[locate(rank_scan(scan, stores), stores, k) for k in ks] for scan in scans] == want
 
 
+@st.composite
+def lattice_deployments(draw):
+    """3-8 APs with any ids on the half-metre lattice over 10 m x 8 m."""
+    n_aps = draw(st.integers(3, 8))
+    spots = draw(st.lists(st.integers(0, 21 * 17 - 1), min_size=n_aps, max_size=n_aps, unique=True))
+    ids = draw(st.lists(st.integers(1, 99), min_size=n_aps, max_size=n_aps, unique=True))
+    return ApDeployment(width=10.0, height=8.0,
+                        aps=tuple((i, (p % 21) / 2, (p // 21) / 2) for i, p in zip(ids, spots)))
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(
+    lattice_deployments(),
+    st.sampled_from([0.25, 0.5]),
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 8.0)), min_size=1, max_size=8),
+)
+def test_zero_noise_never_gives_a_wrong_signature(dep, cell_size, points):
+    # At sigma_db = 0 the RSS order is the distance order, so an estimate's
+    # signature is the point's own; a miss is allowed.  Inside d0 mean_rss
+    # is flat, and near-equal distances make a tie that RSS cannot break.
+    params = PropagationParams()
+    stores = build_stores(dep, range(2, dep.n_aps + 1), cell_size)
+    for point in points:
+        dists = sorted(math.hypot(point[0] - x, point[1] - y) for _, x, y in dep.aps)
+        if dists[0] <= params.d0_m or min(b - a for a, b in zip(dists, dists[1:])) < 1e-6:
+            continue
+        scan = aggregate_scan(synth_window(point, dep, params, 1.0, 1.0, rng=np.random.default_rng(0)))
+        for k in stores:
+            outcome = localize(scan, stores, k)
+            if isinstance(outcome, Estimate):
+                assert outcome.matched_signature == cell_signature(point, outcome.subset, dep), (point, k)
+                region = stores[len(outcome.subset)].maps[outcome.subset].regions[outcome.matched_signature]
+                assert outcome.position == region.centroid, (point, k)
+
+
 def test_locate_refuses_each_pair_as_localize_does(six_ap_family):
     stores = {k: six_ap_family[k] for k in (3, 4, 6)}
     scans = {
@@ -588,19 +624,6 @@ class TestScanFiles:
         assert (loaded.duration_s, loaded.cadence_s) == (20.0, 1.0)
         assert aggregate_scan(loaded).values == {1: -40.5, 2: UNDETECTED_DBM}
 
-    def test_v1_schedule_inferred_from_timestamps(self):
-        text = "APSEQ-SCAN v1\nsample 0.000 1 -40.0\nsample 1.000 1 -41.0\nsample 1.000 2 -60.0\n"
-        loaded = scan_from_text(text)
-        assert (loaded.duration_s, loaded.cadence_s) == (2.0, 1.0)
-        assert instant_count(loaded.duration_s, loaded.cadence_s) == 2
-        assert aggregate_scan(loaded).values == {1: -40.5, 2: -60.0}
-
-    def test_v1_timestamps_that_give_no_schedule_name_the_file(self):
-        # Two instants 2e308 s apart: the inferred cadence and duration overflow to inf.
-        text = "APSEQ-SCAN v1\nsample -1e308 1 -40\nsample 1e308 2 -41\n"
-        with pytest.raises(ValueError, match=r"^walk\.txt: timestamps give no schedule: need 0 < cadence_s"):
-            scan_from_text(text, source="walk.txt")
-
     @pytest.mark.parametrize(
         "window_line",
         ["sample 0.0 1 -40.0", "window 2.0", "window x 1.0", "window 1.0 2.0", "window nan 1.0", "span 2.0 1.0"],
@@ -612,6 +635,9 @@ class TestScanFiles:
     def test_unsupported_version(self):
         with pytest.raises(ValueError, match="unsupported version"):
             scan_from_text("APSEQ-SCAN v9\nsample 0.0 1 -40.0\n")
+        # A v1 file states no window: it is refused, not guessed at.
+        with pytest.raises(ValueError, match=r"^walk\.txt: unsupported version \(expected 'APSEQ-SCAN v2'\)$"):
+            scan_from_text("APSEQ-SCAN v1\nsample 0.000 1 -40.0\n", source="walk.txt")
 
     @pytest.mark.parametrize(
         "line",
@@ -627,8 +653,8 @@ class TestScanFiles:
     )
     def test_malformed_sample_lines(self, line):
         with pytest.raises(ValueError, match="malformed sample"):
-            scan_from_text(f"APSEQ-SCAN v1\n{line}\n")
+            scan_from_text(f"APSEQ-SCAN v2\nwindow 1.0 1.0\n{line}\n")
 
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            scan_from_text("APSEQ-SCAN v1\n")
+            scan_from_text("APSEQ-SCAN v2\nwindow 1.0 1.0\n")

@@ -207,7 +207,7 @@ def uniform_deployment(seed, n_aps):
 
 
 class TestOracleEquivalence:
-    # 12 APs make 66 AP pairs, more than one 63-bit word of bisector sides.
+    # 12 APs make 66 AP pairs, each one bisector pass over the cells.
     @pytest.mark.parametrize("seed, n_aps", [(11, 4), (29, 5), (41, 12)])
     def test_every_cell_matches_brute_force(self, seed, n_aps):
         dep = uniform_deployment(seed, n_aps)
@@ -442,8 +442,8 @@ def lattice_deployment(seed):
 @st.composite
 def lattice_deployments(draw, n_aps=st.one_of(st.sampled_from([8, 9, 11, 12]), st.integers(2, 13))):
     """2-13 APs (or as many as `n_aps` draws) with any ids on the half-metre
-    lattice over 10 m x 8 m.  By default often 8 or 9 APs (one bisector word
-    or two) and 11 or 12 (two words or three)."""
+    lattice over 10 m x 8 m.  By default often 8 or 9 APs (28 or 36 AP pairs)
+    and 11 or 12 (55 or 66): either side of 32 and of 64 AP pairs."""
     n_aps = draw(n_aps)
     spots = draw(st.lists(st.integers(0, 21 * 17 - 1), min_size=n_aps, max_size=n_aps, unique=True))
     ids = draw(st.lists(st.integers(1, 99), min_size=n_aps, max_size=n_aps, unique=True))
@@ -494,6 +494,7 @@ class TestPartitionOracle:
             self.assert_same_partition(dep, cell_size)
 
     def test_lattice_deployments_reach_two_words(self):
+        # Every AP count from 2 to 13: more than 8 APs and more than 11.
         assert {lattice_deployment(seed).n_aps for seed in range(30)} == set(range(2, 14))
 
     @settings(database=None, deadline=None, max_examples=60)
@@ -623,8 +624,8 @@ class TestPartitionSize:
         assert peak < 50_000
 
     def test_peak_memory_per_cell(self):
-        # The distances (8 B an AP) and the 4-byte bisector words dominate:
-        # ≈ 67 B a cell for dover's 7 APs.
+        # The squared distances (8 B an AP) dominate: 56 of ≈ 61.5 B a cell
+        # for dover's 7 APs; the rest is the runs' one-byte masks.
         dep = load_deployment(load_config(str(DATA / "dover.cfg")).deployment)
         grid = GridSpec.for_deployment(dep, 0.2)
         _partition(dep, grid)  # numpy's one-time allocations are not the partition's
