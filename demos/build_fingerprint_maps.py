@@ -7,7 +7,7 @@ geometry, and shows the text form the store serializes to.
 
 import argparse
 
-from apseq.mapgen import build_map_store, map_store_to_text
+from apseq.mapgen import build_stores, map_store_to_text
 from apseq.model import ApDeployment
 
 
@@ -22,9 +22,10 @@ def main():
         height=12.0,
         aps=((1, 2.0, 2.0), (2, 18.0, 2.5), (3, 10.0, 10.0), (4, 17.0, 9.5)),
     )
-    # One store per subset size; the grid follows from the area and the cell size.
-    stores = {k: build_map_store(deployment, k, args.cell) for k in range(2, deployment.n_aps + 1)}
-    grid = stores[2].grid
+    # One map set of every subset size, from one partition of the grid; the
+    # grid follows from the area and the cell size.
+    stores = build_stores(deployment, range(2, deployment.n_aps + 1), args.cell)
+    grid = stores.grid
 
     print("== deployment ==")
     print(f"area: {deployment.width:g} x {deployment.height:g} m, "
@@ -37,8 +38,8 @@ def main():
     print("one fingerprint map per k-subset of the APs:")
     for k, store in stores.items():
         regions = sum(m.n_regions for m in store.maps.values())
-        print(f"  k={k}: {store.n_maps:2d} maps, {regions:3d} regions total, "
-              f"built in {store.build_ms:.1f} ms")
+        print(f"  k={k}: {store.n_maps:2d} maps, {regions:3d} regions total")
+    print(f"all built together in {stores[2].build_ms:.1f} ms")
 
     print("\n== one region up close ==")
     fmap = stores[2].maps[(1, 2)]

@@ -8,7 +8,7 @@ import sys
 
 from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
-from .mapgen import DEFAULT_CELL_SIZE, build_map_store, load_map_store, save_map_store
+from .mapgen import DEFAULT_CELL_SIZE, MapSet, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
 
 
@@ -40,9 +40,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_localize(args) -> int:
     store = load_map_store(args.store)
-    window = load_scan(args.scan)
-    scan = aggregate_scan(window)
-    outcome = localize(scan, {store.k: store}, args.k)
+    scan = aggregate_scan(load_scan(args.scan))
+    outcome = localize(scan, MapSet(store.deployment, store.grid, {store.k: store}), args.k)
     if isinstance(outcome, Estimate):
         x, y = outcome.position
         print(

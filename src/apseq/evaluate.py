@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .localize import Estimate, ScanWindow, aggregate_heads, instant_count, locate, rank_scan
-from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapStore, build_stores
+from .mapgen import DEFAULT_CELL_SIZE, GridSpec, MapSet, build_stores
 from .model import ApDeployment, load_deployment
 from .propagation import (
     DEFAULT_CADENCE_S,
@@ -238,41 +238,31 @@ def simulate(
             for idx, point in enumerate(points))
 
 
-def _checked_stores(
-    config: ExperimentConfig,
-    deployment: ApDeployment,
-    stores: Mapping[int, MapStore] | None,
-) -> Mapping[int, MapStore]:
-    """The passed stores once they fit the config, else one fresh build."""
+def _checked_stores(config: ExperimentConfig, deployment: ApDeployment, stores: MapSet | None) -> MapSet:
+    """The passed map set once its deployment and grid fit the config, else one fresh build."""
     if stores is None:
         return build_stores(deployment, config.k_values, config.cell_size)
     grid = GridSpec.for_deployment(deployment, config.cell_size)
-    for k, store in stores.items():
-        if store.k != k:
-            raise ValueError(f"store for k={k} holds the maps of k={store.k}")
-        if store.deployment != deployment:
-            raise ValueError(f"store for k={k} was built for another deployment than {config.deployment}")
-        if store.grid != grid:
-            raise ValueError(f"store for k={k} has grid {store.grid}, the config needs {grid}")
-    for k in config.k_values:
-        if k not in stores:
-            raise ValueError(f"store/k mismatch (no store for k={k})")
+    if stores.deployment != deployment:
+        raise ValueError(f"the map set was built for another deployment than {config.deployment}")
+    if stores.grid != grid:
+        raise ValueError(f"the map set has grid {stores.grid}, the config needs {grid}")
     return stores
 
 
 def run_experiment(
     config: ExperimentConfig,
     seed: int | None = None,
-    stores: Mapping[int, MapStore] | None = None,
+    stores: MapSet | None = None,
 ) -> ExperimentReport:
     """Simulate and localize every test point at every configured k.
 
     The same simulated window is localized at each k, mirroring one walk
-    evaluated under different subset sizes.  Pass `stores` to reuse maps
-    across repeated runs (they depend only on deployment and grid); they
-    must be built for the config's deployment and cell size and hold every
-    configured k, or ValueError is raised before any window is drawn.
-    This is window_sweep at the config's one duration.
+    evaluated under different subset sizes.  Pass `stores`, a map set, to
+    reuse maps across repeated runs (they depend only on deployment and
+    grid); it must be built for the config's deployment and cell size, or
+    ValueError is raised before any window is drawn.  A k it does not hold
+    is built on first use.  This is window_sweep at the config's one duration.
     """
     return window_sweep(config, (config.duration_s,), seed, stores)[float(config.duration_s)]
 
@@ -281,7 +271,7 @@ def window_sweep(
     config: ExperimentConfig,
     durations: Sequence[float],
     seed: int | None = None,
-    stores: Mapping[int, MapStore] | None = None,
+    stores: MapSet | None = None,
 ) -> dict[float, ExperimentReport]:
     """Re-run the experiment at several window durations, keyed by duration.
 
@@ -289,9 +279,9 @@ def window_sweep(
     One aggregate_heads pass gives every duration d aggregate_scan(window, d):
     the samples a window simulated for d would hold, since every duration
     replays the point's noise stream.  Point by point, each such scan is
-    ranked once and located at every k, which is localize at each k.  The
-    comparison thus isolates the effect of observation time.  `stores` is
-    checked as in run_experiment; no durations give {} with no store built.
+    ranked once and located at every k, as localize does, degraded k too.
+    The comparison thus isolates the effect of observation time.  `stores`
+    is checked as in run_experiment; no durations give {} with no store built.
     """
     configs = {float(d): replace(config, duration_s=float(d)) for d in durations}
     if not configs:
@@ -313,8 +303,7 @@ def window_sweep(
                 ranked = rank_scan(head(d), stores)
             except ValueError:  # no signal: a miss at every k
                 continue
-            # The stores fit the config, so a None outcome comes from the scan (too
-            # few APs, a degraded k without a store, an empty cluster): a miss.
+            # The map set fits the config, so None comes from the scan: a miss.
             for k in ks:
                 outcome = locate(ranked, stores, k)
                 if isinstance(outcome, Estimate):

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .mapgen import MapStore
+from .mapgen import MapSet
 from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
 from .selection import _clustering, _lloyd, _rank, candidate_picks
 from .selection import kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
@@ -154,29 +154,22 @@ class MissedDetection:
 LocalizationOutcome = Union[Estimate, MissedDetection]
 
 
-def rank_scan(scan: RssScan, stores: Mapping[int, MapStore]) -> tuple:
+def rank_scan(scan: RssScan, stores: MapSet) -> tuple:
     """Rank a scan once for every k: kmeans_1d's ranking (ids, values,
-    distinct values, fault) of the detected APs known to the stores' deployment."""
-    detected = scan.detected()
-    known = next(iter(stores.values())).deployment.ap_id_set if stores else detected.keys()
+    distinct values, fault) of the detected APs known to the set's deployment."""
+    detected, known = scan.detected(), stores.deployment.ap_id_set
     return _rank(detected if detected.keys() <= known else {i: v for i, v in detected.items() if i in known})
 
 
-def _seeded(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> tuple:
+def _seeded(ranked: tuple, stores: MapSet, k: int) -> tuple:
     """localize's (ids, xs, seeds, maps) at k from rank_scan's ranking, or its ValueError."""
     ids, xs, distinct, fault = ranked
     k_eff = min(k, len(distinct))
     if k < 2 or k_eff < 2:
         raise ValueError(f"k must be at least 2 (got {k})" if k < 2 else "insufficient APs")
-    if k_eff not in stores:
-        raise ValueError(f"store/k mismatch (no store for k={k_eff})")
-    store, known = stores[k_eff], next(iter(stores.values())).deployment  # rank_scan filtered by it
-    if store.k != k_eff or (store.deployment is not known and store.deployment != known):
-        raise ValueError(f"store for k={k_eff} holds the maps of k={store.k}" if store.k != k_eff
-                         else f"store for k={k_eff} was built for another deployment than the first store's")
     if fault:
         raise ValueError(fault)
-    return ids, xs, distinct[:k_eff], store.maps
+    return ids, xs, distinct[:k_eff], stores[k_eff].maps
 
 
 def _first_hit(walk, maps) -> LocalizationOutcome:
@@ -188,12 +181,12 @@ def _first_hit(walk, maps) -> LocalizationOutcome:
     return MissedDetection(candidates_tried=tried)
 
 
-def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome:
+def localize(scan: RssScan, stores: MapSet, k: int) -> LocalizationOutcome:
     """Estimate a position from an aggregated scan, with candidate fallback.
 
-    `stores` holds map stores keyed by their k, all over one deployment; k >= 2.
-    When fewer than k distinct RSS values were detected, k degrades to that
-    count, whose store must be present too.  Candidates are walked lazily in
+    `stores` is the map set of one deployment and grid; k >= 2.  When fewer
+    than k distinct RSS values were detected, k degrades to that count, whose
+    maps the set builds on first use.  Candidates are walked lazily in
     selection.candidate_picks order until a signature is present in its map.
     Detected APs foreign to the deployment are ignored.
     """
@@ -203,7 +196,7 @@ def localize(scan: RssScan, stores: Mapping[int, MapStore], k: int) -> Localizat
     return _first_hit(candidate_picks(_clustering(ids, xs, _lloyd(xs, seeds))), maps)
 
 
-def locate(ranked: tuple, stores: Mapping[int, MapStore], k: int) -> LocalizationOutcome | None:
+def locate(ranked: tuple, stores: MapSet, k: int) -> LocalizationOutcome | None:
     """localize at k from rank_scan's ranking, None where localize raises
     ValueError; the walk reads the runs of _lloyd's last pass."""
     try:

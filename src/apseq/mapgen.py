@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .model import (
 DEFAULT_CELL_SIZE = 0.2
 MAX_CELLS = 10_000_000
 MAX_MAP_ROWS = 1_000_000  # (AP subset, full ordering) pairs in one build
-MAX_PARTITION_VALUES = 10_000_000  # grid cells x (APs + bisector words) in one partition
-# A bisector word, one per 32 AP pairs, bounds the per-pair passes over the
-# cells; each AP is one sort key of the runs' orderings, so it is bounded too.
+MAX_PARTITION_VALUES = 10_000_000  # grid cells x (APs + blocks of 32 AP pairs) in one partition
+# A block of 32 AP pairs bounds the per-pair passes over the cells; each AP
+# is one sort key of the runs' orderings, so it is bounded too.
 MAX_PARTITION_APS = 256
 
 # Tolerance applied to width/cell_size before ceil() so that an exactly
@@ -211,6 +211,24 @@ class MapStore:
         return len(self.maps)
 
 
+class MapSet(dict):
+    """The map stores of one deployment and grid, by k, checked to belong together on
+    construction.  A k not held is built on first lookup and kept; `in`, len and
+    iteration see only the ks held."""
+
+    def __init__(self, deployment: ApDeployment, grid: GridSpec, stores: Mapping[int, MapStore]):
+        for k, store in stores.items():
+            if (store.k, store.deployment, store.grid) != (k, deployment, grid):
+                raise ValueError(f"store for k={k} holds the maps of k={store.k}" if store.k != k else
+                                 f"store for k={k} was built for another deployment or grid than the set's")
+        super().__init__(stores)
+        self.deployment, self.grid = deployment, grid
+
+    def __missing__(self, k: int) -> MapStore:
+        store = self[k] = build_stores(self.deployment, (k,), self.grid.cell_size)[k]
+        return store
+
+
 def enumerate_ap_subsets(ids: Iterable[int], k: int) -> list[SubsetKey]:
     """All k-subsets of the given AP ids in lexicographic order."""
     pool = sorted(int(i) for i in ids)
@@ -270,11 +288,11 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     of the arrangement of the AP pairs' perpendicular bisectors.
     """
     n, cells = deployment.n_aps, grid.n_cells
-    n_words = -(-math.comb(n, 2) // 32)
+    blocks = -(-math.comb(n, 2) // 32)
     if n > MAX_PARTITION_APS:
         raise ValueError(f"{n} APs exceed the limit of {MAX_PARTITION_APS} in one partition")
-    if cells * (n + n_words) > MAX_PARTITION_VALUES:
-        raise ValueError(f"{cells} cells x ({n} APs + {n_words} bisector words) = {cells * (n + n_words)} "
+    if cells * (n + blocks) > MAX_PARTITION_VALUES:
+        raise ValueError(f"{cells} cells x ({n} APs + {blocks} blocks of 32 AP pairs) = {cells * (n + blocks)} "
                          f"values exceed the limit of {MAX_PARTITION_VALUES}")
     ids = np.asarray(deployment.ap_ids)
     pos = np.asarray(deployment.positions(deployment.ap_ids), dtype=np.float64)
@@ -388,8 +406,8 @@ def _build_maps(
 
 def build_stores(
     deployment: ApDeployment, k_values: Iterable[int], cell_size: float = DEFAULT_CELL_SIZE
-) -> dict[int, MapStore]:
-    """One map store per k, all from one shared build of every k's subsets.
+) -> MapSet:
+    """The map set of one store per k, all from one shared build of every k's subsets.
 
     The grid covers the deployment's area at `cell_size`, and each store's
     build_ms is the wall time of that one shared build.
@@ -399,7 +417,7 @@ def build_stores(
     t0 = time.perf_counter()
     maps = _build_maps(deployment, subsets, grid)
     build_ms = (time.perf_counter() - t0) * 1000.0
-    return {k: MapStore(deployment, k, grid, maps[k], build_ms) for k in subsets}
+    return MapSet(deployment, grid, {k: MapStore(deployment, k, grid, maps[k], build_ms) for k in subsets})
 
 
 def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT_CELL_SIZE) -> MapStore:

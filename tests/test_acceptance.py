@@ -147,7 +147,7 @@ def test_zero_noise_estimates_are_sound(dover, dover_stores):
             continue
         accepted += 1
         window = synth_window(p, dover, params, duration_s=0.3, cadence_s=0.3, rng=rng)
-        outcome = localize(aggregate_scan(window), {7: store}, 7)
+        outcome = localize(aggregate_scan(window), dover_stores, 7)
         if not isinstance(outcome, Estimate):
             missed += 1
             continue

@@ -12,9 +12,9 @@ import pytest
 from apseq import evaluate, mapgen
 from apseq.cli import main
 from apseq.evaluate import load_config, run_experiment, simulate
-from apseq.localize import scan_to_text
-from apseq.mapgen import load_map_store
-from apseq.model import ApDeployment, deployment_to_text, load_deployment, save_deployment
+from apseq.localize import Estimate, aggregate_scan, load_scan, localize, scan_to_text
+from apseq.mapgen import build_stores, load_map_store
+from apseq.model import ApDeployment, deployment_to_text, load_deployment, save_deployment, signature_to_text
 
 CONFIG = """\
 deployment = quad.deploy
@@ -163,12 +163,12 @@ def test_oversized_map_build_is_an_error_under_a_memory_cap(prepared, tmp_path, 
 
 def test_oversized_partition_is_an_error_under_a_memory_cap(tmp_path):
     # 5000 x 2000 cells of 1 m pass the cell limit; with 2 APs and their one
-    # bisector word they hold three times the limit of partition values.
+    # block of AP pairs they hold three times the limit of partition values.
     save_deployment(ApDeployment(width=5000.0, height=2000.0, aps=((1, 1.0, 1.0), (2, 9.0, 9.0))),
                     tmp_path / "wide.deploy")
     result = run_capped("mapgen", "--deploy", str(tmp_path / "wide.deploy"), "--grid", "1.0", "--k", "2",
                         "--out", str(tmp_path / "out.map"))
-    message = "10000000 cells x (2 APs + 1 bisector words) = 30000000 values exceed the limit of 10000000"
+    message = "10000000 cells x (2 APs + 1 blocks of 32 AP pairs) = 30000000 values exceed the limit of 10000000"
     assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
     assert not (tmp_path / "out.map").exists()
 
@@ -299,12 +299,37 @@ class TestLocalize:
         assert rc == 0
         assert capsys.readouterr().out == "missed\n"
 
-    def test_k_mismatch_is_reported(self, prepared, capsys):
-        rc = main(["localize", "--store", str(prepared / "loc_k2.map"),
-                   "--scan", str(prepared / "loc_scans" / "scan_000.txt"),
-                   "--k", "3"])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: store/k mismatch (no store for k=3)\n"
+    @staticmethod
+    def library_line(store_path, scan_path, k) -> str:
+        """What localize answers for the scan at k from every k's maps, as the CLI prints it."""
+        store = load_map_store(store_path)
+        stores = build_stores(store.deployment, range(2, store.deployment.n_aps + 1), store.grid.cell_size)
+        outcome = localize(aggregate_scan(load_scan(scan_path)), stores, k)
+        if not isinstance(outcome, Estimate):
+            return "missed\n"
+        sig, subset = (signature_to_text(ids) for ids in (outcome.matched_signature, outcome.subset))
+        return f"estimate {outcome.position[0]:.6f} {outcome.position[1]:.6f} {sig} {subset}\n"
+
+    def test_a_k_the_store_does_not_hold_is_built(self, prepared, capsys):
+        # The store file supplies the deployment and the grid of the other k.
+        scan = prepared / "loc_scans" / "scan_000.txt"
+        capsys.readouterr()
+        rc = main(["localize", "--store", str(prepared / "loc_k2.map"), "--scan", str(scan), "--k", "3"])
+        assert (rc, capsys.readouterr().out) == (0, self.library_line(prepared / "loc_k2.map", scan, 3))
+
+    def test_a_scan_that_degrades_k_is_answered(self, tmp_path, capsys):
+        # Dover at 0.2 m: a scan that hears APs 1, 3 and 5 degrades k = 4 to 3,
+        # which the k = 4 store file answers as the library does.
+        dover = resources.files("apseq") / "data" / "dover.deploy"
+        assert main(["mapgen", "--deploy", str(dover), "--grid", "0.2", "--k", "4",
+                     "--out", str(tmp_path / "d4.map")]) == 0
+        (tmp_path / "scan.txt").write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\n"
+                                           "sample 0.000 3 -50.0\nsample 0.000 5 -60.0\n")
+        capsys.readouterr()
+        rc = main(["localize", "--store", str(tmp_path / "d4.map"), "--scan", str(tmp_path / "scan.txt"),
+                   "--k", "4"])
+        want = self.library_line(tmp_path / "d4.map", tmp_path / "scan.txt", 4)
+        assert (rc, capsys.readouterr().out) == (0, want) == (0, "estimate 14.189597 21.674032 1-3-5 1-3-5\n")
 
     @pytest.mark.parametrize("k", ["0", "1", "-3"])
     def test_k_below_two_is_refused_before_the_scan_is_judged(self, prepared, capsys, k):

@@ -25,7 +25,7 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import build_map_store, build_stores, cell_signature
+from apseq.mapgen import MapSet, build_map_store, build_stores, cell_signature, map_store_to_text
 from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
 from apseq.propagation import PropagationParams, synth_window
 from apseq.selection import kmeans_1d
@@ -254,7 +254,7 @@ def test_every_head_is_the_pure_python_mean_bit_for_bit(window, data):
 @pytest.fixture(scope="module")
 def half_plane_store():
     dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 10.0, 0.0)))
-    return build_map_store(dep, 2, 1.0)
+    return build_stores(dep, (2,), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +262,7 @@ def collinear_store():
     dep = ApDeployment(
         width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0))
     )
-    return build_map_store(dep, 3, 1.0)
+    return build_stores(dep, (3,), 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -275,13 +275,13 @@ def fallback_store():
         height=10.0,
         aps=((1, 0.0, 0.0), (2, 5.0, 0.0), (3, 10.0, 0.0), (4, 5.0, 3.0)),
     )
-    return build_map_store(dep, 3, 0.5)
+    return build_stores(dep, (3,), 0.5)
 
 
 class TestLocalize:
     def test_half_plane_estimate(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})
-        result = localize(scan, {2: half_plane_store}, 2)
+        result = localize(scan, half_plane_store, 2)
         assert isinstance(result, Estimate)
         assert result.position == (2.5, 5.0)
         assert result.matched_signature == (1, 2)
@@ -290,14 +290,14 @@ class TestLocalize:
 
     def test_reversed_order_lands_in_the_other_half(self, half_plane_store):
         scan = RssScan(values={1: -55.0, 2: -40.0})
-        result = localize(scan, {2: half_plane_store}, 2)
+        result = localize(scan, half_plane_store, 2)
         assert result.position == (7.5, 5.0)
         assert result.matched_signature == (2, 1)
 
     def test_impossible_order_is_a_missed_detection(self, collinear_store):
         # RSS order 1 > 3 > 2 puts the middle AP last: no region anywhere.
         scan = RssScan(values={1: -30.0, 2: -50.0, 3: -40.0})
-        result = localize(scan, {3: collinear_store}, 3)
+        result = localize(scan, collinear_store, 3)
         assert isinstance(result, MissedDetection)
         assert result.candidates_tried == 1
 
@@ -305,7 +305,7 @@ class TestLocalize:
         # Values cluster as {1}, {3, 4}, {2}; first candidate (1,2,3) yields
         # the impossible order 1-3-2, the second (1,2,4) matches 1-4-2.
         scan = RssScan(values={1: -30.0, 2: -70.0, 3: -50.0, 4: -52.0})
-        result = localize(scan, {3: fallback_store}, 3)
+        result = localize(scan, fallback_store, 3)
         assert isinstance(result, Estimate)
         assert result.candidates_tried == 2
         assert result.subset == (1, 2, 4)
@@ -317,14 +317,14 @@ class TestLocalize:
         # {1, 2}, {3, 4, 5}, {6, 7} would try (1, 3, 6) first, which also
         # matches on dover.  Outcomes are pinned to the top-rank clustering.
         dep = load_deployment(str(resources.files("apseq") / "data" / "dover.deploy"))
-        store = build_map_store(dep, 3, 1.0)
+        stores = build_stores(dep, (3,), 1.0)
         values = {1: -38.0, 2: -41.0, 3: -55.0, 4: -57.0, 5: -58.5, 6: -76.0, 7: -79.0}
-        result = localize(RssScan(values=values), {3: store}, 3)
+        result = localize(RssScan(values=values), stores, 3)
         assert isinstance(result, Estimate)
         assert result.subset == (1, 2, 3)
         assert result.matched_signature == (1, 2, 3)
         assert result.candidates_tried == 1
-        assert result.position == store.maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
+        assert result.position == stores[3].maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
 
     def test_empty_cluster_is_a_value_error(self):
         # Near-tie RSS values on which a top-rank Lloyd pass leaves a cluster
@@ -350,29 +350,30 @@ class TestLocalize:
     def test_ap_outside_the_deployment_is_ignored(self, fallback_store, foreign_rss):
         values = {1: -30.0, 2: -70.0, 3: -50.0, 4: -52.0}
         heard = RssScan(values={**values, 99: foreign_rss})
-        assert localize(heard, {3: fallback_store}, 3) == localize(RssScan(values=values), {3: fallback_store}, 3)
+        assert localize(heard, fallback_store, 3) == localize(RssScan(values=values), fallback_store, 3)
 
     def test_a_store_filed_under_another_k_is_refused(self, store_family):
-        scan = RssScan(values={1: -35.0, 2: -45.0, 3: -50.0, 4: -60.0})
         with pytest.raises(ValueError, match=r"^store for k=3 holds the maps of k=4$"):
-            localize(scan, {3: store_family[4]}, 3)
-        assert locate(rank_scan(scan, {3: store_family[4]}), {3: store_family[4]}, 3) is None
+            MapSet(store_family.deployment, store_family.grid, {3: store_family[4]})
 
     @pytest.mark.parametrize("other_aps", [((5, 5.0, 3.0),), ((4, 6.0, 8.0),)], ids=["other_ids", "moved_ap"])
     def test_a_store_of_another_deployment_is_refused(self, store_family, other_aps):
-        # Ranked by the first store's deployment, localized at k = 4 in a store of another.
-        dep = store_family[4].deployment
+        # A map set holds the stores of one deployment: one of another is refused on construction.
+        dep = store_family.deployment
         other = ApDeployment(width=dep.width, height=dep.height, aps=dep.aps[:3] + other_aps)
         stores = {3: store_family[3], 4: build_map_store(other, 4, 1.0)}
-        scan = RssScan(values={1: -35.0, 2: -45.0, 3: -50.0, 4: -60.0, 5: -70.0})
-        with pytest.raises(ValueError, match=r"^store for k=4 was built for another deployment than the first"):
-            localize(scan, stores, 4)
-        assert localize(scan, stores, 3) == localize(scan, store_family, 3)
+        with pytest.raises(ValueError, match=r"^store for k=4 was built for another deployment or grid "):
+            MapSet(dep, store_family.grid, stores)
+
+    def test_a_store_on_another_grid_is_refused(self, store_family):
+        dep = store_family.deployment
+        with pytest.raises(ValueError, match=r"^store for k=3 was built for another deployment or grid "):
+            MapSet(dep, store_family.grid, {3: build_map_store(dep, 3, 0.5)})
 
     def test_estimate_carries_region_stats(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})
-        result = localize(scan, {2: half_plane_store}, 2)
-        region = half_plane_store.maps[(1, 2)].regions[(1, 2)]
+        result = localize(scan, half_plane_store, 2)
+        region = half_plane_store[2].maps[(1, 2)].regions[(1, 2)]
         assert result.region_accuracy == region.accuracy
         assert result.region_radius == region.radius
 
@@ -405,10 +406,13 @@ class TestKDegradation:
         result = localize(scan, store_family, 4)
         assert len(result.subset) == 3
 
-    def test_missing_degraded_store_is_an_error(self, store_family):
+    def test_a_degraded_k_is_built_on_first_lookup(self, store_family):
         scan = RssScan(values={1: -35.0, 2: -45.0})
-        with pytest.raises(ValueError, match=r"store/k mismatch \(no store for k=2\)$"):
-            localize(scan, {3: store_family[3]}, 3)
+        stores = MapSet(store_family.deployment, store_family.grid, {3: store_family[3]})
+        assert 2 not in stores and len(stores) == 1
+        assert localize(scan, stores, 3) == localize(scan, store_family, 3)
+        assert sorted(stores) == [2, 3]
+        assert stores[2] == store_family[2]
 
     def test_one_detected_ap_is_insufficient(self, store_family):
         scan = RssScan(values={1: -35.0, 2: UNDETECTED_DBM})
@@ -432,15 +436,11 @@ def localize_oracle(scan, stores, k):
     """localize as one function: the known-AP filter, kmeans_1d with
     top_ranks, and the first hit in the product of the clusters, each
     strongest first: spelled out here, not taken from the code under test."""
-    detected = scan.detected()
-    if stores:
-        known = next(iter(stores.values())).deployment.ap_id_set
-        detected = {i: v for i, v in detected.items() if i in known}
+    known = stores.deployment.ap_id_set
+    detected = {i: v for i, v in scan.detected().items() if i in known}
     k_eff = min(k, len(set(detected.values())))
     if k_eff < 2:
         raise ValueError("insufficient APs")
-    if k_eff not in stores:
-        raise ValueError(f"store/k mismatch (no store for k={k_eff})")
     clustering = kmeans_1d(detected, k_eff, top_ranks=True)
     for tried, picks in enumerate(itertools.product(*(cl.ap_ids for cl in clustering.clusters)), 1):
         subset = tuple(sorted(picks))
@@ -448,6 +448,11 @@ def localize_oracle(scan, stores, k):
         if region is not None:
             return Estimate(region.centroid, picks, subset, region.accuracy, region.radius, tried)
     return MissedDetection(candidates_tried=tried)
+
+
+def held(family, ks):
+    """A map set of the family's deployment and grid holding only the stores of ks."""
+    return MapSet(family.deployment, family.grid, {k: family[k] for k in ks})
 
 
 def outcome_or_error(locator, *args):
@@ -486,10 +491,23 @@ scan_values = st.one_of(
     st.sets(st.integers(2, 6)),
 )
 def test_localize_is_the_one_function_oracle(six_ap_family, values, k, family_ks):
-    # Ids 7-9 are foreign to the deployment; family_ks leaves some k without a store.
-    stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
+    # Ids 7-9 are foreign to the deployment; family_ks leaves some k to be built on lookup.
+    stores = held(six_ap_family, family_ks)
     scan = RssScan(values=values)
-    assert outcome_or_error(localize, scan, stores, k) == outcome_or_error(localize_oracle, scan, stores, k)
+    assert outcome_or_error(localize, scan, stores, k) == outcome_or_error(localize_oracle, scan, six_ap_family, k)
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(st.dictionaries(st.integers(1, 6), scan_values, max_size=6), st.integers(2, 4))
+def test_a_lazily_built_k_is_the_eager_build(store_family, values, k):
+    # A map set built for k alone answers as the set of every k does,
+    # refusals included; a degraded k's store, built on lookup, is the
+    # eager build's to the byte.  Ids 5 and 6 are foreign to the deployment.
+    dep, scan = store_family.deployment, RssScan(values=values)
+    lazy = build_stores(dep, (k,), 1.0)
+    assert outcome_or_error(localize, scan, lazy, k) == outcome_or_error(localize, scan, store_family, k)
+    for k_eff in set(lazy) - {k}:
+        assert map_store_to_text(lazy[k_eff]) == map_store_to_text(build_map_store(dep, k_eff, 1.0))
 
 
 def outcomes_or_none(scans, stores, ks):
@@ -505,11 +523,11 @@ def outcomes_or_none(scans, stores, ks):
     st.sets(st.integers(2, 6)),
 )
 def test_locate_is_localize_per_ranking_and_k(six_ap_family, scans, ks, family_ks):
-    # Every (scan, k) is one call; ks below 2 and stores missing for some k
-    # are refused per pair, as localize refuses them.
-    stores = {kk: six_ap_family[kk] for kk in sorted(family_ks)}
+    # Every (scan, k) is one call; ks below 2 are refused per pair, as
+    # localize refuses them, and a k the set does not hold is built on lookup.
+    stores = held(six_ap_family, family_ks)
     scans = [RssScan(values=values) for values in scans]
-    want = outcomes_or_none(scans, stores, ks)
+    want = outcomes_or_none(scans, held(six_ap_family, family_ks), ks)
     assert [[locate(rank_scan(scan, stores), stores, k) for k in ks] for scan in scans] == want
 
 
@@ -549,11 +567,11 @@ def test_zero_noise_never_gives_a_wrong_signature(dep, cell_size, points):
 
 
 def test_locate_refuses_each_pair_as_localize_does(six_ap_family):
-    stores = {k: six_ap_family[k] for k in (3, 4, 6)}
+    stores = held(six_ap_family, (3, 4, 6))
     scans = {
         "no signal": {1: UNDETECTED_DBM, 2: UNDETECTED_DBM},
         "one AP": {1: -40.0, 2: UNDETECTED_DBM},
-        "degraded k without a store": {1: -40.0, 2: -50.0, 3: -50.0},
+        "degraded k": {1: -40.0, 2: -50.0, 3: -50.0},
         "not finite": {1: -40.0, 2: math.nan, 3: -60.0, 4: -70.0},
         "too large": {1: 1e308, 2: -40.0, 3: -50.0, 4: -70.0},
         "located": {1: -40.0, 2: -55.0, 3: -61.0, 4: -70.0, 5: -75.0, 6: -80.0},
@@ -563,7 +581,7 @@ def test_locate_refuses_each_pair_as_localize_does(six_ap_family):
     got = [[locate(rank_scan(scan, stores), stores, k) for k in ks] for scan in scans.values()]
     want = outcomes_or_none(scans.values(), stores, ks)
     assert dict(zip(scans, got)) == dict(zip(scans, want))
-    assert [name for name, row in zip(scans, got) if any(row)] == ["located"]
+    assert [name for name, row in zip(scans, got) if any(row)] == ["degraded k", "located"]
 
 
 class TestScanFiles:

@@ -592,26 +592,27 @@ class TestPartitionSize:
         monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", size)
         assert build_map_store(dep, 3, grid.cell_size) == small_store
         monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", size - 1)
-        with pytest.raises(ValueError, match=rf"^{grid.n_cells} cells x \(4 APs \+ 1 bisector words\) = "
+        with pytest.raises(ValueError, match=rf"^{grid.n_cells} cells x \(4 APs \+ 1 blocks of 32 AP pairs\) = "
                                              rf"{size} values exceed the limit of {size - 1}$"):
             build_map_store(dep, 3, grid.cell_size)
 
     def test_oversized_partition_is_refused_unallocated(self, monkeypatch):
-        # 200 x 100 cells x (2 APs + 1 word): three times a lowered limit,
-        # and ≈ 0.8 MB of partition if built.
+        # 200 x 100 cells x (2 APs + 1 block of AP pairs): three times a
+        # lowered limit, and ≈ 0.8 MB of partition if built.
         monkeypatch.setattr(mapgen, "MAX_PARTITION_VALUES", 20_000)
         dep = ApDeployment(width=200.0, height=100.0, aps=((1, 1.0, 1.0), (2, 9.0, 9.0)))
         peak, error = traced_peak(_partition, dep, GridSpec.for_deployment(dep, 1.0))
-        assert str(error) == "20000 cells x (2 APs + 1 bisector words) = 60000 values exceed the limit of 20000"
+        assert str(error) == ("20000 cells x (2 APs + 1 blocks of 32 AP pairs) = 60000 values "
+                              "exceed the limit of 20000")
         assert peak < 50_000
 
-    def test_bisector_words_count_toward_the_limit(self):
+    def test_blocks_of_ap_pairs_count_toward_the_limit(self):
         # 256 APs on 10 000 cells: 2 560 000 distances, but C(256, 2) pairs
-        # take 1 020 words a cell, ≈ 100 MB if built.
+        # make 1 020 blocks of 32 pairs a cell, ≈ 100 MB if built.
         dep = ApDeployment(width=100.0, height=100.0,
                            aps=tuple((i + 1, float(i % 16 * 6), float(i // 16 * 6)) for i in range(256)))
         peak, error = traced_peak(_partition, dep, GridSpec.for_deployment(dep, 1.0))
-        assert str(error) == ("10000 cells x (256 APs + 1020 bisector words) = 12760000 values "
+        assert str(error) == ("10000 cells x (256 APs + 1020 blocks of 32 AP pairs) = 12760000 values "
                               "exceed the limit of 10000000")
         assert peak < 50_000
 

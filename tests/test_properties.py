@@ -21,7 +21,9 @@ from apseq.localize import (
     scan_from_text,
     scan_to_text,
 )
-from apseq.mapgen import build_map_store, build_stores, map_store_from_text, map_store_to_text, save_map_store
+from apseq.mapgen import (
+    MapSet, build_map_store, build_stores, map_store_from_text, map_store_to_text, save_map_store,
+)
 from apseq.model import (
     UNDETECTED_DBM,
     ApDeployment,
@@ -259,9 +261,10 @@ rss_values = st.one_of(
     st.sampled_from([None, 2, 3, 4]),
 )
 def test_localize_raises_only_value_error(store_family, values, k, single):
-    store = store_family if single is None else {single: store_family[single]}
+    stores = store_family if single is None else MapSet(store_family.deployment, store_family.grid,
+                                                        {single: store_family[single]})
     try:
-        localize(RssScan(values=values), store, k)
+        localize(RssScan(values=values), stores, k)
     except ValueError:
         pass
 
