@@ -23,7 +23,8 @@ def main():
         aps=((1, 2.0, 2.0), (2, 18.0, 2.5), (3, 10.0, 10.0), (4, 17.0, 9.5)),
     )
     # One map set of every subset size, from one partition of the grid; the
-    # grid follows from the area and the cell size.
+    # grid follows from the area and the cell size.  Maps are made as they
+    # are first needed.
     stores = build_stores(deployment, range(2, deployment.n_aps + 1), args.cell)
     grid = stores.grid
 
@@ -37,9 +38,9 @@ def main():
     print("\n== map counts per subset size ==")
     print("one fingerprint map per k-subset of the APs:")
     for k, store in stores.items():
-        regions = sum(m.n_regions for m in store.maps.values())
-        print(f"  k={k}: {store.n_maps:2d} maps, {regions:3d} regions total")
-    print(f"all built together in {stores[2].build_ms:.1f} ms")
+        regions = sum(m.n_regions for m in store.maps.values())  # builds the k's maps in one batch
+        print(f"  k={k}: {store.n_maps:2d} maps, {regions:3d} regions total, {store.build_ms:.1f} ms")
+    print("each time is the shared partition's plus the build of that k's maps")
 
     print("\n== one region up close ==")
     fmap = stores[2].maps[(1, 2)]

@@ -32,8 +32,8 @@ def main():
     print(f"== floor: {deployment.width:g} x {deployment.height:g} m, "
           f"{deployment.n_aps} APs ==")
     stores = build_stores(deployment, range(3, 8), 0.2)
-    print(f"built map stores for k = 3..7 at 0.2 m in one shared build of "
-          f"{stores[3].build_ms:.0f} ms:")
+    print(f"partitioned the 0.2 m grid for the map stores of k = 3..7 in "
+          f"{stores[3].build_ms:.0f} ms; a map is built when first looked up:")
     for k, store in stores.items():
         print(f"  k={k}: {store.n_maps} maps")
 
@@ -62,6 +62,8 @@ def main():
         else:
             print(f"  k={k}: missed - none of {outcome.candidates_tried} "
                   f"candidate signatures exist in their maps")
+    print("time per store, the partition and the maps the walks looked up: "
+          + ", ".join(f"k={k} {store.build_ms:.0f} ms" for k, store in stores.items()))
     print("\nsmall k tolerates noisy orderings (few APs to misorder, generous")
     print("fallbacks); k=7 must get the full ordering right in one shot, so")
     print("noise flips push it into missed detections or distant regions.")

@@ -3,7 +3,9 @@
 For a chosen AP subset, every grid cell gets the signature formed by sorting
 the subset's APs by distance to the cell centre.  Cells sharing a signature
 form a region; the perpendicular bisectors of AP pairs are exactly the
-region boundaries, so no site survey is involved anywhere.
+region boundaries, so no site survey is involved anywhere.  Every map comes
+from one partition of the grid by the cells' ordering of all the APs; a map is
+made when it is first looked up, so a store costs its partition until then.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,7 +135,7 @@ class FingerprintMap:
     c = `j * cols + i` lies in row lut[cell_labels[c]].
     cell_labels numbers each cell's ordering of all the deployment's APs, in
     the narrowest unsigned dtype, from runs of cells (_Partition); every map
-    built together shares one such array.  Every array is read-only.
+    from one partition shares that array.  Every array is read-only.
     """
 
     subset: SubsetKey
@@ -194,27 +197,66 @@ class FingerprintMap:
 class MapStore:
     """All C(n, k) fingerprint maps of a deployment for one subset size k.
 
-    build_ms is informational (wall-clock build time) and excluded from
-    equality so that save/load round-trips compare equal.  Stores made
-    together by one build_stores call share one build, and each carries
-    the wall time of that whole build.
+    maps is a read-only mapping over every k-subset, in subset order, whose
+    maps are made from one partition of the grid as they are needed (_Maps).
+    build_ms is the partition's wall time plus that of every map build of
+    this store so far; it is not a field, so it takes no part in equality.
     """
 
     deployment: ApDeployment
     k: int
     grid: GridSpec
-    maps: dict[SubsetKey, FingerprintMap]
-    build_ms: float = field(default=0.0, compare=False)
+    maps: Mapping[SubsetKey, FingerprintMap]
+
+    @property
+    def build_ms(self) -> float:
+        return self.maps.partition_ms + self.maps.build_ms
 
     @property
     def n_maps(self) -> int:
         return len(self.maps)
 
 
+class _Maps(Mapping):
+    """One store's maps by subset.  A lookup builds a missing map alone and keeps
+    it; iteration, and so values, items, == and the writer, first builds every
+    missing map in one batch, which costs less per map.  len and `in` build nothing.
+    """
+
+    def __init__(self, part: _Partition, partition_ms: float, grid: GridSpec, subsets: list[SubsetKey]):
+        self.part, self.partition_ms, self.grid = part, partition_ms, grid
+        self.build_ms = 0.0
+        self._maps: dict[SubsetKey, FingerprintMap | None] = dict.fromkeys(subsets)
+
+    def _build(self, subsets: list[SubsetKey]) -> dict[SubsetKey, FingerprintMap]:
+        t0 = time.perf_counter()
+        maps = _build_maps(self.part, subsets, self.grid)
+        self.build_ms += (time.perf_counter() - t0) * 1000.0
+        self._maps.update(maps)
+        return maps
+
+    def __getitem__(self, subset: SubsetKey) -> FingerprintMap:
+        fmap = self._maps[subset]  # KeyError for what is not one of the store's subsets
+        return self._build([subset])[subset] if fmap is None else fmap
+
+    def __iter__(self):
+        missing = [subset for subset, fmap in self._maps.items() if fmap is None]
+        if missing:
+            self._build(missing)
+        return iter(self._maps)
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __contains__(self, subset) -> bool:
+        return subset in self._maps
+
+
 class MapSet(dict):
     """The map stores of one deployment and grid, by k, checked to belong together on
-    construction.  A k not held is built on first lookup and kept; `in`, len and
-    iteration see only the ks held."""
+    construction.  A k not held is made on first lookup and kept, from the partition
+    of the stores held (a new one only when none is); `in`, len and iteration see
+    only the ks held."""
 
     def __init__(self, deployment: ApDeployment, grid: GridSpec, stores: Mapping[int, MapStore]):
         for k, store in stores.items():
@@ -225,7 +267,7 @@ class MapSet(dict):
         self.deployment, self.grid = deployment, grid
 
     def __missing__(self, k: int) -> MapStore:
-        store = self[k] = build_stores(self.deployment, (k,), self.grid.cell_size)[k]
+        store = self[k] = _stores(self.deployment, self.grid, (k,), next(iter(self.values()), None))[k]
         return store
 
 
@@ -339,85 +381,95 @@ def _column_changes(columns: np.ndarray) -> np.ndarray:
     return changes
 
 
-def _build_maps(
-    deployment: ApDeployment, subsets: dict[int, list[SubsetKey]], grid: GridSpec
-) -> dict[int, dict[SubsetKey, FingerprintMap]]:
-    """Fingerprint maps by subset size and subset, from one partition of the grid.
+def _build_maps(part: _Partition, subsets: list[SubsetKey], grid: GridSpec) -> dict[SubsetKey, FingerprintMap]:
+    """Fingerprint maps of some subsets of one size k, by subset, from the partition of the grid.
 
     A subset's signature at a cell is the cell's ordering of all the APs,
     restricted to the subset.  So every subset region is a union of the
     partition's groups, found from the few distinct full orderings alone.
+    A map's columns do not depend on which other subsets are built with it.
     """
-    part = _partition(deployment, grid)
+    groups, k = len(part.orders), len(subsets[0])
+    member = np.zeros((len(subsets), len(part.ids)), dtype=bool)
+    np.put_along_axis(member, np.searchsorted(part.ids, subsets), True, axis=1)
+    # Each full ordering keeps a subset's columns in order: rows are the
+    # (subset, group) pairs, each the group's ordering of the subset.
+    rows = np.broadcast_to(part.orders, member.shape[:1] + part.orders.shape)
+    rows = rows[member[:, part.orders]].reshape(-1, k)
+    # Sorting by subset, then lexicographically by the row, numbers
+    # every map's regions by signature, since ids ascend with columns.
+    by_row = np.lexsort((*rows.T[::-1], np.arange(len(rows)) // groups))
+    rows = rows[by_row]
+    new_region = _column_changes(rows.T)
+    new_region[::groups] = True  # each subset's block starts a region
+    sigs = part.ids[rows[new_region]]
+    del rows  # the build's largest array, before its statistics
+    number = np.cumsum(new_region) - 1
+    bounds = np.append(number[::groups], number[-1] + 1)  # each map's slice of the regions
+    luts = np.empty_like(number)
+    luts[by_row] = number  # numbered across all the subsets, for now
+    # Every region of the build in one set of columns.  Counts, centroids and
+    # the accuracy sums add up per-group values in group order, so only
+    # the per-cell distance to the centroid is computed map by map.
+    count = np.bincount(luts, weights=np.tile(part.count, len(subsets)))
+    cx, cy = (np.bincount(luts, weights=np.tile(s, len(subsets))) / count for s in (part.sum_x, part.sum_y))
+    accuracy, radius, peaks = np.empty(len(count)), np.zeros(len(count)), np.empty(len(luts))
+    luts = luts.reshape(-1, groups)
+    for lut, a, b, peak in zip(luts, bounds, bounds[1:], peaks.reshape(-1, groups)):
+        # dx*dx + dy*dy in two buffers, in place.
+        dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
+        np.subtract(part.xs, dx, out=dx)
+        dx *= dx
+        np.subtract(part.ys, dy, out=dy)
+        dy *= dy
+        dx += dy
+        dist = np.sqrt(dx, out=dx)
+        accuracy[a:b] = np.bincount(lut - a, weights=np.add.reduceat(dist, part.starts))
+        np.maximum.reduceat(dist, part.starts, out=peak)
+    np.maximum.at(radius, luts.ravel(), peaks)
+    accuracy /= count
+    luts -= bounds[:-1, None]  # each map numbers its own regions from 0
+    stats = _quantize_array(np.stack((cx, cy, accuracy, radius)))
+    count = count.astype(np.int64)
+    return {
+        subset: FingerprintMap(subset, grid, sigs[a:b], count[a:b], *stats[:, a:b], part.cell_labels, lut)
+        for subset, lut, a, b in zip(subsets, luts, bounds, bounds[1:])
+    }
+
+
+def _stores(
+    deployment: ApDeployment, grid: GridSpec, k_values: Iterable[int], held: MapStore | None = None
+) -> dict[int, MapStore]:
+    """A store per k, none of whose maps is built yet, from the partition of the store
+    `held` or a new one, once every refusal that the whole build would meet is passed."""
+    subsets = {k: enumerate_ap_subsets(deployment.ap_ids, k) for k in sorted(set(k_values))}
+    if held is None:
+        t0 = time.perf_counter()
+        part = _partition(deployment, grid)
+        partition_ms = (time.perf_counter() - t0) * 1000.0
+    else:
+        part, partition_ms = held.maps.part, held.maps.partition_ms
     groups = len(part.orders)
     n_subsets = sum(map(len, subsets.values()))
     if n_subsets * groups > MAX_MAP_ROWS:
         raise ValueError(f"{n_subsets} AP subsets x {groups} orderings = {n_subsets * groups} map rows "
                          f"exceed the limit of {MAX_MAP_ROWS}")
-    maps: dict[int, dict[SubsetKey, FingerprintMap]] = {}
-    for k, same_k in subsets.items():
-        member = np.zeros((len(same_k), len(part.ids)), dtype=bool)
-        np.put_along_axis(member, np.searchsorted(part.ids, same_k), True, axis=1)
-        # Each full ordering keeps a subset's columns in order: rows are the
-        # (subset, group) pairs, each the group's ordering of the subset.
-        rows = np.broadcast_to(part.orders, member.shape[:1] + part.orders.shape)
-        rows = rows[member[:, part.orders]].reshape(-1, k)
-        # Sorting by subset, then lexicographically by the row, numbers
-        # every map's regions by signature, since ids ascend with columns.
-        by_row = np.lexsort((*rows.T[::-1], np.arange(len(rows)) // groups))
-        rows = rows[by_row]
-        new_region = _column_changes(rows.T)
-        new_region[::groups] = True  # each subset's block starts a region
-        sigs = part.ids[rows[new_region]]
-        del rows  # the k's largest array, before its statistics
-        number = np.cumsum(new_region) - 1
-        bounds = np.append(number[::groups], number[-1] + 1)  # each map's slice of the k's regions
-        luts = np.empty_like(number)
-        luts[by_row] = number  # numbered across the whole k, for now
-        # Every region of this k in one set of columns.  Counts, centroids and
-        # the accuracy sums add up per-group values in group order, so only
-        # the per-cell distance to the centroid is computed map by map.
-        count = np.bincount(luts, weights=np.tile(part.count, len(same_k)))
-        cx, cy = (np.bincount(luts, weights=np.tile(s, len(same_k))) / count for s in (part.sum_x, part.sum_y))
-        accuracy, radius, peaks = np.empty(len(count)), np.zeros(len(count)), np.empty(len(luts))
-        luts = luts.reshape(-1, groups)
-        for lut, a, b, peak in zip(luts, bounds, bounds[1:], peaks.reshape(-1, groups)):
-            # dx*dx + dy*dy in two buffers, in place.
-            dx, dy = np.repeat(cx[lut], part.count), np.repeat(cy[lut], part.count)
-            np.subtract(part.xs, dx, out=dx)
-            dx *= dx
-            np.subtract(part.ys, dy, out=dy)
-            dy *= dy
-            dx += dy
-            dist = np.sqrt(dx, out=dx)
-            accuracy[a:b] = np.bincount(lut - a, weights=np.add.reduceat(dist, part.starts))
-            np.maximum.reduceat(dist, part.starts, out=peak)
-        np.maximum.at(radius, luts.ravel(), peaks)
-        accuracy /= count
-        luts -= bounds[:-1, None]  # each map numbers its own regions from 0
-        stats = _quantize_array(np.stack((cx, cy, accuracy, radius)))
-        count = count.astype(np.int64)
-        maps[k] = {
-            subset: FingerprintMap(subset, grid, sigs[a:b], count[a:b], *stats[:, a:b], part.cell_labels, lut)
-            for subset, lut, a, b in zip(same_k, luts, bounds, bounds[1:])
-        }
-    return maps
+    return {k: MapStore(deployment, k, grid, _Maps(part, partition_ms, grid, same_k))
+            for k, same_k in subsets.items()}
 
 
 def build_stores(
     deployment: ApDeployment, k_values: Iterable[int], cell_size: float = DEFAULT_CELL_SIZE
 ) -> MapSet:
-    """The map set of one store per k, all from one shared build of every k's subsets.
+    """The map set of one store per k, all from one partition of the grid.
 
-    The grid covers the deployment's area at `cell_size`, and each store's
-    build_ms is the wall time of that one shared build.
+    The grid covers the deployment's area at `cell_size`.  Every refusal of the
+    build is met here (the grid, the subset count, the partition and the map
+    rows of every k together), but no map is built: each is made on first
+    lookup, or with the rest of its k on whole-store access (MapStore).
     """
     grid = GridSpec.for_deployment(deployment, cell_size)
-    subsets = {k: enumerate_ap_subsets(deployment.ap_ids, k) for k in sorted(set(k_values))}
-    t0 = time.perf_counter()
-    maps = _build_maps(deployment, subsets, grid)
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    return MapSet(deployment, grid, {k: MapStore(deployment, k, grid, maps[k], build_ms) for k in subsets})
+    return MapSet(deployment, grid, _stores(deployment, grid, k_values))
 
 
 def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT_CELL_SIZE) -> MapStore:

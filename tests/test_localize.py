@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apseq import mapgen
 from apseq.localize import (
     Estimate,
     MissedDetection,
@@ -432,17 +433,23 @@ class TestKDegradation:
             localize(scan, store_family, k)
 
 
-def localize_oracle(scan, stores, k):
-    """localize as one function: the known-AP filter, kmeans_1d with
-    top_ranks, and the first hit in the product of the clusters, each
-    strongest first: spelled out here, not taken from the code under test."""
-    known = stores.deployment.ap_id_set
+def oracle_walk(scan, deployment, k):
+    """The effective k and the candidate walk of localize_oracle."""
+    known = deployment.ap_id_set
     detected = {i: v for i, v in scan.detected().items() if i in known}
     k_eff = min(k, len(set(detected.values())))
     if k_eff < 2:
         raise ValueError("insufficient APs")
     clustering = kmeans_1d(detected, k_eff, top_ranks=True)
-    for tried, picks in enumerate(itertools.product(*(cl.ap_ids for cl in clustering.clusters)), 1):
+    return k_eff, itertools.product(*(cl.ap_ids for cl in clustering.clusters))
+
+
+def localize_oracle(scan, stores, k):
+    """localize as one function: the known-AP filter, kmeans_1d with
+    top_ranks, and the first hit in the product of the clusters, each
+    strongest first: spelled out here, not taken from the code under test."""
+    k_eff, walk = oracle_walk(scan, stores.deployment, k)
+    for tried, picks in enumerate(walk, 1):
         subset = tuple(sorted(picks))
         region = stores[k_eff].maps[subset].regions.get(picks)
         if region is not None:
@@ -508,6 +515,30 @@ def test_a_lazily_built_k_is_the_eager_build(store_family, values, k):
     assert outcome_or_error(localize, scan, lazy, k) == outcome_or_error(localize, scan, store_family, k)
     for k_eff in set(lazy) - {k}:
         assert map_store_to_text(lazy[k_eff]) == map_store_to_text(build_map_store(dep, k_eff, 1.0))
+
+
+def test_a_localize_builds_only_the_maps_its_walk_probes(monkeypatch):
+    # Dover at 0.5 m, 3 dB windows: each localize builds, one at a time, the
+    # maps of the subsets its walk looked up that no earlier walk did.
+    dep = load_deployment(str(resources.files("apseq") / "data" / "dover.deploy"))
+    rng = np.random.default_rng(11)
+    builds, build = [], mapgen._build_maps
+    monkeypatch.setattr(mapgen, "_build_maps", lambda part, subsets, grid: builds.append(subsets) or
+                        build(part, subsets, grid))
+    walks = []
+    for point in rng.uniform((0.0, 0.0), (dep.width, dep.height), (6, 2)).tolist():
+        scan = aggregate_scan(synth_window(point, dep, PropagationParams(sigma_db=3.0), 12.0, 0.3, rng=rng))
+        stores, probed = build_stores(dep, range(2, 8), 0.5), set()
+        for k in range(3, 8):
+            del builds[:]
+            outcome = localize(scan, stores, k)
+            _, walk = oracle_walk(scan, dep, k)
+            walk = itertools.islice(walk, outcome.candidates_tried)
+            looked_up = dict.fromkeys(tuple(sorted(picks)) for picks in walk)
+            assert builds == [[subset] for subset in looked_up if subset not in probed]
+            probed.update(looked_up)
+            walks.append(outcome.candidates_tried)
+    assert max(walks) > 1  # some walks probe more than one map
 
 
 def outcomes_or_none(scans, stores, ks):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from apseq import mapgen
 from apseq.evaluate import load_config
+from apseq.localize import RssScan, localize
 from apseq.mapgen import (
     GridSpec,
+    _build_maps,
     _store_lines,
     _Partition,
     _partition,
@@ -452,15 +454,24 @@ def lattice_deployments(draw, n_aps=st.one_of(st.sampled_from([8, 9, 11, 12]), s
 
 
 @st.composite
-def co_located_deployments(draw):
-    """lattice_deployments of 2-13 APs with one AP moved onto another's spot:
-    that pair's bisector has a zero normal, so at every cell the tie rule
-    (the smaller id first) orders it."""
-    dep = draw(lattice_deployments(n_aps=st.integers(2, 13)))
+def co_located_deployments(draw, n_aps=st.integers(2, 13)):
+    """lattice_deployments of 2-13 APs (or as many as `n_aps` draws) with one AP
+    moved onto another's spot: that pair's bisector has a zero normal, so at
+    every cell the tie rule (the smaller id first) orders it."""
+    dep = draw(lattice_deployments(n_aps=n_aps))
     aps = list(dep.aps)
     moved, spot = draw(st.lists(st.sampled_from(range(len(aps))), min_size=2, max_size=2, unique=True))
     aps[moved] = (aps[moved][0], *aps[spot][1:])
     return ApDeployment(width=dep.width, height=dep.height, aps=tuple(aps))
+
+
+@st.composite
+def collinear_deployments(draw, n_aps=st.integers(2, 13)):
+    """lattice_deployments of 2-13 APs (or as many as `n_aps` draws) moved onto
+    one row of the lattice: every bisector is parallel to the y axis."""
+    dep = draw(lattice_deployments(n_aps=n_aps))
+    y = draw(st.integers(0, 16)) / 2
+    return ApDeployment(width=dep.width, height=dep.height, aps=tuple((i, x, y) for i, x, _ in dep.aps))
 
 
 def uniform_60x40_deployment(n_aps):
@@ -570,6 +581,85 @@ class TestMapStatsOracle:
                     assert np.array_equal(got, expected), (subset, name)
             # Past the file's head: the header, the deployment block and the grid line.
             assert _store_lines(store)[dep.n_aps + 4:] == _fstring_map_lines(store)
+
+
+def spy(monkeypatch, name):
+    """The argument tuples of every call of mapgen's function `name` from now on."""
+    calls, fn = [], getattr(mapgen, name)
+    monkeypatch.setattr(mapgen, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+class TestMapsOnLookup:
+    """A store's maps are made from the set's one partition: a lookup builds
+    one map, and whole-store access builds the rest of its k in one batch."""
+
+    @settings(database=None, deadline=None, max_examples=20)
+    @given(
+        dep=st.one_of(*(kind(n_aps=st.integers(2, 9))
+                        for kind in (lattice_deployments, co_located_deployments, collinear_deployments))),
+        cell_size=st.floats(0.25, 1.3),
+        data=st.data(),
+    )
+    def test_a_map_made_on_lookup_is_the_batched_build(self, dep, cell_size, data):
+        grid = GridSpec.for_deployment(dep, cell_size)
+        part = _partition(dep, grid)
+        ks = range(2, dep.n_aps + 1)
+        lazy, other = build_stores(dep, ks, cell_size), build_stores(dep, ks, cell_size)
+        for k in ks:
+            subsets = enumerate_ap_subsets(dep.ap_ids, k)
+            batched = _build_maps(part, subsets, grid)
+            looked_up = data.draw(st.permutations(subsets))[:data.draw(st.integers(0, len(subsets)))]
+            for subset in looked_up:
+                got, want = lazy[k].maps[subset], batched[subset]
+                other[k].maps[subset]  # the same partial lookups, for the writer below
+                assert (got.subset, got.grid) == (subset, grid)
+                for a, b in zip((*got.columns, got.lut[got.cell_labels]),
+                                (*want.columns, want.lut[want.cell_labels])):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), subset
+            with pytest.MonkeyPatch.context() as mp:
+                builds = spy(mp, "_build_maps")
+                assert len(lazy[k].maps) == lazy[k].n_maps == len(subsets)
+                assert all(subset in lazy[k].maps for subset in subsets)
+                assert builds == []
+            # Out of order, with an id foreign to the deployment, one id short.
+            for bad in (subsets[0][::-1], (*subsets[0][:-1], max(dep.ap_ids) + 1), subsets[0][:-1]):
+                assert bad not in lazy[k].maps
+                with pytest.raises(KeyError):
+                    lazy[k].maps[bad]
+            eager = build_map_store(dep, k, cell_size)
+            assert lazy[k] == eager  # which builds every map of either store
+            assert map_store_to_text(other[k]) == map_store_to_text(eager)
+
+    def test_build_stores_partitions_once_and_builds_no_map(self, small_store, monkeypatch):
+        partitions, builds = spy(monkeypatch, "_partition"), spy(monkeypatch, "_build_maps")
+        build_stores(small_store.deployment, [2, 3, 4], small_store.grid.cell_size)
+        assert (len(partitions), builds) == (1, [])
+
+    def test_whole_store_access_builds_the_rest_of_a_k_in_one_batch(self, small_store, monkeypatch):
+        want = map_store_to_text(small_store)
+        store = build_stores(small_store.deployment, [2, 3], small_store.grid.cell_size)[3]
+        partition_ms = store.build_ms
+        builds = spy(monkeypatch, "_build_maps")
+        store.maps[(2, 3, 4)], store.maps[(1, 2, 4)], store.maps[(2, 3, 4)]
+        assert [subsets for _, subsets, _ in builds] == [[(2, 3, 4)], [(1, 2, 4)]]
+        assert map_store_to_text(store) == want
+        assert [subsets for _, subsets, _ in builds[2:]] == [[(1, 2, 3), (1, 3, 4)]]
+        list(store.maps.items())
+        assert len(builds) == 3
+        assert store.build_ms > partition_ms  # the partition's time, then its maps' builds too
+
+    def test_a_first_estimate_among_many_aps_holds_one_map(self):
+        # 14 APs at 0.5 m: C(14, 3) = 364 maps over 1 579 orderings.  Built
+        # all before the first estimate, they peaked at 32.6 MB traced; the
+        # partition and the one map this walk probes peak at 1.6 MB.
+        dep = uniform_60x40_deployment(14)
+        scan = RssScan(values={i: -30.0 - 20.0 * math.log10(1.0 + math.hypot(x - 20.3, y - 17.1))
+                               for i, x, y in dep.aps})
+        localize(scan, build_stores(dep, (3,), 0.5), 3)  # numpy's one-time allocations are not the build's
+        peak, outcome = traced_peak(lambda: localize(scan, build_stores(dep, (3,), 0.5), 3))
+        assert outcome.candidates_tried == 1
+        assert peak < 4_000_000
 
 
 def traced_peak(fn, *args):
@@ -937,7 +1027,7 @@ class TestMapStore:
 
     def test_build_time_recorded(self, small_store):
         assert small_store.build_ms > 0.0
-        # Stores of one build_stores call carry the time of their one build.
+        # Stores of one build_stores call, none of whose maps is built, carry the time of their one partition.
         stores = build_stores(small_store.deployment, [2, 3], small_store.grid.cell_size)
         assert stores[2].build_ms == stores[3].build_ms > 0.0
 
