@@ -46,7 +46,7 @@ def main():
                           rng=np.random.default_rng(args.seed))
     scan = aggregate_scan(window)
     print("aggregated RSS (mean over the window, strongest first):")
-    for ap_id, rss in sorted(scan.detected().items(), key=lambda kv: -kv[1]):
+    for ap_id, rss in sorted(scan.values.items(), key=lambda kv: -kv[1]):
         d = math.dist(truth, deployment.position(ap_id))
         print(f"  AP {ap_id}: {rss:6.1f} dBm   (true distance {d:5.1f} m)")
 

@@ -1,6 +1,6 @@
 """Online position estimation from an observation window of RSS samples.
 
-The pipeline is: aggregate the window into one RSS value per detected AP,
+The pipeline is: aggregate the window into one RSS value per AP heard,
 cluster those values, and try the candidate AP subsets in order until a
 candidate's measured signature is present in the corresponding fingerprint
 map.  The first hit wins and the estimate is that region's centroid; if
@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .mapgen import MapSet
-from .model import UNDETECTED_DBM, RssScan, Signature, SubsetKey
+from .model import RssScan, Signature, SubsetKey
 from .selection import _clustering, _lloyd, _rank, candidate_picks
 from .selection import kmeans_1d  # noqa: F401 (perfbench traces kmeans_1d here)
 
@@ -98,8 +98,8 @@ def aggregate_scan(window: ScanWindow, duration_s: float | None = None) -> RssSc
     With duration_s, only the first instant_count(duration_s, cadence_s)
     rows count: of a simulated window, the samples that a window simulated
     for duration_s would hold.  A duration_s beyond the window's own is a
-    ValueError.  APs heard in fewer than 10% of the instants counted get the
-    undetected sentinel; ValueError("no signal") when nothing survives.
+    ValueError.  APs heard in fewer than 10% of the instants counted are left
+    out; ValueError("no signal") when nothing survives.
     This is aggregate_heads(window)(duration_s).
     """
     return aggregate_heads(window)(duration_s)
@@ -127,7 +127,7 @@ def aggregate_heads(window: ScanWindow) -> Callable[[float | None], RssScan]:
         if not counts or max(counts) < floor:
             raise ValueError("no signal")
         totals = zip(window.ap_ids, sums[r - 1].tolist(), counts)
-        return RssScan({i: (s + 0.0) / c if c >= floor else UNDETECTED_DBM for i, s, c in totals})
+        return RssScan({i: (s + 0.0) / c for i, s, c in totals if c >= floor})
 
     return head
 
@@ -156,9 +156,9 @@ LocalizationOutcome = Union[Estimate, MissedDetection]
 
 def rank_scan(scan: RssScan, stores: MapSet) -> tuple:
     """Rank a scan once for every k: kmeans_1d's ranking (ids, values,
-    distinct values, fault) of the detected APs known to the set's deployment."""
-    detected, known = scan.detected(), stores.deployment.ap_id_set
-    return _rank(detected if detected.keys() <= known else {i: v for i, v in detected.items() if i in known})
+    distinct values, fault) of the scan's APs known to the set's deployment."""
+    values, known = scan.values, stores.deployment.ap_id_set
+    return _rank(values if values.keys() <= known else {i: v for i, v in values.items() if i in known})
 
 
 def _seeded(ranked: tuple, stores: MapSet, k: int) -> tuple:
@@ -188,7 +188,7 @@ def localize(scan: RssScan, stores: MapSet, k: int) -> LocalizationOutcome:
     than k distinct RSS values were detected, k degrades to that count, whose
     maps the set builds on first use.  Candidates are walked lazily in
     selection.candidate_picks order until a signature is present in its map.
-    Detected APs foreign to the deployment are ignored.
+    Scan APs foreign to the deployment are ignored.
     """
     ids, xs, seeds, maps = _seeded(rank_scan(scan, stores), stores, k)
     # Top-rank Lloyd seeding, not the exact default: localization outcomes

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-# RSS value (dBm) standing in for "not detected" in scans and scan files.
-UNDETECTED_DBM = -100.0
-
 # A signature: AP ids ordered strongest-first.  Plain tuples so they can key
 # fingerprint-map dictionaries directly.
 Signature = tuple[int, ...]
@@ -92,17 +89,9 @@ class ApDeployment:
 
 @dataclass(frozen=True)
 class RssScan:
-    """One aggregated RSS observation: ap_id -> mean dBm.
-
-    Undetected APs either carry ``UNDETECTED_DBM`` or are absent from the
-    mapping; both are treated the same by consumers.
-    """
+    """One aggregated RSS observation: ap_id -> mean dBm of each AP heard."""
 
     values: Mapping[int, float]
-
-    def detected(self) -> dict[int, float]:
-        """The detected portion of the scan (sentinel entries dropped)."""
-        return {i: v for i, v in self.values.items() if v != UNDETECTED_DBM}
 
 
 def subset_key(ids: Iterable[int]) -> SubsetKey:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localize import MAX_WINDOW_SAMPLES, ScanWindow, instant_count
-from .model import UNDETECTED_DBM, ApDeployment
+from .model import ApDeployment
 
 DEFAULT_DURATION_S = 60.0
 DEFAULT_CADENCE_S = 0.3
@@ -25,8 +25,8 @@ class PropagationParams:
     """Log-distance model: rss = p0 - 10*gamma*log10(max(d, d0)/d0) + noise.
 
     sigma_db is the shadowing standard deviation; samples below
-    detect_floor_dbm are dropped as undetected.  round_to_int emulates
-    hardware that reports whole dBm.
+    detect_floor_dbm go unheard.  round_to_int emulates hardware that
+    reports whole dBm.
     """
 
     p0_dbm: float = -30.0
@@ -45,8 +45,8 @@ class PropagationParams:
             raise ValueError("reference distance d0_m must be finite and positive")
         if not 0 <= self.sigma_db < math.inf:
             raise ValueError("sigma_db must be a finite non-negative number")
-        if not UNDETECTED_DBM < self.detect_floor_dbm < math.inf:
-            raise ValueError(f"detect_floor_dbm must be finite and exceed the {UNDETECTED_DBM:g} sentinel")
+        if not math.isfinite(self.detect_floor_dbm):
+            raise ValueError("detect_floor_dbm must be finite")
 
 
 def mean_rss(distance_m: float, params: PropagationParams) -> float:

@@ -72,7 +72,7 @@ def kmeans_1d(values: Mapping[int, float], k: int, top_ranks: bool = False) -> C
     confirms the split.
 
     Args:
-        values: ap_id -> detected rss_dbm (no sentinels).
+        values: ap_id -> rss_dbm of each AP heard.
         k: number of clusters, >= 1.
         top_ranks: when True, Lloyd's algorithm runs from the k strongest
             distinct values as initial centroids instead, and may stop in

@@ -341,6 +341,22 @@ class TestLocalize:
         want = self.library_line(tmp_path / "d4.map", tmp_path / "scan.txt", 4)
         assert lines[4] == lines[3] == want == "estimate 14.189597 21.674032 1-3-5 1-3-5\n"
 
+    def test_a_mean_of_minus_100_dbm_is_heard(self, tmp_path, capsys):
+        # Dover at 0.4 m, k = 3: a whole-dBm scanner can report AP 3 at
+        # -100 dBm, and that reading ranks like any other, as -99.999 does.
+        dover = resources.files("apseq") / "data" / "dover.deploy"
+        assert main(["mapgen", "--deploy", str(dover), "--grid", "0.4", "--k", "3",
+                     "--out", str(tmp_path / "d3.map")]) == 0
+        lines = []
+        for rss in ("-100.0", "-99.999"):
+            (tmp_path / "scan.txt").write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\n"
+                                               f"sample 0.000 3 {rss}\nsample 0.000 5 -60.0\n")
+            capsys.readouterr()
+            assert main(["localize", "--store", str(tmp_path / "d3.map"), "--scan", str(tmp_path / "scan.txt"),
+                         "--k", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines == ["estimate 21.647545 3.793798 1-5-3 1-3-5\n"] * 2
+
     @pytest.mark.parametrize("k", ["0", "1", "-3"])
     def test_k_below_two_is_refused_before_the_scan_is_judged(self, prepared, capsys, k):
         rc = main(["localize", "--store", str(prepared / "loc_k2.map"),

@@ -27,7 +27,7 @@ from apseq.localize import (
     scan_to_text,
 )
 from apseq.mapgen import MapSet, build_map_store, build_stores, cell_signature, map_store_to_text
-from apseq.model import UNDETECTED_DBM, ApDeployment, RssScan, load_deployment
+from apseq.model import ApDeployment, RssScan, load_deployment
 from apseq.propagation import PropagationParams, synth_window
 from apseq.selection import kmeans_1d
 
@@ -162,16 +162,14 @@ class TestAggregation:
         w = window_of(
             {1: [-40.0] * 20, 2: [-70.0]}, duration_s=20.0, cadence_s=1.0
         )
-        scan = aggregate_scan(w)
-        assert scan.values[2] == UNDETECTED_DBM
-        assert set(scan.detected()) == {1}
+        assert aggregate_scan(w).values == {1: -40.0}
 
     def test_threshold_is_strict(self):
         # exactly 10% of 20 instants (2 samples) still counts as detected
         w = window_of(
             {1: [-40.0] * 20, 2: [-70.0, -71.0]}, duration_s=20.0, cadence_s=1.0
         )
-        assert set(aggregate_scan(w).detected()) == {1, 2}
+        assert set(aggregate_scan(w).values) == {1, 2}
 
     def test_negative_zero_mean_is_zero(self):
         # A left-to-right sum starts from 0, and 0 + -0.0 is 0.0.
@@ -187,30 +185,28 @@ class TestAggregation:
 def head_oracle(window, duration_s=None):
     """aggregate_scan(window, duration_s) in pure Python: per AP, the mean of
     its samples in the first instant_count(duration_s) rows (every row when
-    duration_s is None), summed left to right, and the sentinel for an AP
-    heard in fewer than 10 % of those instants."""
+    duration_s is None), summed left to right, for each AP heard in at least
+    10 % of those instants; the others are left out."""
     d = window.duration_s if duration_s is None else duration_s
     if d > window.duration_s:
         raise ValueError(f"{d} s exceeds the window's {window.duration_s} s")
     n = instant_count(d, window.cadence_s)
     rows = window.rss.tolist() if duration_s is None else window.rss.tolist()[:n]
-    values, heard = {}, False
+    values = {}
     for j, ap_id in enumerate(window.ap_ids):
         samples = [row[j] for row in rows if not math.isnan(row[j])]
         total = 0.0
         for v in samples:
             total += v
         if len(samples) >= 0.10 * n:
-            values[ap_id], heard = total / len(samples), True
-        else:
-            values[ap_id] = UNDETECTED_DBM
-    if not heard:
+            values[ap_id] = total / len(samples)
+    if not values:
         raise ValueError("no signal")
     return RssScan(values=values)
 
 
 def bits_or_error(aggregate, *args):
-    """The scan's values as float.hex, sentinel included, or the ValueError message."""
+    """The scan's values as float.hex, or the ValueError message."""
     try:
         return {ap_id: float.hex(v) for ap_id, v in aggregate(*args).values.items()}
     except ValueError as exc:
@@ -220,12 +216,16 @@ def bits_or_error(aggregate, *args):
 @st.composite
 def head_windows(draw):
     """Windows with unheard, sparse and dense columns, -0.0 and whole-dBm
-    samples, and rows fewer or more (repeated timestamps) than instants."""
+    samples, -100 dBm, its neighbours within an ulp and fainter samples, and
+    rows fewer or more (repeated timestamps) than instants."""
     cadence = draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
     instants = draw(st.integers(1, 30))
     times = sorted(draw(st.lists(st.integers(0, instants - 1), max_size=2 * instants)))
     ap_ids = draw(st.lists(st.integers(1, 50), max_size=5, unique=True))
-    samples = st.one_of(st.just(-0.0), st.integers(-100, 0).map(float), st.floats(-100.0, 0.0))
+    samples = st.one_of(
+        st.just(-0.0), st.integers(-130, 0).map(float), st.floats(-130.0, 0.0),
+        st.sampled_from([-100.0, math.nextafter(-100.0, 0.0), math.nextafter(-100.0, -math.inf)]),
+    )
     rss = np.full((len(times), len(ap_ids)), np.nan)
     for j in range(len(ap_ids)):
         kind = draw(st.sampled_from(["unheard", "sparse", "dense"]))
@@ -250,6 +250,20 @@ def test_every_head_is_the_pure_python_mean_bit_for_bit(window, data):
         assert bits_or_error(aggregate_scan, window, d) == want
     assert bits_or_error(aggregate_scan, window) == bits_or_error(head_oracle, window)
     assert bits_or_error(aggregate_heads(window), None) == bits_or_error(head_oracle, window)
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(head_windows(), st.data())
+def test_a_scan_holds_exactly_the_aps_heard_in_a_tenth_of_the_instants(window, data):
+    d = data.draw(st.floats(window.cadence_s, window.duration_s))
+    n = instant_count(d, window.cadence_s)
+    counts = (~np.isnan(window.rss[:n])).sum(axis=0).tolist()
+    heard = {ap_id for ap_id, c in zip(window.ap_ids, counts) if c >= 0.10 * n}
+    if heard:
+        assert aggregate_scan(window, d).values.keys() == heard
+    else:
+        with pytest.raises(ValueError, match="no signal"):
+            aggregate_scan(window, d)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +341,14 @@ class TestLocalize:
         assert result.candidates_tried == 1
         assert result.position == stores[3].maps[(1, 2, 3)].regions[(1, 2, 3)].centroid
 
+    def test_a_mean_of_minus_100_dbm_is_ranked(self):
+        # Dover at 0.4 m: AP 3 at -100 dBm is a heard value, so k stays 3.
+        dep = load_deployment(str(resources.files("apseq") / "data" / "dover.deploy"))
+        stores = build_stores(dep, (3,), 0.4)
+        result = localize(RssScan({1: -40.0, 3: -100.0, 5: -60.0}), stores, 3)
+        assert (result.subset, result.matched_signature) == ((1, 3, 5), (1, 5, 3))
+        assert result == localize(RssScan({1: -40.0, 3: -99.999, 5: -60.0}), stores, 3)
+
     def test_empty_cluster_is_a_value_error(self):
         # Near-tie RSS values on which a top-rank Lloyd pass leaves a cluster
         # empty: localize raises ValueError, not AssertionError, and
@@ -391,7 +413,7 @@ def store_family():
 
 class TestKDegradation:
     def test_fewer_detected_aps_shrink_k(self, store_family):
-        scan = RssScan(values={1: -35.0, 2: -45.0, 4: UNDETECTED_DBM})
+        scan = RssScan(values={1: -35.0, 2: -45.0})
         result = localize(scan, store_family, 4)
         assert isinstance(result, Estimate)
         assert len(result.subset) == 2
@@ -416,7 +438,7 @@ class TestKDegradation:
         assert stores[2] == store_family[2]
 
     def test_one_detected_ap_is_insufficient(self, store_family):
-        scan = RssScan(values={1: -35.0, 2: UNDETECTED_DBM})
+        scan = RssScan(values={1: -35.0})
         with pytest.raises(ValueError, match="insufficient APs"):
             localize(scan, store_family, 4)
 
@@ -428,7 +450,7 @@ class TestKDegradation:
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_k_below_two_is_refused_before_the_scan_is_judged(self, store_family, k):
         # One detected AP: at any k >= 2 this scan has insufficient APs.
-        scan = RssScan(values={1: -35.0, 2: UNDETECTED_DBM})
+        scan = RssScan(values={1: -35.0})
         with pytest.raises(ValueError, match=rf"^k must be at least 2 \(got {k}\)$"):
             localize(scan, store_family, k)
 
@@ -436,7 +458,7 @@ class TestKDegradation:
 def oracle_walk(scan, deployment, k):
     """The effective k and the candidate walk of localize_oracle."""
     known = deployment.ap_id_set
-    detected = {i: v for i, v in scan.detected().items() if i in known}
+    detected = {i: v for i, v in scan.values.items() if i in known}
     k_eff = min(k, len(set(detected.values())))
     if k_eff < 2:
         raise ValueError("insufficient APs")
@@ -479,11 +501,11 @@ def six_ap_family():
     return build_stores(dep, range(2, 7), 1.0)
 
 
-# The sentinel, values whose sums or squares overflow, near-ties a few ulps
+# -100 dBm, values whose sums or squares overflow, near-ties a few ulps
 # apart (which can leave a Lloyd cluster empty), a small pool of values that
 # tie, and any float at all.
 scan_values = st.one_of(
-    st.sampled_from([UNDETECTED_DBM, 1e308, -1e308, 1e154, math.inf, -math.inf, math.nan]),
+    st.sampled_from([-100.0, 1e308, -1e308, 1e154, math.inf, -math.inf, math.nan]),
     st.sampled_from([-44.00000000000001, -44.000000000000014, -43.99999999999999, -41.00000000000001]),
     st.sampled_from([-40.0, -45.0, -50.0, -55.5, -60.0, -71.0]),
     st.floats(-100.0, -20.0),
@@ -600,8 +622,8 @@ def test_zero_noise_never_gives_a_wrong_signature(dep, cell_size, points):
 def test_locate_refuses_each_pair_as_localize_does(six_ap_family):
     stores = held(six_ap_family, (3, 4, 6))
     scans = {
-        "no signal": {1: UNDETECTED_DBM, 2: UNDETECTED_DBM},
-        "one AP": {1: -40.0, 2: UNDETECTED_DBM},
+        "no signal": {},
+        "one AP": {1: -40.0},
         "degraded k": {1: -40.0, 2: -50.0, 3: -50.0},
         "not finite": {1: -40.0, 2: math.nan, 3: -60.0, 4: -70.0},
         "too large": {1: 1e308, 2: -40.0, 3: -50.0, 4: -70.0},
@@ -671,7 +693,7 @@ class TestScanFiles:
         w = ScanWindow((0.0, 1.0), (1, 2), [[-40.0, math.nan], [-41.0, -60.0]], 20.0, 1.0)
         loaded = scan_from_text(scan_to_text(w))
         assert (loaded.duration_s, loaded.cadence_s) == (20.0, 1.0)
-        assert aggregate_scan(loaded).values == {1: -40.5, 2: UNDETECTED_DBM}
+        assert aggregate_scan(loaded).values == {1: -40.5}
 
     @pytest.mark.parametrize(
         "window_line",

@@ -3,9 +3,7 @@
 import pytest
 
 from apseq.model import (
-    UNDETECTED_DBM,
     ApDeployment,
-    RssScan,
     deployment_from_text,
     deployment_to_text,
     load_deployment,
@@ -56,16 +54,6 @@ class TestApDeployment:
     def test_boundary_positions_allowed(self):
         dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 10.0, 10.0)))
         assert dep.n_aps == 2
-
-
-class TestRssScan:
-    def test_detected_filters_sentinel(self):
-        scan = RssScan(values={1: -40.0, 2: UNDETECTED_DBM, 3: -55.5})
-        assert scan.detected() == {1: -40.0, 3: -55.5}
-
-    def test_detected_preserves_all_when_no_sentinel(self):
-        scan = RssScan(values={1: -40.0, 2: -41.0})
-        assert scan.detected() == {1: -40.0, 2: -41.0}
 
 
 class TestSubsetKey:

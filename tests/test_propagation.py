@@ -7,7 +7,7 @@ import pytest
 from numpy.random import default_rng
 
 from apseq.localize import ScanWindow, aggregate_scan, instant_count
-from apseq.model import UNDETECTED_DBM, ApDeployment
+from apseq.model import ApDeployment
 from apseq import propagation
 from apseq.propagation import (
     MAX_WINDOW_SAMPLES,
@@ -55,6 +55,26 @@ class TestPathLossModel:
         w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
         assert set(w.aps) == {1}
 
+    def test_floor_below_minus_100_dbm_hears_fainter_samples(self):
+        # mean_rss(1000 m) is -105 dBm: over a -110 dBm floor, AP 2 is heard
+        # at most instants, mostly below -100 dBm, and averages below it.
+        dep = ApDeployment(width=1000.0, height=10.0, aps=((1, 0.0, 0.0), (2, 1000.0, 0.0)))
+        params = PropagationParams(sigma_db=2.0, detect_floor_dbm=-110.0)
+        w = synth_window((0.0, 0.0), dep, params, duration_s=30.0, cadence_s=1.0, rng=default_rng(0))
+        faint = np.array([r for _, r in w.aps[2]])
+        assert len(faint) >= 15 and (faint >= -110.0).all() and (faint < -100.0).any()
+        assert -110.0 < aggregate_scan(w).values[2] < -100.0
+
+    def test_whole_dbm_samples_at_minus_100_dbm_are_heard(self):
+        # mean_rss(630 m) is about -99.98 dBm, which whole-dBm hardware
+        # reports as -100 dBm: at and above a -100 dBm floor, and a mean of
+        # -100 dBm that the scan keeps.
+        dep = ApDeployment(width=630.0, height=10.0, aps=((1, 0.0, 0.0), (2, 630.0, 0.0)))
+        params = PropagationParams(detect_floor_dbm=-100.0, round_to_int=True)
+        w = synth_window((0.0, 0.0), dep, params, duration_s=3.0, cadence_s=1.0, rng=default_rng(0))
+        assert [r for _, r in w.aps[2]] == [-100.0] * 3
+        assert aggregate_scan(w).values == {1: -30.0, 2: -100.0}
+
     def test_window_is_one_matrix_with_nan_where_unheard(self):
         # mean_rss(30 m) is about -66.9 dBm, so with 8 dB of shadowing AP 2
         # is heard at some instants of the -65 dBm floor and not at others.
@@ -81,7 +101,7 @@ class TestPathLossModel:
             (dict(gamma=0.0), "gamma"),
             (dict(d0_m=0.0), "d0_m"),
             (dict(sigma_db=-1.0), "sigma_db"),
-            (dict(detect_floor_dbm=-100.0), "detect_floor"),
+            (dict(detect_floor_dbm=-math.inf), "detect_floor"),
             (dict(sigma_db=float("nan")), "sigma_db"),
             (dict(p0_dbm=float("nan")), "p0_dbm"),
             (dict(p0_dbm=float("inf")), "p0_dbm"),
@@ -235,8 +255,8 @@ class TestWindowHead:
     def test_head_matches_the_shorter_simulated_window(self, square_deployment):
         long = self.faint(square_deployment, 6.0)
         assert long.ap_ids == (3,) and np.isnan(long.rss[:7]).all()
-        head = aggregate_scan(long, 2.4).detected()
-        assert head == aggregate_scan(self.faint(square_deployment, 2.4)).detected()
+        head = aggregate_scan(long, 2.4).values
+        assert head == aggregate_scan(self.faint(square_deployment, 2.4)).values
         assert set(head) == {3}
 
     def test_ap_first_heard_after_the_head_is_undetected(self):
@@ -244,8 +264,8 @@ class TestWindowHead:
         rss[:, 0], rss[1, 1], rss[15, 2] = -50.0, -60.0, -70.0
         w = ScanWindow(np.arange(20.0), (1, 2, 3), rss, duration_s=20.0, cadence_s=1.0)
         # The floor is 10 % of the instants counted: 1 of 10, then 2 of 20.
-        assert aggregate_scan(w, 10.0).values == {1: -50.0, 2: -60.0, 3: UNDETECTED_DBM}
-        assert aggregate_scan(w).values == {1: -50.0, 2: UNDETECTED_DBM, 3: UNDETECTED_DBM}
+        assert aggregate_scan(w, 10.0).values == {1: -50.0, 2: -60.0}
+        assert aggregate_scan(w).values == {1: -50.0}
 
     def test_silent_head_has_no_signal(self, square_deployment):
         long = self.faint(square_deployment, 6.0)

@@ -25,7 +25,6 @@ from apseq.mapgen import (
     MapSet, build_map_store, build_stores, map_store_from_text, map_store_to_text, save_map_store,
 )
 from apseq.model import (
-    UNDETECTED_DBM,
     ApDeployment,
     RssScan,
     deployment_from_text,
@@ -157,7 +156,7 @@ def test_saving_and_loading_keeps_the_aggregate(window):
 @given(
     st.dictionaries(
         st.integers(1, 30),
-        st.one_of(st.integers(-399, -120).map(lambda q: q / 4), st.floats(-99.9, -20.0)),
+        st.one_of(st.integers(-520, -120).map(lambda q: q / 4), st.floats(-130.0, -20.0)),
         min_size=1,
         max_size=12,
     ),
@@ -181,7 +180,7 @@ def test_candidate_picks_are_the_subset_signature(values, k, exact):
     st.floats(-50.0, -20.0),
     st.floats(1.5, 4.0),
     st.floats(0.5, 2.0),
-    st.floats(-99.0, -30.0),
+    st.floats(-120.0, -30.0),
     st.integers(1, 5),
 )
 def test_noise_free_window_follows_the_model(dep, fx, fy, p0, gamma, d0, floor, n):
@@ -217,7 +216,7 @@ def test_head_is_the_shorter_simulated_window(
     # instants, so it is often first heard after the head.
     _, ax, ay = data.draw(st.sampled_from(dep.aps))
     mean = mean_rss(math.hypot(point[0] - ax, point[1] - ay), PropagationParams())
-    floor = min(max(mean + data.draw(st.floats(0.0, 12.0)), -99.0), -30.0)
+    floor = min(max(mean + data.draw(st.floats(0.0, 12.0)), -120.0), -30.0)
     params = PropagationParams(sigma_db=6.0, detect_floor_dbm=floor, round_to_int=rounded)
     long_s = cadence * (1 + 60 * long_frac)
     short_s = min(cadence + (long_s - cadence) * short_frac, long_s)
@@ -226,13 +225,13 @@ def test_head_is_the_shorter_simulated_window(
         return synth_window(point, dep, params, duration_s=duration_s, cadence_s=cadence,
                             rng=np.random.default_rng(seed))
 
-    def detected(*args):  # repr compares the means bit for bit
+    def heard(*args):  # repr compares the means bit for bit
         try:
-            return repr(aggregate_scan(*args).detected())
+            return repr(aggregate_scan(*args).values)
         except ValueError as exc:
             return str(exc)
 
-    assert detected(window(long_s), short_s) == detected(window(short_s))
+    assert heard(window(long_s), short_s) == heard(window(short_s))
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +245,9 @@ def store_family():
 
 
 # Ids 5, 6 and 99 are foreign to the deployment; the sampled values are
-# the sentinel and finite values whose sums or squares overflow.
+# -100 dBm and finite values whose sums or squares overflow.
 rss_values = st.one_of(
-    st.sampled_from([UNDETECTED_DBM, 1e308, -1e308, 1e200, 1e154, 1e150, -40.0]),
+    st.sampled_from([-100.0, 1e308, -1e308, 1e200, 1e154, 1e150, -40.0]),
     st.floats(-100.0, 0.0),
     st.floats(allow_nan=True, allow_infinity=True),
 )
