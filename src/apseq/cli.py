@@ -8,7 +8,7 @@ import sys
 
 from .evaluate import load_config, run_experiment, simulate, write_report_csvs
 from .localize import Estimate, aggregate_scan, load_scan, localize, save_scan
-from .mapgen import DEFAULT_CELL_SIZE, MapSet, build_map_store, load_map_store, save_map_store
+from .mapgen import DEFAULT_CELL_SIZE, build_map_store, load_map_store, save_map_store
 from .model import load_deployment, signature_to_text
 
 
@@ -39,16 +39,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    store = load_map_store(args.store)
-    scan = aggregate_scan(load_scan(args.scan))
-    outcome = localize(scan, MapSet(store.deployment, store.grid, {store.k: store}), args.k)
+    stores = load_map_store(args.store)
+    outcome = localize(aggregate_scan(load_scan(args.scan)), stores, args.k)
     if isinstance(outcome, Estimate):
-        x, y = outcome.position
-        print(
-            f"estimate {x:.6f} {y:.6f} "
-            f"{signature_to_text(outcome.matched_signature)} "
-            f"{signature_to_text(outcome.subset)}"
-        )
+        (x, y), sig, subset = outcome.position, outcome.matched_signature, outcome.subset
+        print(f"estimate {x:.6f} {y:.6f} {signature_to_text(sig)} {signature_to_text(subset)}")
     else:
         print("missed")
     return 0

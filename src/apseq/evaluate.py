@@ -55,7 +55,7 @@ class ExperimentConfig:
     gamma             2.5         path-loss exponent
     d0_m              1.0         reference distance, m
     sigma_db          0.0         shadowing standard deviation, dB
-    detect_floor_dbm  -95.0       samples below it go unheard, dBm
+    detect_floor_dbm  -95.0       samples below it go unheard; at most the samples' cap, p0_dbm, dBm
     round_to_int      false       report whole dBm (true/yes/1 or false/no/0)
     test_point_mode   random      ``random``, or ``grid`` with test_points per side
     test_points       27          number of test points

@@ -3,9 +3,9 @@
 For a chosen AP subset, every grid cell gets the signature formed by sorting
 the subset's APs by distance to the cell centre.  Cells sharing a signature
 form a region; the perpendicular bisectors of AP pairs are exactly the
-region boundaries, so no site survey is involved anywhere.  Every map comes
-from one partition of the grid by the cells' ordering of all the APs; a map is
-made when it is first looked up, so a store costs its partition until then.
+region boundaries, so no site survey is involved anywhere.  A MapSet makes
+every store of a deployment and grid from one partition of the grid by the
+cells' ordering of all the APs; a map is made when it is first looked up.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Region(NamedTuple):
 
     All three are quantized to 6 fractional digits (file precision); a
     loaded store's regions are those of its rebuild.
-    The member cells are not held; FingerprintMap.cells_of derives them.
+    The member cells are not kept; FingerprintMap.cells_of derives them.
     """
 
     signature: Signature
@@ -197,10 +197,10 @@ class FingerprintMap:
 class MapStore:
     """All C(n, k) fingerprint maps of a deployment for one subset size k.
 
-    maps is a read-only mapping over every k-subset, in subset order, whose
-    maps are made from one partition of the grid as they are needed (_Maps).
-    build_ms is the partition's wall time plus that of every map build of
-    this store so far; it is not a field, so it takes no part in equality.
+    A MapSet makes it.  maps is a read-only mapping over every k-subset, in
+    subset order, whose maps are made from the set's partition as they are
+    needed (_Maps).  build_ms is the partition's wall time plus that of every
+    map build of this store so far; not a field, it takes no part in equality.
     """
 
     deployment: ApDeployment
@@ -253,22 +253,31 @@ class _Maps(Mapping):
 
 
 class MapSet(dict):
-    """The map stores of one deployment and grid, by k, checked to belong together on
-    construction.  A k not held is made on first lookup and kept, from the partition
-    of the stores held (a new one only when none is); `in`, len and iteration see
-    only the ks held."""
+    """Map stores of one deployment and grid, by k, all from one partition of the grid,
+    made and timed (partition_ms) on construction.  The stores of `k_values`, whose map
+    rows are bounded together, are made with it, any other k on first lookup, and kept;
+    `in`, len and iteration see only the ks made so far.  No map is built until looked up."""
 
-    def __init__(self, deployment: ApDeployment, grid: GridSpec, stores: Mapping[int, MapStore]):
-        for k, store in stores.items():
-            if (store.k, store.deployment, store.grid) != (k, deployment, grid):
-                raise ValueError(f"store for k={k} holds the maps of k={store.k}" if store.k != k else
-                                 f"store for k={k} was built for another deployment or grid than the set's")
-        super().__init__(stores)
+    def __init__(self, deployment: ApDeployment, grid: GridSpec, k_values: Iterable[int] = ()):
         self.deployment, self.grid = deployment, grid
+        subsets = {k: enumerate_ap_subsets(deployment.ap_ids, k) for k in sorted(set(k_values))}
+        t0 = time.perf_counter()
+        self._part = _partition(deployment, grid)
+        self.partition_ms = (time.perf_counter() - t0) * 1000.0
+        self._make(subsets)
 
     def __missing__(self, k: int) -> MapStore:
-        store = self[k] = _stores(self.deployment, self.grid, (k,), next(iter(self.values()), None))[k]
-        return store
+        self._make({k: enumerate_ap_subsets(self.deployment.ap_ids, k)})
+        return self[k]
+
+    def _make(self, subsets: dict[int, list[SubsetKey]]) -> None:
+        n_subsets, groups = sum(map(len, subsets.values())), len(self._part.orders)
+        if n_subsets * groups > MAX_MAP_ROWS:
+            raise ValueError(f"{n_subsets} AP subsets x {groups} orderings = {n_subsets * groups} map rows "
+                             f"exceed the limit of {MAX_MAP_ROWS}")
+        for k, same_k in subsets.items():
+            self[k] = MapStore(self.deployment, k, self.grid,
+                               _Maps(self._part, self.partition_ms, self.grid, same_k))
 
 
 def enumerate_ap_subsets(ids: Iterable[int], k: int) -> list[SubsetKey]:
@@ -357,7 +366,7 @@ def _partition(deployment: ApDeployment, grid: GridSpec) -> _Partition:
     # orderings then finds the groups and numbers them lexicographically.
     d2 = d2[:, run_first].T  # the other cells' distances go before the argsort
     run_orders = np.argsort(d2, axis=1, kind="stable")
-    del d2, flips, side  # flips and side held to the return split the heap: +2 MB RSS in a later build
+    del d2, flips, side  # flips and side kept to the return split the heap: +2 MB RSS in a later build
     by_order = np.lexsort(run_orders.T[::-1])
     new_group = _column_changes(run_orders[by_order].T)
     orders = run_orders[by_order[new_group]]
@@ -437,39 +446,17 @@ def _build_maps(part: _Partition, subsets: list[SubsetKey], grid: GridSpec) -> d
     }
 
 
-def _stores(
-    deployment: ApDeployment, grid: GridSpec, k_values: Iterable[int], held: MapStore | None = None
-) -> dict[int, MapStore]:
-    """A store per k, none of whose maps is built yet, from the partition of the store
-    `held` or a new one, once every refusal that the whole build would meet is passed."""
-    subsets = {k: enumerate_ap_subsets(deployment.ap_ids, k) for k in sorted(set(k_values))}
-    if held is None:
-        t0 = time.perf_counter()
-        part = _partition(deployment, grid)
-        partition_ms = (time.perf_counter() - t0) * 1000.0
-    else:
-        part, partition_ms = held.maps.part, held.maps.partition_ms
-    groups = len(part.orders)
-    n_subsets = sum(map(len, subsets.values()))
-    if n_subsets * groups > MAX_MAP_ROWS:
-        raise ValueError(f"{n_subsets} AP subsets x {groups} orderings = {n_subsets * groups} map rows "
-                         f"exceed the limit of {MAX_MAP_ROWS}")
-    return {k: MapStore(deployment, k, grid, _Maps(part, partition_ms, grid, same_k))
-            for k, same_k in subsets.items()}
-
-
 def build_stores(
     deployment: ApDeployment, k_values: Iterable[int], cell_size: float = DEFAULT_CELL_SIZE
 ) -> MapSet:
-    """The map set of one store per k, all from one partition of the grid.
+    """The MapSet of the deployment on a grid over its area at `cell_size`,
+    holding a store per k of `k_values`.
 
-    The grid covers the deployment's area at `cell_size`.  Every refusal of the
-    build is met here (the grid, the subset count, the partition and the map
-    rows of every k together), but no map is built: each is made on first
-    lookup, or with the rest of its k on whole-store access (MapStore).
+    Every refusal of the build is met here (the grid, the subset count, the
+    partition and the map rows of every k together), but no map is built: each
+    is made on first lookup, or with the rest of its k on whole-store access.
     """
-    grid = GridSpec.for_deployment(deployment, cell_size)
-    return MapSet(deployment, grid, _stores(deployment, grid, k_values))
+    return MapSet(deployment, GridSpec.for_deployment(deployment, cell_size), k_values)
 
 
 def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT_CELL_SIZE) -> MapStore:
@@ -488,11 +475,12 @@ def build_map_store(deployment: ApDeployment, k: int, cell_size: float = DEFAULT
 #   ...                                 (one map block per k-subset)
 #
 # A store is derived data, so the whole file has one rule: it is the writer's
-# text (_store_lines) of the store that build_map_store rebuilds from the
-# deployment block, the grid line's cell size and the first map line's id
-# count, k.  Maps come in subset order and regions in signature order; cell
-# memberships are not stored.  The loader names the first line that differs.
-# All reals carry six fractional digits, so re-saves are byte-identical.
+# text (_store_lines) of the store of k in the map set, which the loader
+# returns, that build_stores makes from the deployment block, the grid line's
+# cell size and the first map line's id count, k.  Maps come in subset order and
+# regions in signature order; cell memberships are not stored.  The loader names
+# the first line that differs.  All reals carry six fractional digits, so
+# re-saves are byte-identical.
 
 STORE_HEADER = "APSEQMAP v1"
 
@@ -517,12 +505,13 @@ def _store_lines(store: MapStore) -> list[str]:
     return out
 
 
-def load_map_store(path) -> MapStore:
+def load_map_store(path) -> MapSet:
     with open(path) as fh:
         return map_store_from_text(fh.read(), source=str(path))
 
 
-def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
+def map_store_from_text(text: str, source: str = "<string>") -> MapSet:
+    """The map set whose store of the file's k writes exactly `text`, holding that one k."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != STORE_HEADER:
         raise ValueError(f"{source}: unsupported version (expected {STORE_HEADER!r})")
@@ -538,15 +527,16 @@ def map_store_from_text(text: str, source: str = "<string>") -> MapStore:
     map_ln = lines[grid_at + 1].split()
     if map_ln[0] != "map":
         raise ValueError(f"{source}: expected map line, got {lines[grid_at + 1]!r}")
+    k = len(map_ln) - 1
     try:
-        store = build_map_store(deployment, len(map_ln) - 1, cell_size)
+        stores = build_stores(deployment, (k,), cell_size)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    want = _store_lines(store)
+    want = _store_lines(stores[k])
     if lines != want:  # name the first line that differs, or where one side ends
         at = next((n for n, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
         got_ln, want_ln = (repr(side[at]) if at < len(side) else "end of store" for side in (lines, want))
         raw = text.splitlines()  # numbered as given: blank lines count, and one past the last
         line = ([n for n, ln in enumerate(raw, 1) if ln.strip()] + [len(raw) + 1])[at]
         raise ValueError(f"{source}: line {line}: {got_ln}, rebuild gives {want_ln}")
-    return store
+    return stores

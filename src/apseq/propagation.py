@@ -24,9 +24,9 @@ DEFAULT_CADENCE_S = 0.3
 class PropagationParams:
     """Log-distance model: rss = p0 - 10*gamma*log10(max(d, d0)/d0) + noise.
 
-    sigma_db is the shadowing standard deviation; samples below
-    detect_floor_dbm go unheard.  round_to_int emulates hardware that
-    reports whole dBm.
+    sigma_db is the shadowing standard deviation; samples below detect_floor_dbm
+    go unheard, and a floor above every sample's cap, p0_dbm (rounded under
+    round_to_int), is refused.  round_to_int emulates hardware reporting whole dBm.
     """
 
     p0_dbm: float = -30.0
@@ -47,6 +47,10 @@ class PropagationParams:
             raise ValueError("sigma_db must be a finite non-negative number")
         if not math.isfinite(self.detect_floor_dbm):
             raise ValueError("detect_floor_dbm must be finite")
+        loudest = float(np.rint(self.p0_dbm)) if self.round_to_int else self.p0_dbm  # every sample's cap
+        if self.detect_floor_dbm > loudest:
+            raise ValueError(f"detect_floor_dbm {self.detect_floor_dbm} is above the loudest sample, {loudest} "
+                             f"(p0_dbm {self.p0_dbm}): no AP would ever be heard")
 
 
 def mean_rss(distance_m: float, params: PropagationParams) -> float:

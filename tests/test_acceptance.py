@@ -305,7 +305,7 @@ def test_store_files_are_stable(dover, tmp_path):
     path_a, path_b = tmp_path / "a.map", tmp_path / "b.map"
     save_map_store(store_a, path_a)
     save_map_store(store_b, path_b)
-    loaded = load_map_store(path_a)
+    loaded = load_map_store(path_a)[4]
     identical = path_a.read_bytes() == path_b.read_bytes()
     ok = loaded == store_a and identical
     verdict(

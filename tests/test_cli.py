@@ -52,7 +52,7 @@ class TestMapgen:
         assert rc == 0
         out = capsys.readouterr().out
         assert "6 maps" in out  # C(4, 2)
-        store = load_map_store(store_path)
+        store = load_map_store(store_path)[2]
         assert store.k == 2
         assert store.n_maps == 6
 
@@ -291,7 +291,7 @@ class TestLocalize:
         save_deployment(dep, tmp_path / "line.deploy")
         assert main(["mapgen", "--deploy", str(tmp_path / "line.deploy"), "--grid", "0.5",
                      "--k", "3", "--out", str(tmp_path / "line.map")]) == 0
-        assert (1, 3, 2) not in load_map_store(tmp_path / "line.map").maps[(1, 2, 3)].regions
+        assert (1, 3, 2) not in load_map_store(tmp_path / "line.map")[3].maps[(1, 2, 3)].regions
         (tmp_path / "scan.txt").write_text(
             "APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\nsample 0.000 3 -50.0\nsample 0.000 2 -60.0\n")
         capsys.readouterr()
@@ -302,8 +302,8 @@ class TestLocalize:
     @staticmethod
     def library_line(store_path, scan_path, k) -> str:
         """What localize answers for the scan at k from every k's maps, as the CLI prints it."""
-        store = load_map_store(store_path)
-        stores = build_stores(store.deployment, range(2, store.deployment.n_aps + 1), store.grid.cell_size)
+        loaded = load_map_store(store_path)
+        stores = build_stores(loaded.deployment, range(2, loaded.deployment.n_aps + 1), loaded.grid.cell_size)
         outcome = localize(aggregate_scan(load_scan(scan_path)), stores, k)
         if not isinstance(outcome, Estimate):
             return "missed\n"
@@ -320,26 +320,34 @@ class TestLocalize:
     def test_a_scan_that_degrades_k_is_answered(self, tmp_path, capsys, monkeypatch):
         # Dover at 0.2 m: a scan that hears APs 1, 3 and 5 degrades k = 4 to 3,
         # which the k = 4 store file answers as the library does, and as the
-        # k = 3 store file does at k = 3.  The k = 3 maps come from the
-        # partition of the loader's rebuild: the grid is partitioned once.
+        # k = 3 store file does at k = 3.  A scan that hears all seven APs the
+        # k = 3 store file answers at k = 4 as the k = 4 one does.  The maps of
+        # a k the file does not hold come from the partition of the loader's
+        # rebuild: each command partitions the grid once.
         dover = resources.files("apseq") / "data" / "dover.deploy"
         for k in (3, 4):
             assert main(["mapgen", "--deploy", str(dover), "--grid", "0.2", "--k", str(k),
                          "--out", str(tmp_path / f"d{k}.map")]) == 0
-        (tmp_path / "scan.txt").write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\n"
-                                           "sample 0.000 3 -50.0\nsample 0.000 5 -60.0\n")
+        (tmp_path / "three.txt").write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\nsample 0.000 1 -40.0\n"
+                                            "sample 0.000 3 -50.0\nsample 0.000 5 -60.0\n")
+        (tmp_path / "seven.txt").write_text("APSEQ-SCAN v2\nwindow 1.0 1.0\n" + "".join(
+            f"sample 0.000 {ap} {rss:.1f}\n" for ap, rss in enumerate([-65, -66, -63, -64, -61, -62, -60], 1)))
         lines, partition = {}, mapgen._partition
-        for k in (3, 4):
+        for store_k, scan, k in [(3, "three", 3), (4, "three", 4), (3, "seven", 4), (4, "seven", 4)]:
             partitions = []
             monkeypatch.setattr(mapgen, "_partition", lambda *args: partitions.append(args) or partition(*args))
             capsys.readouterr()
-            rc = main(["localize", "--store", str(tmp_path / f"d{k}.map"), "--scan", str(tmp_path / "scan.txt"),
-                       "--k", str(k)])
+            rc = main(["localize", "--store", str(tmp_path / f"d{store_k}.map"),
+                       "--scan", str(tmp_path / f"{scan}.txt"), "--k", str(k)])
             monkeypatch.undo()
             assert (rc, len(partitions)) == (0, 1)
-            lines[k] = capsys.readouterr().out
-        want = self.library_line(tmp_path / "d4.map", tmp_path / "scan.txt", 4)
-        assert lines[4] == lines[3] == want == "estimate 14.189597 21.674032 1-3-5 1-3-5\n"
+            lines[store_k, scan, k] = capsys.readouterr().out
+        want = self.library_line(tmp_path / "d4.map", tmp_path / "three.txt", 4)
+        assert lines[4, "three", 4] == lines[3, "three", 3] == want
+        assert want == "estimate 14.189597 21.674032 1-3-5 1-3-5\n"
+        want = self.library_line(tmp_path / "d4.map", tmp_path / "seven.txt", 4)
+        assert lines[3, "seven", 4] == lines[4, "seven", 4] == want
+        assert want == "estimate 20.573762 2.893052 7-5-6-4 4-5-6-7\n"
 
     def test_a_mean_of_minus_100_dbm_is_heard(self, tmp_path, capsys):
         # Dover at 0.4 m, k = 3: a whole-dBm scanner can report AP 3 at
@@ -418,6 +426,19 @@ class TestEvaluate:
         rc = main(["evaluate", "--config", str(bad), "--out", str(workspace / "no_points")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: test_points must be at least 1\n"
+
+    def test_a_floor_above_every_sample_names_the_file(self, tmp_path, capsys):
+        # Every sample is capped at p0_dbm = -30 dBm, so a -20 dBm floor would hear no AP.
+        data = resources.files("apseq") / "data"
+        (tmp_path / "dover.deploy").write_text((data / "dover.deploy").read_text())
+        bad = tmp_path / "deaf.cfg"
+        bad.write_text((data / "dover.cfg").read_text() + "detect_floor_dbm = -20\n")
+        rc = main(["evaluate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: detect_floor_dbm -20.0 is above the loudest sample, -30.0 "
+                       f"(p0_dbm -30.0): no AP would ever be heard\n")
+        assert not (tmp_path / "out").exists()
 
 
 # sha256 of each file that `apseq --seed 7 evaluate` writes for a bundled

@@ -25,7 +25,6 @@ from apseq.evaluate import (
     write_report_csvs,
 )
 from apseq.localize import Estimate, aggregate_scan, localize
-from apseq.mapgen import MapSet
 from apseq.model import ApDeployment, load_deployment, save_deployment
 from apseq.propagation import PropagationParams
 
@@ -542,11 +541,6 @@ class TestStoreChecks:
         stores = build_stores(TINY_DEPLOY, (2,), tiny_config.cell_size)
         assert timeless(experiment(tiny_config, stores)) == timeless(experiment(tiny_config, None))
         assert sorted(stores) == [2, 3]
-
-    def test_a_store_filed_under_another_k(self, tiny_config, experiment):
-        stores = build_stores(TINY_DEPLOY, tiny_config.k_values, tiny_config.cell_size)
-        with pytest.raises(ValueError, match=r"^store for k=2 holds the maps of k=3$"):
-            experiment(tiny_config, MapSet(stores.deployment, stores.grid, {2: stores[3], 3: stores[2]}))
 
     def test_matching_stores_accepted(self, tiny_config, experiment):
         stores = build_stores(TINY_DEPLOY, tiny_config.k_values, tiny_config.cell_size)

@@ -375,24 +375,6 @@ class TestLocalize:
         heard = RssScan(values={**values, 99: foreign_rss})
         assert localize(heard, fallback_store, 3) == localize(RssScan(values=values), fallback_store, 3)
 
-    def test_a_store_filed_under_another_k_is_refused(self, store_family):
-        with pytest.raises(ValueError, match=r"^store for k=3 holds the maps of k=4$"):
-            MapSet(store_family.deployment, store_family.grid, {3: store_family[4]})
-
-    @pytest.mark.parametrize("other_aps", [((5, 5.0, 3.0),), ((4, 6.0, 8.0),)], ids=["other_ids", "moved_ap"])
-    def test_a_store_of_another_deployment_is_refused(self, store_family, other_aps):
-        # A map set holds the stores of one deployment: one of another is refused on construction.
-        dep = store_family.deployment
-        other = ApDeployment(width=dep.width, height=dep.height, aps=dep.aps[:3] + other_aps)
-        stores = {3: store_family[3], 4: build_map_store(other, 4, 1.0)}
-        with pytest.raises(ValueError, match=r"^store for k=4 was built for another deployment or grid "):
-            MapSet(dep, store_family.grid, stores)
-
-    def test_a_store_on_another_grid_is_refused(self, store_family):
-        dep = store_family.deployment
-        with pytest.raises(ValueError, match=r"^store for k=3 was built for another deployment or grid "):
-            MapSet(dep, store_family.grid, {3: build_map_store(dep, 3, 0.5)})
-
     def test_estimate_carries_region_stats(self, half_plane_store):
         scan = RssScan(values={1: -40.0, 2: -55.0})
         result = localize(scan, half_plane_store, 2)
@@ -431,7 +413,7 @@ class TestKDegradation:
 
     def test_a_degraded_k_is_built_on_first_lookup(self, store_family):
         scan = RssScan(values={1: -35.0, 2: -45.0})
-        stores = MapSet(store_family.deployment, store_family.grid, {3: store_family[3]})
+        stores = MapSet(store_family.deployment, store_family.grid, (3,))
         assert 2 not in stores and len(stores) == 1
         assert localize(scan, stores, 3) == localize(scan, store_family, 3)
         assert sorted(stores) == [2, 3]
@@ -481,7 +463,7 @@ def localize_oracle(scan, stores, k):
 
 def held(family, ks):
     """A map set of the family's deployment and grid holding only the stores of ks."""
-    return MapSet(family.deployment, family.grid, {k: family[k] for k in ks})
+    return MapSet(family.deployment, family.grid, ks)
 
 
 def outcome_or_error(locator, *args):

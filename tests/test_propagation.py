@@ -109,11 +109,25 @@ class TestPathLossModel:
             (dict(d0_m=float("inf")), "d0_m"),
             (dict(sigma_db=float("inf")), "sigma_db"),
             (dict(detect_floor_dbm=float("inf")), "detect_floor"),
+            (dict(p0_dbm=-30.0, detect_floor_dbm=-20.0), r"^detect_floor_dbm -20\.0 .*p0_dbm -30\.0"),
         ],
     )
     def test_parameter_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             PropagationParams(**kwargs)
+
+    def test_a_floor_at_the_loudest_sample_is_kept(self):
+        # Every sample is capped at p0_dbm, rounded under round_to_int: a
+        # floor at that cap hears an AP within d0, and one above it is refused.
+        dep = ApDeployment(width=10.0, height=10.0, aps=((1, 0.0, 0.0), (2, 9.0, 9.0)))
+        for p0, floor, round_to_int in [(-30.0, -30.0, False), (-30.3, -30.0, True), (-29.7, -30.0, True)]:
+            params = PropagationParams(p0_dbm=p0, detect_floor_dbm=floor, round_to_int=round_to_int)
+            w = synth_window((0.5, 0.0), dep, params, duration_s=2.0, cadence_s=1.0, rng=default_rng(0))
+            assert w.ap_ids == (1,)
+        for p0, floor in [(-30.3, -29.9), (-29.7, -29.8)]:
+            message = rf"^detect_floor_dbm {floor} is above the loudest sample, -30\.0 \(p0_dbm {p0}\)"
+            with pytest.raises(ValueError, match=message):
+                PropagationParams(p0_dbm=p0, detect_floor_dbm=floor, round_to_int=True)
 
 
 @pytest.fixture(scope="module")

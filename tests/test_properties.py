@@ -74,8 +74,8 @@ def assert_refused_at(line, lines):
 @given(map_stores(), st.data())
 def test_map_store_text_round_trips(store, data):
     text = map_store_to_text(store)
-    assert map_store_from_text(text) == store
-    assert map_store_to_text(map_store_from_text(text)) == text
+    assert map_store_from_text(text)[store.k] == store
+    assert map_store_to_text(map_store_from_text(text)[store.k]) == text
     # Move one declared stat by 1e-6 or more: refused at that line.
     lines = text.splitlines()
     row = data.draw(st.sampled_from([n for n, ln in enumerate(lines) if ln.startswith("region ")]))
@@ -184,6 +184,10 @@ def test_candidate_picks_are_the_subset_signature(values, k, exact):
     st.integers(1, 5),
 )
 def test_noise_free_window_follows_the_model(dep, fx, fy, p0, gamma, d0, floor, n):
+    if floor > p0:  # above every sample: refused, as no AP could be heard
+        with pytest.raises(ValueError, match=r"^detect_floor_dbm .* is above the loudest sample"):
+            PropagationParams(p0_dbm=p0, gamma=gamma, d0_m=d0, detect_floor_dbm=floor)
+        return
     params = PropagationParams(p0_dbm=p0, gamma=gamma, d0_m=d0, detect_floor_dbm=floor)
     point = (fx * dep.width, fy * dep.height)
     w = synth_window(point, dep, params, duration_s=float(n), cadence_s=1.0,
@@ -260,8 +264,7 @@ rss_values = st.one_of(
     st.sampled_from([None, 2, 3, 4]),
 )
 def test_localize_raises_only_value_error(store_family, values, k, single):
-    stores = store_family if single is None else MapSet(store_family.deployment, store_family.grid,
-                                                        {single: store_family[single]})
+    stores = store_family if single is None else MapSet(store_family.deployment, store_family.grid, (single,))
     try:
         localize(RssScan(values=values), stores, k)
     except ValueError:
